@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -206,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mixed fBm simulation, rough path lifts, signatures, "
         "RDE solving, and parameter estimation.",
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("ROUGHMIX_THREADS", "1")),
-                        help="parallelism hint; never changes numerical results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sim", help="sample a GMFBM path")

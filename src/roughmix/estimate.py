@@ -69,10 +69,9 @@ class FitReport:
 
 
 def _uniform_dt(path: SamplePath) -> float:
-    d = np.diff(path.grid.points)
-    if not np.allclose(d, d[0], rtol=1e-8, atol=0.0):
+    if not path.grid.is_uniform:
         raise ValueError("structure function requires a uniform grid")
-    return float(d[0])
+    return float(path.grid.points[1] - path.grid.points[0])
 
 
 def default_lags(n_points: int) -> list[int]:

@@ -117,7 +117,7 @@ class TimeGrid:
         if len(self) < 3:
             return True
         d = np.diff(self.points)
-        return bool(np.allclose(d, d[0], rtol=1e-10, atol=0.0))
+        return bool(np.allclose(d, d[0], rtol=1e-8, atol=0.0))
 
     @classmethod
     def uniform(cls, n_intervals: int, horizon: float = 1.0) -> "TimeGrid":

@@ -7,9 +7,9 @@ pieces compose by Chen's identity. Prefix sums make the increment pair
 (X^1, X^2) over any grid subinterval an O(1) lookup.
 
 Also here: dyadic piecewise-linear approximations, p-variation functionals
-(dyadic / uniform partition families plus an exact dynamic-programming
-oracle on small grids), and the empirical convergence and sharpness
-diagnostics for dyadic lifts of GMFBM.
+(dyadic partitions plus an exact dynamic-programming oracle on small
+grids), and the empirical convergence and sharpness diagnostics for dyadic
+lifts of GMFBM.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "lift_piecewise_linear",
     "chen_compose",
     "cross_level2",
+    "subsampled_lift",
     "p_variation",
     "cauchy_diagnostic",
     "sharpness_probe",
@@ -77,11 +78,15 @@ class Level2RoughPath:
     def n_intervals(self) -> int:
         return self.inc1.shape[0]
 
-    def over(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(X^1, X^2) over [t_i, t_j] via Chen's identity on the prefixes."""
+    def over(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """(X^1, X^2) over [t_i, t_j] via Chen's identity on the prefixes.
+
+        ``i`` and ``j`` may be integer arrays of one shape; the results then
+        carry that shape as leading axes, (..., d) and (..., d, d).
+        """
         a, b = self._prefix1, self._prefix2
         x1 = a[j] - a[i]
-        x2 = b[j] - b[i] - np.outer(a[i], x1)
+        x2 = b[j] - b[i] - a[i][..., :, None] * x1[..., None, :]
         return x1, x2
 
     def total(self) -> tuple[np.ndarray, np.ndarray]:
@@ -93,18 +98,19 @@ class Level2RoughPath:
         return 0.5 * (x2 - x2.T)
 
     def check_chen(self, tol: float = 1e-10) -> float:
-        """Largest Chen-consistency defect over all interior nodes."""
-        worst = 0.0
-        n = self.n_intervals
-        for k in range(1, n):
-            x1l, x2l = self.over(0, k)
-            x1r, x2r = self.over(k, n)
-            x1, x2 = self.total()
-            worst = max(
-                worst,
-                float(np.abs(x1l + x1r - x1).max()),
-                float(np.abs(x2l + x2r + np.outer(x1l, x1r) - x2).max()),
-            )
+        """Largest defect of X_{0,k+1} = X_{0,k} (x) X_{k,k+1} over all nodes k.
+
+        X_{0,k} is looked up from the prefixes and X_{k,k+1} is the stored
+        increment, so a prefix entry that disagrees with them shows.
+        """
+        k = np.arange(self.n_intervals)
+        x1l, x2l = self.over(0, k)
+        x1, x2 = self.over(0, k + 1)
+        chen2 = x2l + self.inc2 + x1l[:, :, None] * self.inc1[:, None, :]
+        worst = max(
+            float(np.abs(x1l + self.inc1 - x1).max(initial=0.0)),
+            float(np.abs(chen2 - x2).max(initial=0.0)),
+        )
         if worst > tol:
             raise AssertionError(f"Chen defect {worst} exceeds {tol}")
         return worst
@@ -145,12 +151,11 @@ class Level2RoughPath:
 class PartitionSchedule:
     """Family of partitions over which p-variation sums are maximized."""
 
-    family: str = "dyadic"  # dyadic | uniform | all_subsets_dp
+    family: str = "dyadic"  # dyadic | all_subsets_dp
     max_depth: int = 10
-    mesh_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.family not in ("dyadic", "uniform", "all_subsets_dp"):
+        if self.family not in ("dyadic", "all_subsets_dp"):
             raise ValueError(f"unknown partition family {self.family!r}")
 
 
@@ -223,38 +228,48 @@ def chen_compose(a: Level2RoughPath, b: Level2RoughPath) -> Level2RoughPath:
 
 
 def cross_level2(x_values: np.ndarray, y_values: np.ndarray) -> np.ndarray:
-    """Exact int (X_u - X_0) (x) dY_u for two polylines on a common grid."""
-    x = np.atleast_2d(np.asarray(x_values, dtype=float))
-    y = np.atleast_2d(np.asarray(y_values, dtype=float))
-    if x.shape[1] > x.shape[0]:
-        x, y = x.T, y.T
-    dx = np.diff(x, axis=0)
-    dy = np.diff(y, axis=0)
-    left = x[:-1] - x[0]
-    return np.einsum("ka,kb->ab", left, dy) + 0.5 * np.einsum("ka,kb->ab", dx, dy)
+    """Exact int (X_u - X_0) (x) dY_u for two polylines on a common grid.
+
+    Values are (..., n_points, d) with any leading batch axes; a 1-d input
+    is one coordinate, (n_points, 1). Returns (..., d_x, d_y).
+    """
+    x, y = (np.asarray(v, dtype=float) for v in (x_values, y_values))
+    x, y = (v[:, None] if v.ndim == 1 else v for v in (x, y))
+    dx = np.diff(x, axis=-2)
+    dy = np.diff(y, axis=-2)
+    left = x[..., :-1, :] - x[..., :1, :]
+    return (np.einsum("...ka,...kb->...ab", left, dy)
+            + 0.5 * np.einsum("...ka,...kb->...ab", dx, dy))
+
+
+def subsampled_lift(path: SamplePath, stride: int) -> Level2RoughPath:
+    """Piecewise-linear lift of every ``stride``-th point of the path."""
+    return lift_piecewise_linear(
+        path.values[::stride], TimeGrid(path.grid.points[::stride])
+    )
 
 
 # --------------------------------------------------------------------------- #
 # p-variation
 
 
-def _partition_indices(n_intervals: int, schedule: PartitionSchedule):
-    """Yield index partitions (arrays of node indices incl. endpoints)."""
-    if schedule.family == "dyadic":
-        for q in range(schedule.max_depth + 1):
-            k = min(2 ** q, n_intervals)
-            idx = np.unique(np.round(np.linspace(0, n_intervals, k + 1)).astype(int))
-            yield idx
-    elif schedule.family == "uniform":
-        counts = schedule.mesh_counts or tuple(
-            2 ** q for q in range(schedule.max_depth + 1)
-        )
-        for k in counts:
-            k = min(k, n_intervals)
-            idx = np.unique(np.round(np.linspace(0, n_intervals, k + 1)).astype(int))
-            yield idx
-    else:
-        raise ValueError("all_subsets_dp has no enumerable partition list")
+def _partition_indices(n_intervals: int, max_depth: int):
+    """Yield the dyadic partitions into min(2^q, n) blocks, q = 0..max_depth.
+
+    Each partition is an array of node indices including both endpoints.
+    """
+    for q in range(max_depth + 1):
+        k = min(2 ** q, n_intervals)
+        yield np.unique(np.round(np.linspace(0, n_intervals, k + 1)).astype(int))
+
+
+def _partition_sum(blocks: np.ndarray, power: float) -> float:
+    """Sum of |block|^power over a partition's blocks, stacked on axis 0.
+
+    |.| is the Euclidean norm of the flattened block (Frobenius for level 2).
+    """
+    norms = np.linalg.norm(blocks.reshape(blocks.shape[0], -1), axis=1)
+    return float(np.sum(norms ** power))
 
 
 def _variation_dp(rp: Level2RoughPath, level: int, power: float) -> float:
@@ -284,6 +299,8 @@ def p_variation(rp: Level2RoughPath, p: float,
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
+    if not set(levels) <= {1, 2}:
+        raise ValueError("levels must be drawn from (1, 2)")
     schedule = schedule or PartitionSchedule()
     use_levels = [k for k in levels if k == 1 or p >= 2.0]
     out = 0.0
@@ -292,14 +309,10 @@ def p_variation(rp: Level2RoughPath, p: float,
             s = _variation_dp(rp, k, p / k)
             out = max(out, s ** (k / p))
         return out
-    for idx in _partition_indices(rp.n_intervals, schedule):
+    for idx in _partition_indices(rp.n_intervals, schedule.max_depth):
+        blocks = rp.over(idx[:-1], idx[1:])
         for k in use_levels:
-            s = 0.0
-            for i, j in zip(idx[:-1], idx[1:]):
-                x1, x2 = rp.over(i, j)
-                w = np.linalg.norm(x1) if k == 1 else np.linalg.norm(x2)
-                s += w ** (p / k)
-            out = max(out, s ** (k / p))
+            out = max(out, _partition_sum(blocks[k - 1], p / k) ** (k / p))
     return out
 
 
@@ -317,17 +330,10 @@ def _dp_distance(fine_m: SamplePath, fine_m1: SamplePath, p: float) -> float:
     ra = lift_piecewise_linear(fine_m)
     rb = lift_piecewise_linear(fine_m1)
     n = ra.n_intervals
-    depth = int(np.round(np.log2(n)))
     best = 0.0
-    for q in range(depth + 1):
-        k = 2 ** q
-        idx = np.round(np.linspace(0, n, k + 1)).astype(int)
-        s = 0.0
-        for i, j in zip(idx[:-1], idx[1:]):
-            _, x2a = ra.over(i, j)
-            _, x2b = rb.over(i, j)
-            s += np.linalg.norm(x2a - x2b) ** (p / 2.0)
-        best = max(best, s ** (2.0 / p))
+    for idx in _partition_indices(n, int(np.round(np.log2(n)))):
+        diff = ra.over(idx[:-1], idx[1:])[1] - rb.over(idx[:-1], idx[1:])[1]
+        best = max(best, _partition_sum(diff, p / 2.0) ** (2.0 / p))
     return lvl1 + best
 
 
@@ -392,13 +398,11 @@ def sharpness_probe(
     spec = GmfbmSpec((h_small,), (1.0,), dim=2, horizon=1.0)
     grid = TimeGrid.dyadic(m_max, 1.0)
     areas = {m: [] for m in range(m_min, m_max + 1)}
+    n = len(grid) - 1
     for seed in seeds:
         path = sample(spec, grid, seed, method=method)
-        n = len(grid) - 1
         for m in range(m_min, m_max + 1):
-            stride = n // (2 ** m)
-            sub = path.values[::stride]
-            rp = lift_piecewise_linear(sub, TimeGrid(grid.points[::stride]))
+            rp = subsampled_lift(path, n // (2 ** m))
             areas[m].append(rp.levy_area()[0, 1])
     variances = {m: float(np.var(v, ddof=1)) for m, v in areas.items()}
     return {"hurst": h_small, "variances": variances, "areas": areas}

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as ta
 from .errors import NumericsError
 from .gmfbm import GmfbmSpec, TimeGrid, sample
-from .lift import Level2RoughPath, lift_piecewise_linear
+from .lift import Level2RoughPath, lift_piecewise_linear, subsampled_lift
 
 __all__ = [
     "VectorField",
@@ -235,10 +235,6 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
 # harnesses
 
 
-def _subsampled_lift(values: np.ndarray, grid: TimeGrid, stride: int) -> Level2RoughPath:
-    return lift_piecewise_linear(values[::stride], TimeGrid(grid.points[::stride]))
-
-
 def convergence_rate(
     spec: GmfbmSpec,
     field: VectorField,
@@ -279,7 +275,7 @@ def convergence_rate(
         errors = []
         for m in mesh_levels:
             stride = 2 ** (m_ref - m)
-            sol = solve(_subsampled_lift(path.values, grid, stride), field, y0)
+            sol = solve(subsampled_lift(path, stride), field, y0)
             err = float(
                 np.abs(sol.states - ref.states[::stride]).max()
             )

@@ -145,13 +145,8 @@ def cross_term_scaling(
             spec, grid, seed + si, n_paths, method="circulant",
             return_components=True,
         )
-        bi = comps[0, :, :, 0]  # (n_paths, n_steps+1)
-        bj = comps[1, :, :, 0]
-        dxj = np.diff(bj, axis=1)
-        dxi = np.diff(bi, axis=1)
-        cross = np.sum((bi[:, :-1] - bi[:, :1]) * dxj, axis=1) + 0.5 * np.sum(
-            dxi * dxj, axis=1
-        )
+        # comps is (component, path, point, 1); one cross integral per path
+        cross = cross_level2(comps[0], comps[1])[:, 0, 0]
         sq = cross ** 2
         moments.append(sq.mean())
         ses.append(sq.std(ddof=1) / np.sqrt(n_paths))

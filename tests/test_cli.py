@@ -124,21 +124,6 @@ def test_numerical_blowup_exits_3(tmp_path):
                "-o", tmp_path / "o") == 3
 
 
-def test_threads_flag_does_not_change_results(tmp_path, spec_file):
-    a, b = tmp_path / "a", tmp_path / "b"
-    run("--threads", 1, "sim", "--spec", spec_file, "--n", 32, "--seed", 5, "-o", a)
-    run("--threads", 4, "sim", "--spec", spec_file, "--n", 32, "--seed", 5, "-o", b)
-    assert (a / "path.csv").read_bytes() == (b / "path.csv").read_bytes()
-
-
-def test_threads_env_var(tmp_path, spec_file, monkeypatch):
-    monkeypatch.setenv("ROUGHMIX_THREADS", "3")
-    out = tmp_path / "o"
-    assert run("sim", "--spec", spec_file, "--n", 16, "--seed", 1, "-o", out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["threads"] == 3
-
-
 def test_bench_scaling_subcommand(tmp_path):
     out = tmp_path / "o"
     assert run("bench-scaling", "--hi", 0.5, "--hj", 0.75, "--n-paths", 200,

@@ -60,6 +60,11 @@ def test_grid_validation():
     assert len(TimeGrid.dyadic(3).points) == 9
 
 
+def test_long_uniform_grid_is_uniform():
+    # linspace rounding spreads the spacings by ~2e-10 relative at this size
+    assert TimeGrid.uniform(3_000_000).is_uniform
+
+
 # --------------------------------------------------------------------------- #
 # covariance structure
 

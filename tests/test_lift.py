@@ -120,6 +120,30 @@ def test_chen_consistency_and_symmetric_part():
         assert np.allclose(sym, 0.5 * np.outer(x1, x1), atol=1e-10)
 
 
+@given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 3),
+       st.tuples(st.integers(0, 5), st.integers(1, 4)))
+@settings(max_examples=50, deadline=None)
+def test_over_on_index_arrays_matches_scalar_calls(seed, n, d, shape):
+    rng = np.random.default_rng(seed)
+    rp = lift_piecewise_linear(np.cumsum(rng.normal(size=(n + 1, d)), axis=0))
+    ends = np.sort(rng.integers(0, n + 1, size=shape + (2,)), axis=-1)
+    i, j = ends[..., 0], ends[..., 1]
+    x1, x2 = rp.over(i, j)
+    assert x1.shape == shape + (d,) and x2.shape == shape + (d, d)
+    for pos in np.ndindex(*shape):
+        s1, s2 = rp.over(int(i[pos]), int(j[pos]))
+        assert np.abs(x1[pos] - s1).max() <= 1e-12
+        assert np.abs(x2[pos] - s2).max() <= 1e-12
+
+
+def test_check_chen_detects_corrupted_prefix():
+    rng = np.random.default_rng(6)
+    rp = lift_piecewise_linear(np.cumsum(rng.normal(size=(17, 2)), axis=0))
+    rp._prefix2[7, 0, 1] += 1e-6
+    with pytest.raises(AssertionError):
+        rp.check_chen(1e-10)
+
+
 def test_lift_rejects_short_paths():
     with pytest.raises(ValueError):
         lift_piecewise_linear(np.zeros((1, 2)))
@@ -184,6 +208,16 @@ def test_mixture_level2_decomposes_into_component_lifts():
     cross = cross_level2(bvals, cvals) + cross_level2(cvals, bvals)
     want = a * a * x2b + b * b * x2c + a * b * cross
     assert np.abs(x2 - want).max() < 1e-8
+
+
+def test_cross_level2_single_segment_in_r3():
+    dx = np.array([1.0, -2.0, 0.5])
+    dy = np.array([0.3, 4.0, -1.5])
+    x = np.vstack([np.zeros(3), dx])
+    y = np.vstack([np.ones(3), np.ones(3) + dy])
+    got = cross_level2(x, y)
+    assert got.shape == (3, 3)
+    assert np.allclose(got, 0.5 * np.outer(dx, dy), rtol=0.0, atol=1e-15)
 
 
 # --------------------------------------------------------------------------- #
