@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import CompositionError, ConfigurationError, NumericsError
 from .estimate import default_lags, fit_mixture
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, format_csv, sample
 from .lift import (
     Level2RoughPath,
     cauchy_diagnostic,
@@ -61,11 +61,7 @@ def _load_spec(path: str) -> GmfbmSpec:
 
 
 def _write_csv_rows(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(format_csv(header, rows))
 
 
 # --------------------------------------------------------------------------- #

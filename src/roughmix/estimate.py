@@ -69,8 +69,8 @@ class FitReport:
 
 
 def _uniform_dt(path: SamplePath) -> float:
-    if not path.grid.is_uniform:
-        raise ValueError("structure function requires a uniform grid")
+    if len(path.grid) < 2 or not path.grid.is_uniform:
+        raise ValueError("structure function requires a uniform grid of >= 2 points")
     return float(path.grid.points[1] - path.grid.points[0])
 
 

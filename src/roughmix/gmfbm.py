@@ -129,6 +129,15 @@ class TimeGrid:
         return cls.uniform(2 ** m, horizon)
 
 
+def format_csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row; floats as %.17g."""
+    lines = [header] + [
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class SamplePath:
     """A d-dimensional path on a time grid, with sampling provenance.
@@ -158,14 +167,9 @@ class SamplePath:
         return self.values.shape[1]
 
     def to_csv(self) -> str:
-        d = self.dim
-        buf = io.StringIO()
-        buf.write("t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
-        for t, row in zip(self.grid.points, self.values):
-            buf.write(
-                f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n"
-            )
-        return buf.getvalue()
+        header = "t," + ",".join(f"x{i + 1}" for i in range(self.dim))
+        rows = np.column_stack([self.grid.points, self.values]).tolist()
+        return format_csv(header, rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "SamplePath":

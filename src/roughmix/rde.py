@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as ta
 from .errors import NumericsError
-from .gmfbm import GmfbmSpec, TimeGrid, sample
+from .gmfbm import GmfbmSpec, TimeGrid, format_csv, sample
 from .lift import Level2RoughPath, lift_piecewise_linear, subsampled_lift
 
 __all__ = [
@@ -151,11 +151,9 @@ class RdeSolution:
         return self.states[-1]
 
     def to_csv(self) -> str:
-        e = self.states.shape[1]
-        lines = ["t," + ",".join(f"y{i + 1}" for i in range(e))]
-        for t, row in zip(self.grid.points, self.states):
-            lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
+        header = "t," + ",".join(f"y{i + 1}" for i in range(self.states.shape[1]))
+        rows = np.column_stack([self.grid.points, self.states]).tolist()
+        return format_csv(header, rows)
 
 
 # --------------------------------------------------------------------------- #
@@ -191,43 +189,34 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
 
     Per interval, the group-like extension of (X^1, X^2) to the configured
     tensor level is contracted against products of the generators; for
-    commuting generators this is exact up to the truncation level.
+    commuting generators this is exact up to the truncation level. One
+    batched log, exp and einsum per level give every interval's propagator
+    P_k; only y <- P_k y loops.
     """
-    mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in mats]
-    d = rp.dim
+    mats = np.stack([np.atleast_2d(np.asarray(m, dtype=float)) for m in mats])
+    d, k = rp.dim, rp.n_intervals
     if len(mats) != d:
         raise ValueError("need one generator matrix per driver coordinate")
-    e = mats[0].shape[0]
+    if level < 2:
+        raise ValueError("level must be >= 2")
+    ta._check_size(d, level)
+    e = mats.shape[1]
+    ell = ta._log([np.ones((k, 1)), rp.inc1, rp.inc2.reshape(k, d * d)])
+    # canonical group-like extension: exp of the level-<=2 log part
+    g = ta._exp([np.zeros((k, 1)), ell[1], ell[2]]
+                + [np.zeros((k, d ** n)) for n in range(3, level + 1)])
+    # words[w] = A_{w_n} ... A_{w_1}, stacked in level-n storage order
+    words = np.eye(e)[None]
+    props = np.zeros((k, e, e)) + np.eye(e)
+    for n in range(1, level + 1):
+        words = np.einsum("aij,wjl->wail", mats, words).reshape(d ** n, e, e)
+        props += np.einsum("kw,wij->kij", g[n], words)
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    states = np.empty((rp.n_intervals + 1, y.size))
+    states = np.empty((k + 1, y.size))
     states[0] = y
-    for k in range(rp.n_intervals):
-        x1 = rp.inc1[k]
-        x2 = rp.inc2[k]
-        two = ta.TruncatedTensor(d, 2, [[1.0], x1, x2.ravel()])
-        ell = ta.log(two)
-        # canonical group-like extension: exp of the level-<=2 log part
-        ell_ext = ta.TruncatedTensor(
-            d, level,
-            [np.zeros(1), ell.levels[1], ell.levels[2]]
-            + [np.zeros(d ** n) for n in range(3, level + 1)],
-        )
-        g = ta.exp(ell_ext)
-        prop = np.eye(e)
-        word_mats = {(): np.eye(e)}
-        for n in range(1, level + 1):
-            new = {}
-            for word, m_prev in word_mats.items():
-                if len(word) != n - 1:
-                    continue
-                for a in range(d):
-                    new[word + (a,)] = mats[a] @ m_prev
-            word_mats.update(new)
-            lvl = g.levels[n].reshape((d,) * n)
-            for word, m_word in new.items():
-                prop = prop + lvl[word] * m_word
+    for i, prop in enumerate(props):
         y = prop @ y
-        states[k + 1] = y
+        states[i + 1] = y
     return RdeSolution(grid=rp.grid, states=states, scheme="linear-exact")
 
 

@@ -2,10 +2,10 @@
 
 The signature of sampled data is the exact signature of its piecewise-linear
 interpolant: the product over segments of exp(increment) in the truncated
-tensor algebra. Each linear segment's signature is exactly the tensor
-exponential of its increment, so no higher-order log corrections are needed;
-refinement error relative to the underlying process is measured empirically
-instead.
+tensor algebra, taken as a balanced Chen product tree batched over paths.
+Each linear segment's signature is exactly the tensor exponential of its
+increment, so no higher-order log corrections are needed; refinement error
+relative to the underlying process is measured empirically instead.
 """
 
 from __future__ import annotations
@@ -26,6 +26,33 @@ __all__ = [
 ]
 
 
+def _signature_levels(values: np.ndarray, level: int) -> list:
+    """Raw signature levels (..., d^k) of the polylines through values (..., n, d).
+
+    Chen's identity is associative, so segment exponentials are multiplied
+    pairwise, log2(n) batched products with an odd tail carried up, in chunks
+    of at most ``ta.MAX_ENTRIES`` stored entries folded left to right.
+    """
+    deltas = np.diff(values, axis=-2)
+    d = deltas.shape[-1]
+    ta._check_size(d, level)
+    per_segment = values[..., 0, 0].size * sum(d ** k for k in range(level + 1))
+    chunk = max(1, ta.MAX_ENTRIES // per_segment)
+    acc = None
+    for start in range(0, deltas.shape[-2], chunk):
+        part = ta._exp_of_increment(deltas[..., start:start + chunk, :], level)
+        while (m := part[0].shape[-2]) > 1:
+            prod = ta._mul([lv[..., 0:m - 1:2, :] for lv in part],
+                           [lv[..., 1:m:2, :] for lv in part])
+            if m % 2:
+                prod = [np.concatenate([p, lv[..., -1:, :]], axis=-2)
+                        for p, lv in zip(prod, part)]
+            part = prod
+        part = [lv[..., 0, :] for lv in part]
+        acc = part if acc is None else ta._mul(acc, part)
+    return acc
+
+
 def signature(path_or_values, level: int = 4) -> TruncatedTensor:
     """Truncated signature of the polyline through the sample points."""
     if level < 1:
@@ -37,10 +64,7 @@ def signature(path_or_values, level: int = 4) -> TruncatedTensor:
     )
     if values.shape[0] < 2:
         raise ValueError("need at least 2 grid points")
-    acc = ta.unit(values.shape[1], level)
-    for delta in np.diff(values, axis=0):
-        acc = ta.mul(acc, ta.exp_of_increment(delta, level))
-    return acc
+    return TruncatedTensor(values.shape[1], level, _signature_levels(values, level))
 
 
 def log_signature(path_or_values, level: int = 4) -> TruncatedTensor:
@@ -96,23 +120,11 @@ def expected_signature_mc(
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     values = sample_batch(spec, grid, seed, n_paths, method=method)
-    d = spec.dim
-    sums = [np.zeros(d ** n) for n in range(level + 1)]
-    sq_sums = [np.zeros(d ** n) for n in range(level + 1)]
-    for i in range(n_paths):
-        sig = signature(values[i], level)
-        for n in range(level + 1):
-            sums[n] += sig.levels[n]
-            sq_sums[n] += sig.levels[n] ** 2
-    means = [s / n_paths for s in sums]
-    ses = [
-        np.sqrt(np.clip(q / n_paths - m ** 2, 0.0, None) / n_paths)
-        for q, m in zip(sq_sums, means)
-    ]
-    return (
-        TruncatedTensor(d, level, means),
-        TruncatedTensor(d, level, ses),
-    )
+    levels = _signature_levels(values, level)
+    means = [lv.mean(axis=0) for lv in levels]
+    ses = [np.sqrt(np.clip((lv ** 2).mean(axis=0) - m ** 2, 0.0, None) / n_paths)
+           for lv, m in zip(levels, means)]
+    return tuple(TruncatedTensor(spec.dim, level, lv) for lv in (means, ses))
 
 
 def cross_term_scaling(

@@ -4,6 +4,9 @@ Each level n is stored as a dense flat array of d^n coefficients in
 lexicographic word order: the word (w_1, ..., w_n) with letters in 1..d
 sits at index sum_j (w_j - 1) * d^(n - j). Level 0 is the scalar part.
 See docs/format.md for the serialized layout.
+
+The private kernels take raw level lists of (..., d^n) arrays whose leading
+batch axes broadcast; ``TruncatedTensor`` and the public functions wrap them.
 """
 
 from __future__ import annotations
@@ -121,17 +124,6 @@ class TruncatedTensor:
             [a + b for a, b in zip(self.levels, other.levels)],
         )
 
-    def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        self._compatible(other)
-        return TruncatedTensor(
-            self.dim, self.level,
-            [a - b for a, b in zip(self.levels, other.levels)],
-        )
-
-    def scale(self, c: float) -> "TruncatedTensor":
-        return TruncatedTensor(self.dim, self.level,
-                               [c * lv for lv in self.levels])
-
     def __matmul__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         return mul(self, other)
 
@@ -197,55 +189,69 @@ def from_level1(vec, level: int) -> TruncatedTensor:
 # algebra
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat outer product over the last axis; words concatenate lexicographically."""
+    prod = a[..., :, None] * b[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (-1,))
+
+
+def _mul(x, y) -> list:
+    """Truncated product of raw levels (..., d^n): out[n] = sum_i x[i] (x) y[n - i]."""
+    return [sum(_outer(x[i], y[n - i]) for i in range(n + 1))
+            for n in range(len(x))]
+
+
+def _series(x, coeffs) -> list:
+    """Horner evaluation of sum_n coeffs[n] x^{(x) n} on raw levels."""
+    acc = [np.full_like(x[0], coeffs[-1])] + [np.zeros_like(lv) for lv in x[1:]]
+    for c in reversed(coeffs[:-1]):
+        acc = _mul(acc, x)
+        acc[0] = acc[0] + c
+    return acc
+
+
+def _exp(x) -> list:
+    return _series(x, [1.0 / math.factorial(n) for n in range(len(x))])
+
+
+def _log(x) -> list:
+    coeffs = [0.0] + [(-1.0) ** (n - 1) / n for n in range(1, len(x))]
+    return _series([x[0] - 1.0, *x[1:]], coeffs)
+
+
+def _exp_of_increment(delta: np.ndarray, level: int) -> list:
+    """Raw levels of exp(delta) for increments (..., d): delta^{(x) n} / n!."""
+    levels = [np.ones(delta.shape[:-1] + (1,))]
+    for n in range(1, level + 1):
+        levels.append(_outer(levels[-1], delta / n))
+    return levels
+
+
 def mul(x: TruncatedTensor, y: TruncatedTensor) -> TruncatedTensor:
     """Graded truncated tensor product: out[n] = sum_{i+j=n} x[i] (x) y[j]."""
     x._compatible(y)
-    out = [np.zeros(x.dim ** n) for n in range(x.level + 1)]
-    for i, xi in enumerate(x.levels):
-        for j in range(x.level - i + 1):
-            yj = y.levels[j]
-            # outer product of flat levels concatenates words lexicographically
-            out[i + j] += np.multiply.outer(xi, yj).ravel()
-    return TruncatedTensor(x.dim, x.level, out)
+    return TruncatedTensor(x.dim, x.level, _mul(x.levels, y.levels))
 
 
 def exp(x: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor exponential; requires zero scalar part."""
     if x.scalar != 0.0:
         raise ValueError("exp requires zero scalar part")
-    acc = unit(x.dim, x.level)
-    term = unit(x.dim, x.level)
-    for n in range(1, x.level + 1):
-        term = mul(term, x).scale(1.0 / n)
-        acc = acc + term
-    return acc
+    return TruncatedTensor(x.dim, x.level, _exp(x.levels))
 
 
 def log(x: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor logarithm; requires scalar part 1."""
     if abs(x.scalar - 1.0) > 1e-12:
         raise ValueError("log requires scalar part 1")
-    y = x - unit(x.dim, x.level)
-    acc = zero(x.dim, x.level)
-    term = unit(x.dim, x.level)
-    for n in range(1, x.level + 1):
-        term = mul(term, y)
-        acc = acc + term.scale((-1.0) ** (n - 1) / n)
-    return acc
+    return TruncatedTensor(x.dim, x.level, _log(x.levels))
 
 
 def exp_of_increment(delta, level: int) -> TruncatedTensor:
     """exp(from_level1(delta)): level n is delta^{(x) n} / n!, computed directly."""
     delta = np.asarray(delta, dtype=float).ravel()
-    dim = delta.size
-    _check_size(dim, level)
-    levels = [np.zeros(dim ** n) for n in range(level + 1)]
-    levels[0][0] = 1.0
-    power = np.array([1.0])
-    for n in range(1, level + 1):
-        power = np.multiply.outer(power, delta).ravel()
-        levels[n] = power / math.factorial(n)
-    return TruncatedTensor(dim, level, levels)
+    _check_size(delta.size, level)
+    return TruncatedTensor(delta.size, level, _exp_of_increment(delta, level))
 
 
 # --------------------------------------------------------------------------- #

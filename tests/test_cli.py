@@ -106,6 +106,14 @@ def test_missing_input_exits_2(tmp_path):
                "-o", tmp_path / "o") == 2
 
 
+def test_estimate_single_row_exits_2(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("t,x1\n0,0\n")
+    assert run("estimate", "--input", one, "-o", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_spec_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"hursts": [2.0], "coeffs": [1.0]}')

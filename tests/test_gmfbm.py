@@ -10,6 +10,7 @@ from roughmix.gmfbm import (
     SamplePath,
     TimeGrid,
     covariance,
+    format_csv,
     increment_cross_covariance,
     increment_variance,
     sample,
@@ -232,3 +233,13 @@ def test_csv_round_trip():
     assert np.array_equal(back.grid.points, path.grid.points)
     header = path.to_csv().splitlines()[0]
     assert header == "t,x1"
+
+
+def test_csv_golden_bytes():
+    path = SamplePath(TimeGrid(np.array([0.0, 0.5, 1.0])), np.array([0.1, -0.0, 2 / 3]))
+    assert path.to_csv() == (
+        "t,x1\n0,0.10000000000000001\n0.5,-0\n1,0.66666666666666663\n"
+    )
+    assert format_csv("m,stat,value", [(3, "median", 0.1)]) == (
+        "m,stat,value\n3,median,0.10000000000000001\n"
+    )

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from roughmix.errors import NumericsError
 from roughmix.gmfbm import GmfbmSpec, TimeGrid, sample
-from roughmix.lift import lift_piecewise_linear
+from roughmix.lift import Level2RoughPath, lift_piecewise_linear
 from roughmix.rde import (
     constant_field,
     convergence_rate,
@@ -142,6 +143,22 @@ def test_linear_exact_nilpotent_generator():
     # exp(nil * dm) = I + nil * dm, and commuting steps compose exactly
     want = np.array([1.0 + dm, 1.0])
     assert np.allclose(sol.final, want, atol=1e-10)
+
+
+def test_linear_exact_levy_area_word_order():
+    # one interval with area: the truncated exponential is the log-ODE step
+    # expm(sum_a l1_a A_a + sum_ab l2_ab A_b A_a); A_a A_b instead is 0.2 off
+    mats = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])]
+    x = np.array([0.3, -0.2])
+    area = 0.05 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rp = Level2RoughPath(TimeGrid(np.array([0.0, 1.0])), x[None],
+                         (0.5 * np.outer(x, x) + area)[None])
+    y0 = np.array([1.0, -2.0])
+    gen = sum(x[a] * mats[a] for a in range(2)) + sum(
+        area[a, b] * mats[b] @ mats[a] for a in range(2) for b in range(2)
+    )
+    got = linear_exact(rp, mats, y0, level=12).final
+    assert np.abs(got - expm(gen) @ y0).max() <= 1e-11
 
 
 # --------------------------------------------------------------------------- #

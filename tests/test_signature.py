@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from roughmix import tensor as ta
 from roughmix.gmfbm import GmfbmSpec, TimeGrid
 from roughmix.signature import (
+    _signature_levels,
     cross_term_scaling,
     expected_signature_mc,
     level_formulas_check,
@@ -104,6 +105,41 @@ def test_signature_input_validation():
         signature(np.zeros((1, 2)), 2)
     with pytest.raises(ValueError):
         signature(np.zeros((3, 2)), 0)
+
+
+def sequential_signature(values, level):
+    """Oracle: left fold of Chen's identity, one segment at a time."""
+    acc = ta.unit(values.shape[1], level)
+    for delta in np.diff(values, axis=0):
+        acc = ta.mul(acc, ta.exp_of_increment(delta, level))
+    return acc
+
+
+def assert_matches_fold(levels, values, level):
+    for b, path in enumerate(values):
+        want = sequential_signature(path, level)
+        for n in range(level + 1):
+            scale = max(1.0, want.norm_level(n))
+            assert np.abs(levels[n][b] - want.levels[n]).max() / scale <= 1e-12
+
+
+@given(st.integers(2, 40), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_product_tree_matches_sequential_fold(n, d, level, batch, seed):
+    values = np.cumsum(np.random.default_rng(seed).normal(size=(batch, n, d)), axis=1)
+    assert_matches_fold(_signature_levels(values, level), values, level)
+
+
+def test_product_tree_chunked_fold(monkeypatch):
+    # 3 paths x 15 entries per segment: chunks of 2 segments under a cap of 100
+    values = random_polyline(31, n=38)[None] * np.array([1.0, -0.5, 2.0])[:, None, None]
+    whole = _signature_levels(values, 3)
+    monkeypatch.setattr(ta, "MAX_ENTRIES", 100)
+    chunked = _signature_levels(values, 3)
+    assert_matches_fold(chunked, values, 3)
+    for a, b in zip(whole, chunked):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
 
 
 # --------------------------------------------------------------------------- #
