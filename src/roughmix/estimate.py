@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar, nnls
 
 from .errors import ConfigurationError
 from .gmfbm import SamplePath
@@ -134,6 +133,9 @@ def _row_weights(dts: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _weighted_nnls(dts, values, hursts, weights=None):
     """Row-weighted NNLS of the structure values against the power-law design."""
+    # imported on use, so that importing roughmix does not load scipy.optimize
+    from scipy.optimize import nnls
+
     if weights is None:
         weights = _row_weights(dts, values)
     a = _design(dts, hursts) * weights[:, None]
@@ -148,6 +150,8 @@ def fit_mixture_from_table(
     h_grid=None,
     refine_iters: int = 4,
 ) -> FitReport:
+    from scipy.optimize import minimize_scalar
+
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
     if n_components < 1:

@@ -53,12 +53,14 @@ class GmfbmSpec:
             raise ValueError("at least one component is required")
         if any(not (0.0 < h < 1.0) for h in self.hursts):
             raise ValueError("every Hurst parameter must lie in (0, 1)")
+        if not all(np.isfinite(self.coeffs)):
+            raise ValueError("coefficients must be finite")
         if all(a == 0.0 for a in self.coeffs):
             raise ValueError("coefficients must not all be zero")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
 
     @property
     def n_components(self) -> int:
@@ -81,12 +83,20 @@ class GmfbmSpec:
     @classmethod
     def from_json(cls, text: str) -> "GmfbmSpec":
         obj = json.loads(text)
-        return cls(
-            hursts=tuple(obj["hursts"]),
-            coeffs=tuple(obj["coeffs"]),
-            dim=int(obj.get("dim", 1)),
-            horizon=float(obj.get("horizon", 1.0)),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("spec must be a JSON object")
+        missing = [k for k in ("hursts", "coeffs") if k not in obj]
+        if missing:
+            raise ValueError(f"spec is missing {', '.join(missing)}")
+        try:
+            return cls(
+                hursts=tuple(obj["hursts"]),
+                coeffs=tuple(obj["coeffs"]),
+                dim=int(obj.get("dim", 1)),
+                horizon=float(obj.get("horizon", 1.0)),
+            )
+        except TypeError as err:
+            raise ValueError(f"malformed spec: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, n_intervals: int, horizon: float = 1.0) -> "TimeGrid":
+        if n_intervals < 1:
+            raise ValueError(f"need at least 1 interval, got {n_intervals}")
         return cls(np.linspace(0.0, horizon, n_intervals + 1))
 
     @classmethod
@@ -174,6 +186,8 @@ class SamplePath:
     @classmethod
     def from_csv(cls, text: str) -> "SamplePath":
         data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        if not np.isfinite(data).all():
+            raise ValueError("path CSV holds non-finite values")
         return cls(grid=TimeGrid(data[:, 0]), values=data[:, 1:])
 
 
@@ -283,8 +297,13 @@ def _fgn_circulant(sqrt_eigs: np.ndarray, n: int, rng: np.random.Generator,
                    size: int) -> np.ndarray:
     """(size, n) exact fractional Gaussian noise at unit spacing."""
     two_n = sqrt_eigs.size
-    w = rng.standard_normal((size, two_n)) + 1j * rng.standard_normal((size, two_n))
-    fgn = np.fft.ifft(sqrt_eigs * w, axis=1).real[:, :n]
+    # one complex buffer filled in place: the same values as
+    # (a + 1j b) * sqrt_eigs without its three (size, 2n) temporaries
+    w = np.empty((size, two_n), dtype=complex)
+    w.real = rng.standard_normal((size, two_n))
+    w.imag = rng.standard_normal((size, two_n))
+    w *= sqrt_eigs
+    fgn = np.fft.ifft(w, axis=1).real[:, :n]
     return fgn * np.sqrt(two_n)
 
 

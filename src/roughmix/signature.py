@@ -25,19 +25,23 @@ __all__ = [
     "cross_term_scaling",
 ]
 
+# Stored entries per chunk of segment exponentials (8 MiB of float64): bounds
+# _signature_levels' working memory on long paths and large batches.
+CHUNK_ENTRIES = 2 ** 20
+
 
 def _signature_levels(values: np.ndarray, level: int) -> list:
     """Raw signature levels (..., d^k) of the polylines through values (..., n, d).
 
     Chen's identity is associative, so segment exponentials are multiplied
     pairwise, log2(n) batched products with an odd tail carried up, in chunks
-    of at most ``ta.MAX_ENTRIES`` stored entries folded left to right.
+    of at most ``CHUNK_ENTRIES`` stored entries folded left to right.
     """
     deltas = np.diff(values, axis=-2)
     d = deltas.shape[-1]
     ta._check_size(d, level)
     per_segment = values[..., 0, 0].size * sum(d ** k for k in range(level + 1))
-    chunk = max(1, ta.MAX_ENTRIES // per_segment)
+    chunk = max(1, CHUNK_ENTRIES // per_segment)
     acc = None
     for start in range(0, deltas.shape[-2], chunk):
         part = ta._exp_of_increment(deltas[..., start:start + chunk, :], level)

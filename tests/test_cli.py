@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roughmix
 from roughmix.cli import main
 from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample
 from roughmix.lift import lift_piecewise_linear
@@ -118,6 +123,38 @@ def test_bad_spec_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"hursts": [2.0], "coeffs": [1.0]}')
     assert run("sim", "--spec", bad, "--seed", 1, "-o", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("spec_text,n", [
+    ('{"coeffs": [1.0]}', 64),  # no hursts
+    ('{"hursts": [0.5], "coeffs": [NaN]}', 64),
+    (json.dumps(SPEC), 0),
+], ids=["no-hursts", "nan-coeff", "zero-intervals"])
+def test_bad_spec_or_grid_exits_2_without_output(tmp_path, capsys, spec_text, n):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    out = tmp_path / "o"
+    assert run("sim", "--spec", spec, "--n", n, "--seed", 1, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "path.csv").exists()
+
+
+def test_sig_rejects_non_finite_csv(tmp_path):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("t,x1\n0,0\n0.5,nan\n1,1\n")
+    out = tmp_path / "o"
+    assert run("sig", "--input", csv, "-o", out) == 2
+    assert not (out / "signature.json").exists()
+
+
+def test_cli_import_skips_scipy_optimize():
+    src = str(Path(roughmix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, roughmix.cli; print('scipy.optimize' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -9,6 +9,8 @@ from roughmix.gmfbm import (
     GmfbmSpec,
     SamplePath,
     TimeGrid,
+    _fgn_circulant,
+    _fgn_circulant_sqrt_eigs,
     covariance,
     format_csv,
     increment_cross_covariance,
@@ -208,6 +210,16 @@ def test_circulant_requires_uniform_grid():
     grid = TimeGrid(np.array([0.0, 0.1, 0.5, 1.0]))
     with pytest.raises(ValueError):
         sample(BROWNIAN, grid, seed=1, method="circulant")
+
+
+def test_circulant_noise_matches_complex_product():
+    # the in-place buffer gives the bits of the plain (a + 1j b) expression
+    sqrt_eigs = _fgn_circulant_sqrt_eigs(0.7, 50)
+    got = _fgn_circulant(sqrt_eigs, 50, np.random.default_rng(3), 4)
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((4, 100)) + 1j * rng.standard_normal((4, 100))
+    want = np.fft.ifft(sqrt_eigs * w, axis=1).real[:, :50] * np.sqrt(100)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_self_similarity_in_law():

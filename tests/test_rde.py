@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from roughmix.errors import NumericsError
@@ -102,6 +104,55 @@ def test_flow_property_bit_level():
     assert np.array_equal(
         np.vstack([first.states, second.states[1:]]), whole.states
     )
+
+
+def davie_fold(rp, field, y0):
+    """Oracle: one davie_step per interval."""
+    states = [np.asarray(y0, dtype=float)]
+    for inc1, inc2 in zip(rp.inc1, rp.inc2):
+        states.append(davie_step(states[-1], inc1, inc2, field))
+    return np.array(states)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 64),
+       st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_linear_propagators_match_davie_fold(e, d, k, area, seed):
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(d, e, e))
+    inc1 = 0.2 * rng.normal(size=(k, d))
+    inc2 = 0.5 * inc1[:, :, None] * inc1[:, None, :]
+    if area:
+        a = 0.05 * rng.normal(size=(k, d, d))
+        inc2 = inc2 + a - a.transpose(0, 2, 1)
+    rp = Level2RoughPath(TimeGrid.uniform(k), inc1, inc2)
+    field = linear_field(mats)
+    y0 = rng.normal(size=e)
+    want = davie_fold(rp, field, y0)
+    got = solve(rp, field, y0).states
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("field", [
+    SCALAR_LINEAR,  # batched propagators
+    vector_field(lambda y: y[:, None]),  # one davie_step per interval
+])
+def test_blow_up_names_interval(field):
+    values = np.linspace(0.0, 0.1, 11)[:, None]
+    values[6:] += 1e200  # one huge jump on interval 5
+    rp = lift_piecewise_linear(values, TimeGrid.uniform(10))
+    with pytest.raises(NumericsError, match="blow-up at interval 5:") as err:
+        solve(rp, field, [1.0])
+    want = solve(rp.restricted(0, 5), field, [1.0]).final
+    assert f"norm {np.linalg.norm(want):.6g}" in str(err.value)
+
+
+def test_solve_rejects_non_finite_initial_state():
+    _, rp = brownian_lift(0, m=3)
+    for field in (SCALAR_LINEAR, sigmoid_field()):
+        with pytest.raises(ValueError):
+            solve(rp, field, [np.nan])
 
 
 def test_solution_csv_header():

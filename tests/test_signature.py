@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -15,6 +16,9 @@ from roughmix.signature import (
     log_signature,
     signature,
 )
+
+# the package re-exports the function under the module's name
+signature_module = importlib.import_module("roughmix.signature")
 
 
 def random_polyline(seed, n=9, d=2):
@@ -135,7 +139,7 @@ def test_product_tree_chunked_fold(monkeypatch):
     # 3 paths x 15 entries per segment: chunks of 2 segments under a cap of 100
     values = random_polyline(31, n=38)[None] * np.array([1.0, -0.5, 2.0])[:, None, None]
     whole = _signature_levels(values, 3)
-    monkeypatch.setattr(ta, "MAX_ENTRIES", 100)
+    monkeypatch.setattr(signature_module, "CHUNK_ENTRIES", 100)
     chunked = _signature_levels(values, 3)
     assert_matches_fold(chunked, values, 3)
     for a, b in zip(whole, chunked):
