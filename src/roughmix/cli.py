@@ -38,7 +38,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list[Path],
-                    outputs: list[str]) -> None:
+                    outputs: list[str], **extra) -> None:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "version": __version__,
@@ -46,6 +46,7 @@ def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list[Path],
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": outputs,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **extra,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -74,7 +75,9 @@ def cmd_sim(args) -> None:
     path = sample(spec, grid, args.seed, method=args.method)
     out = _outdir(args)
     (out / "path.csv").write_text(path.to_csv())
-    _write_manifest(out, args, [Path(args.spec)], ["path.csv"])
+    _write_manifest(out, args, [Path(args.spec)], ["path.csv"],
+                    sampling={"method": path.method,
+                              "used_fallback": path.used_fallback})
 
 
 def cmd_lift(args) -> None:
@@ -87,9 +90,11 @@ def cmd_lift(args) -> None:
 
 def cmd_sig(args) -> None:
     path = SamplePath.from_csv(Path(args.input).read_text())
-    tensor = (log_signature if args.log else signature)(path, args.level)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tensor = (log_signature if args.log else signature)(path, args.level)
+    text = tensor.to_json()  # raises on a non-finite level, before any file
     out = _outdir(args)
-    (out / "signature.json").write_text(tensor.to_json() + "\n")
+    (out / "signature.json").write_text(text + "\n")
     _write_manifest(out, args, [Path(args.input)], ["signature.json"])
 
 
@@ -207,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--method", choices=["cholesky", "circulant"],
-                   default="cholesky")
+    p.add_argument("--method", choices=["auto", "cholesky", "circulant"],
+                   default="auto")
     p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_sim)
 

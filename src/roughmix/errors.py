@@ -14,11 +14,4 @@ class NumericsError(RuntimeError):
 
 
 class NonPositiveDefiniteError(NumericsError):
-    """Cholesky failed; ``minor_index`` is the order of the offending leading minor."""
-
-    def __init__(self, minor_index: int, message: str | None = None):
-        self.minor_index = minor_index
-        super().__init__(
-            message or f"covariance matrix not positive definite "
-            f"(leading minor of order {minor_index})"
-        )
+    """Cholesky failed on a covariance matrix, even after a jitter retry."""

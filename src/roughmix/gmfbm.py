@@ -1,13 +1,14 @@
 """Generalized mixed fractional Brownian motion (GMFBM).
 
 The model is a weighted sum of N independent fractional Brownian motions,
-``M_t = sum_k a_k * B^{H_k}_t``, sampled exactly on arbitrary time grids via
-Cholesky factorization of the per-component covariance, or via circulant
-embedding (Davies-Harte) on uniform grids.
+``M_t = sum_k a_k * B^{H_k}_t``, sampled exactly: by circulant embedding
+(Davies-Harte) on uniform grids, by Cholesky factorization of the
+per-component covariance otherwise (``method="auto"``, the default).
 
-Randomness is counter-based (Philox) with stream splitting by
-``(seed, component index, coordinate index)``, so results are reproducible
-and independent of batching or thread count.
+Randomness is counter-based (Philox), one stream per ``(seed, component,
+coordinate)``, handed out path by path: path k of a batch does not depend on
+the batch size (bit for bit under circulant sampling, to rounding under
+Cholesky, whose matrix product blocks by batch size) nor on thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NonPositiveDefiniteError
 
@@ -156,8 +156,8 @@ class SamplePath:
 
     ``components[k]`` holds the k-th fBm component path (same shape as
     ``values``), retained so that cross-term experiments can decompose the
-    mixture. ``used_fallback`` is set when the circulant method fell back
-    to Cholesky.
+    mixture. ``method`` is the sampling method used; ``used_fallback`` is
+    set when the circulant method fell back to Cholesky.
     """
 
     grid: TimeGrid
@@ -165,6 +165,7 @@ class SamplePath:
     spec: GmfbmSpec | None = None
     seed: int | None = None
     components: np.ndarray | None = field(default=None, repr=False)
+    method: str | None = None
     used_fallback: bool = False
 
     def __post_init__(self):
@@ -265,117 +266,119 @@ def _fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
 
 def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with a one-shot jitter retry before erroring."""
-    c, info = lapack.dpotrf(cov, lower=1)
-    if info == 0:
-        return np.tril(c)
     n = cov.shape[0]
     jitter = 1e-12 * np.trace(cov) / n
-    c, info = lapack.dpotrf(cov + jitter * np.eye(n), lower=1)
-    if info == 0:
-        return np.tril(c)
-    raise NonPositiveDefiniteError(int(info))
+    for shift in (0.0, jitter):
+        try:
+            return np.linalg.cholesky(cov + shift * np.eye(n) if shift else cov)
+        except np.linalg.LinAlgError:
+            pass
+    raise NonPositiveDefiniteError(f"covariance matrix of order {n} not "
+                                   f"positive definite, even with jitter {jitter:.3g}")
 
 
 def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray | None:
-    """Square-root eigenvalues of the circulant embedding of unit-spacing fGn.
+    """Square roots of the n + 1 distinct eigenvalues of the circulant
+    embedding [g(0) .. g(n), g(n-1) .. g(1)] of n unit-spacing fGn steps.
 
-    Returns None when the embedding is not positive semidefinite.
+    It is positive semidefinite for fGn at every Hurst parameter; None marks
+    a failure of that, as a safety net.
     """
-    k = np.arange(n)
+    k = np.arange(n + 1.0)
     gamma = 0.5 * (
         (k + 1.0) ** (2 * hurst) - 2.0 * k ** (2 * hurst)
         + np.abs(k - 1.0) ** (2 * hurst)
     )
-    first_row = np.concatenate([gamma, [0.0], gamma[1:][::-1]])
-    eigs = np.fft.fft(first_row).real
+    eigs = np.fft.rfft(np.concatenate([gamma, gamma[n - 1:0:-1]])).real
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         return None
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
-def _fgn_circulant(sqrt_eigs: np.ndarray, n: int, rng: np.random.Generator,
+def _fgn_circulant(sqrt_eigs: np.ndarray, rng: np.random.Generator,
                    size: int) -> np.ndarray:
-    """(size, n) exact fractional Gaussian noise at unit spacing."""
-    two_n = sqrt_eigs.size
-    # one complex buffer filled in place: the same values as
-    # (a + 1j b) * sqrt_eigs without its three (size, 2n) temporaries
-    w = np.empty((size, two_n), dtype=complex)
-    w.real = rng.standard_normal((size, two_n))
-    w.imag = rng.standard_normal((size, two_n))
-    w *= sqrt_eigs
-    fgn = np.fft.ifft(w, axis=1).real[:, :n]
-    return fgn * np.sqrt(two_n)
+    """(size, n) exact unit-spacing fGn; row r is the stream's r-th 2n normals.
+
+    They fill a Hermitian half-spectrum: bins 0 and n real, bins 1 .. n-1
+    complex with a sqrt(1/2) factor, which ``scale`` folds in.
+    """
+    n = sqrt_eigs.size - 1
+    z = rng.standard_normal((size, 2 * n)).view(complex)  # (size, n)
+    w = np.empty((size, n + 1), dtype=complex)
+    w[:, 1:n] = z[:, 1:]
+    w[:, 0] = z[:, 0].real
+    w[:, n] = z[:, 0].imag
+    # irfft divides by 2n: a real bin needs sqrt(2n eig), a complex one sqrt(n eig)
+    scale = np.sqrt(n) * sqrt_eigs
+    scale[[0, n]] *= np.sqrt(2.0)
+    w *= scale
+    return np.fft.irfft(w, n=2 * n, axis=1)[:, :n]
 
 
 def _component_paths(
     spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str, size: int
-) -> tuple[np.ndarray, bool]:
-    """Per-component fBm paths, shape (N, size, n_points, dim)."""
-    if method not in ("cholesky", "circulant"):
+) -> tuple[np.ndarray, str, bool]:
+    """Per-component fBm paths (N, size, n_points, dim), the method used and
+    whether circulant sampling fell back to Cholesky for some component."""
+    if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
-    n_pts = len(grid)
-    comps = np.zeros((spec.n_components, size, n_pts, spec.dim))
-    fallback = False
-    if n_pts < 2:
-        return comps, fallback
-
-    use_circulant = method == "circulant"
-    if use_circulant and not grid.is_uniform:
+    if grid.horizon > spec.horizon * (1 + 1e-12):
+        raise ValueError("grid extends beyond the spec horizon")
+    if method == "auto":
+        method = "circulant" if grid.is_uniform else "cholesky"
+    elif method == "circulant" and not grid.is_uniform:
         raise ValueError("circulant sampling requires a uniform grid")
-
-    dt = grid.points[1] - grid.points[0] if use_circulant else None
-    times = grid.points[1:]
+    n = len(grid) - 1
+    comps = np.zeros((spec.n_components, size, n + 1, spec.dim))
+    fallback = False
+    if n < 1:
+        return comps, method, fallback
 
     for k, hurst in enumerate(spec.hursts):
-        factor = None
         sqrt_eigs = None
-        comp_fallback = False
-        if use_circulant:
-            sqrt_eigs = _fgn_circulant_sqrt_eigs(hurst, n_pts - 1)
+        if method == "circulant":
+            sqrt_eigs = _fgn_circulant_sqrt_eigs(hurst, n)
             if sqrt_eigs is None:
                 warnings.warn(
                     f"circulant embedding not positive definite for H={hurst}; "
                     "falling back to Cholesky",
                     RuntimeWarning,
                 )
-                comp_fallback = True
                 fallback = True
-        if not use_circulant or comp_fallback:
-            factor = _cholesky_factor(_fbm_covariance(hurst, times))
+        if sqrt_eigs is None:
+            factor = _cholesky_factor(_fbm_covariance(hurst, grid.points[1:]))
         for coord in range(spec.dim):
             rng = _stream(seed, k, coord)
-            if factor is not None:
-                z = rng.standard_normal((size, n_pts - 1))
-                comps[k, :, 1:, coord] = z @ factor.T
+            if sqrt_eigs is None:
+                comps[k, :, 1:, coord] = rng.standard_normal((size, n)) @ factor.T
             else:
-                fgn = _fgn_circulant(sqrt_eigs, n_pts - 1, rng, size)
-                comps[k, :, 1:, coord] = np.cumsum(fgn, axis=1) * dt ** hurst
-    return comps, fallback
+                out = comps[k, :, 1:, coord]
+                np.cumsum(_fgn_circulant(sqrt_eigs, rng, size), axis=1, out=out)
+                out *= (grid.points[1] - grid.points[0]) ** hurst
+    return comps, method, fallback
 
 
 def sample(
     spec: GmfbmSpec,
     grid: TimeGrid,
     seed: int,
-    method: str = "cholesky",
+    method: str = "auto",
 ) -> SamplePath:
-    """Draw one exact GMFBM path on the grid.
+    """Draw one exact GMFBM path on the grid: path 0 of ``sample_batch``.
 
-    Deterministic given (spec, grid, seed, method). The per-component fBm
+    ``method`` is ``"auto"`` (circulant on uniform grids, Cholesky
+    otherwise), ``"circulant"`` or ``"cholesky"``. The per-component fBm
     paths are kept on the returned object.
     """
-    if grid.horizon > spec.horizon * (1 + 1e-12):
-        raise ValueError("grid extends beyond the spec horizon")
-    comps, fallback = _component_paths(spec, grid, seed, method, size=1)
+    comps, method, fallback = _component_paths(spec, grid, seed, method, size=1)
     comps = comps[:, 0]  # (N, n, d)
-    coeffs = np.asarray(spec.coeffs)
-    values = np.tensordot(coeffs, comps, axes=(0, 0))
     return SamplePath(
         grid=grid,
-        values=values,
+        values=np.tensordot(np.asarray(spec.coeffs), comps, axes=(0, 0)),
         spec=spec,
         seed=seed,
         components=comps,
+        method=method,
         used_fallback=fallback,
     )
 
@@ -385,18 +388,16 @@ def sample_batch(
     grid: TimeGrid,
     seed: int,
     n_paths: int,
-    method: str = "cholesky",
+    method: str = "auto",
     return_components: bool = False,
 ):
     """Draw ``n_paths`` independent paths at once; values shape (n_paths, n, d).
 
-    Used by Monte Carlo harnesses; each (component, coordinate) stream emits
-    its draws in a fixed order, so results are reproducible regardless of
-    how callers parallelize downstream reductions.
+    Path k is the same for every ``n_paths`` > k: each (component,
+    coordinate) stream hands out its draws path by path.
     """
-    comps, _ = _component_paths(spec, grid, seed, method, size=n_paths)
-    coeffs = np.asarray(spec.coeffs)
-    values = np.tensordot(coeffs, comps, axes=(0, 0))
+    comps, _, _ = _component_paths(spec, grid, seed, method, size=n_paths)
+    values = np.tensordot(np.asarray(spec.coeffs), comps, axes=(0, 0))
     if return_components:
         return values, comps
     return values

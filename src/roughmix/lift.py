@@ -44,7 +44,6 @@ class Level2RoughPath:
     grid: TimeGrid
     inc1: np.ndarray  # (n_intervals, d)
     inc2: np.ndarray  # (n_intervals, d, d)
-    p_exponent: float = 2.0
     _prefix1: np.ndarray = field(default=None, repr=False)
     _prefix2: np.ndarray = field(default=None, repr=False)
 
@@ -120,7 +119,6 @@ class Level2RoughPath:
             grid=TimeGrid(self.grid.points[i:j + 1] - self.grid.points[i]),
             inc1=self.inc1[i:j],
             inc2=self.inc2[i:j],
-            p_exponent=self.p_exponent,
         )
 
     def to_json(self) -> str:
@@ -129,22 +127,25 @@ class Level2RoughPath:
                 "grid": self.grid.points.tolist(),
                 "inc1": self.inc1.tolist(),
                 "inc2": self.inc2.reshape(self.n_intervals, -1).tolist(),
-                "p_exponent": self.p_exponent,
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Level2RoughPath":
         obj = json.loads(text)
-        inc1 = np.asarray(obj["inc1"], dtype=float)
+        try:
+            grid, inc1, inc2 = (np.asarray(obj[k], dtype=float)
+                                for k in ("grid", "inc1", "inc2"))
+        except KeyError as err:
+            raise ValueError(f"level-2 JSON is missing {err}") from err
+        except TypeError as err:
+            raise ValueError(f"malformed level-2 JSON: {err}") from err
+        if not all(np.isfinite(a).all() for a in (grid, inc1, inc2)):
+            raise ValueError("level-2 JSON holds non-finite values")
+        if inc1.ndim != 2 or inc2.shape != (inc1.shape[0], inc1.shape[1] ** 2):
+            raise ValueError("level-2 JSON needs inc1 as (n, d) and inc2 as (n, d*d)")
         d = inc1.shape[1]
-        inc2 = np.asarray(obj["inc2"], dtype=float).reshape(-1, d, d)
-        return cls(
-            grid=TimeGrid(np.asarray(obj["grid"])),
-            inc1=inc1,
-            inc2=inc2,
-            p_exponent=float(obj.get("p_exponent", 2.0)),
-        )
+        return cls(grid=TimeGrid(grid), inc1=inc1, inc2=inc2.reshape(-1, d, d))
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,7 @@ def dyadic_approx(path: SamplePath, m: int) -> SamplePath:
     return SamplePath(grid=path.grid, values=values, spec=path.spec, seed=path.seed)
 
 
-def lift_piecewise_linear(path_or_values, grid: TimeGrid | None = None,
-                          p_exponent: float = 2.0) -> Level2RoughPath:
+def lift_piecewise_linear(path_or_values, grid: TimeGrid | None = None) -> Level2RoughPath:
     """Exact level-2 lift of the polyline through the sample points."""
     if isinstance(path_or_values, SamplePath):
         grid = path_or_values.grid
@@ -209,7 +209,7 @@ def lift_piecewise_linear(path_or_values, grid: TimeGrid | None = None,
         raise ValueError("need at least 2 grid points to lift")
     inc1 = np.diff(values, axis=0)
     inc2 = 0.5 * inc1[:, :, None] * inc1[:, None, :]
-    return Level2RoughPath(grid=grid, inc1=inc1, inc2=inc2, p_exponent=p_exponent)
+    return Level2RoughPath(grid=grid, inc1=inc1, inc2=inc2)
 
 
 def chen_compose(a: Level2RoughPath, b: Level2RoughPath) -> Level2RoughPath:
@@ -223,7 +223,6 @@ def chen_compose(a: Level2RoughPath, b: Level2RoughPath) -> Level2RoughPath:
         grid=grid,
         inc1=np.concatenate([a.inc1, b.inc1]),
         inc2=np.concatenate([a.inc2, b.inc2]),
-        p_exponent=max(a.p_exponent, b.p_exponent),
     )
 
 
@@ -342,7 +341,7 @@ def cauchy_diagnostic(
     m_max: int,
     p: float,
     seeds,
-    method: str = "circulant",
+    method: str = "auto",
 ) -> dict:
     """Distances between consecutive dyadic lifts, per seed and per level m.
 
@@ -386,7 +385,7 @@ def sharpness_probe(
     m_max: int,
     seeds,
     m_min: int = 1,
-    method: str = "circulant",
+    method: str = "auto",
 ) -> dict:
     """Variance across seeds of the dyadic-lift Levy area of a 2-d fBm at each m.
 

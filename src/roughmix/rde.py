@@ -289,7 +289,7 @@ def convergence_rate(
     mesh_levels,
     seeds,
     ref_factor: int = 4,
-    method: str = "circulant",
+    method: str = "auto",
 ) -> dict:
     """Empirical Davie-scheme rate against a fine-mesh reference.
 

@@ -115,7 +115,7 @@ def expected_signature_mc(
     level: int,
     n_paths: int,
     seed: int,
-    method: str = "cholesky",
+    method: str = "auto",
 ) -> tuple[TruncatedTensor, TruncatedTensor]:
     """Monte Carlo mean of path signatures, with per-entry standard errors.
 
@@ -157,10 +157,8 @@ def cross_term_scaling(
     for si, t in enumerate(t_scales):
         spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), dim=1, horizon=t)
         grid = TimeGrid.uniform(n_steps, t)
-        _, comps = sample_batch(
-            spec, grid, seed + si, n_paths, method="circulant",
-            return_components=True,
-        )
+        _, comps = sample_batch(spec, grid, seed + si, n_paths,
+                                return_components=True)
         # comps is (component, path, point, 1); one cross integral per path
         cross = cross_level2(comps[0], comps[1])[:, 0, 0]
         sq = cross ** 2

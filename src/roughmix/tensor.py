@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CompositionError, ConfigurationError
+from .errors import CompositionError, ConfigurationError, NumericsError
 
 __all__ = [
     "TruncatedTensor",
@@ -144,12 +144,15 @@ class TruncatedTensor:
 
     # ------------------------------------------------------------------ #
     def to_json(self) -> str:
+        if not all(np.isfinite(lv).all() for lv in self.levels):
+            raise NumericsError("tensor has non-finite entries (overflow)")
         return json.dumps(
             {
                 "dim": self.dim,
                 "level": self.level,
                 "levels": [lv.tolist() for lv in self.levels],
-            }
+            },
+            allow_nan=False,
         )
 
     @classmethod

@@ -37,6 +37,8 @@ def test_sim_writes_path_and_manifest(tmp_path, spec_file):
     assert manifest["config"]["seed"] == 7
     assert str(spec_file) in manifest["inputs"]
     assert "path.csv" in manifest["outputs"]
+    assert manifest["config"]["method"] == "auto"
+    assert manifest["sampling"] == {"method": "circulant", "used_fallback": False}
 
 
 def test_sim_matches_library_call(tmp_path, spec_file):
@@ -148,13 +150,45 @@ def test_sig_rejects_non_finite_csv(tmp_path):
     assert not (out / "signature.json").exists()
 
 
-def test_cli_import_skips_scipy_optimize():
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj["inc1"][0].__setitem__(0, float("nan")),
+    lambda obj: obj.pop("inc2"),
+    lambda obj: obj["inc2"].pop(),
+], ids=["nan-inc1", "no-inc2", "short-inc2"])
+def test_solve_rejects_malformed_lift_with_exit_2(tmp_path, capsys, edit):
+    driver = tmp_path / "driver.csv"
+    driver.write_text("t,x1\n0,0\n0.5,1\n1,0.5\n")
+    run("lift", "--input", driver, "-o", tmp_path / "lift")
+    obj = json.loads((tmp_path / "lift" / "level2.json").read_text())
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    assert run("solve", "--driver", driver, "--lift", bad, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (out / "solution.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("log", [[], ["--log"]], ids=["sig", "log-sig"])
+def test_sig_overflow_exits_3_without_output(tmp_path, capsys, log):
+    csv = tmp_path / "huge.csv"
+    csv.write_text("t,x1\n0,0\n0.5,1e100\n1,2e100\n")
+    out = tmp_path / "o"
+    assert run("sig", "--input", csv, "--level", 4, *log, "-o", out) == 3
+    assert capsys.readouterr().err.startswith("numerical error:")
+    assert not (out / "signature.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
     src = str(Path(roughmix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, roughmix.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, roughmix.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

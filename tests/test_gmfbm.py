@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -212,14 +213,60 @@ def test_circulant_requires_uniform_grid():
         sample(BROWNIAN, grid, seed=1, method="circulant")
 
 
-def test_circulant_noise_matches_complex_product():
-    # the in-place buffer gives the bits of the plain (a + 1j b) expression
-    sqrt_eigs = _fgn_circulant_sqrt_eigs(0.7, 50)
-    got = _fgn_circulant(sqrt_eigs, 50, np.random.default_rng(3), 4)
-    rng = np.random.default_rng(3)
-    w = rng.standard_normal((4, 100)) + 1j * rng.standard_normal((4, 100))
-    want = np.fft.ifft(sqrt_eigs * w, axis=1).real[:, :50] * np.sqrt(100)
-    assert got.tobytes() == want.tobytes()
+class _BasisDraws:
+    """Stands in for a Generator: its "normals" are the rows of the identity."""
+
+    def standard_normal(self, shape):
+        return np.eye(*shape)
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.95])
+def test_circulant_covariance_exact(hurst):
+    # the sampler is linear in its 2n normals; feeding it the basis vectors
+    # gives its matrix A, and A^T A is the covariance it samples
+    n = 64
+    responses = _fgn_circulant(_fgn_circulant_sqrt_eigs(hurst, n),
+                               _BasisDraws(), 2 * n)
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    toeplitz = 0.5 * ((lag + 1) ** (2 * hurst) - 2 * lag ** (2 * hurst)
+                      + np.abs(lag - 1) ** (2 * hurst))
+    assert np.abs(responses.T @ responses - toeplitz).max() <= 1e-14
+
+
+@given(
+    seed=st.integers(0, 2 ** 32),
+    n=st.integers(1, 40),
+    dim=st.integers(1, 2),
+    sizes=st.lists(st.integers(1, 9), min_size=2, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_paths_do_not_depend_on_batch_size(seed, n, dim, sizes):
+    spec = GmfbmSpec(hursts=(0.3, 0.8), coeffs=(1.0, -0.5), dim=dim)
+    grid = TimeGrid.uniform(n)
+    batches = [sample_batch(spec, grid, seed, b) for b in sizes]
+    k = min(sizes)
+    for batch in batches:
+        assert batch[:k].tobytes() == batches[0][:k].tobytes()
+    path = sample(spec, grid, seed)
+    assert path.method == "circulant"
+    assert path.values.tobytes() == batches[0][0].tobytes()
+    # Cholesky rows get the same draws; the matrix product's blocking
+    # depends on the batch size, so they agree to rounding
+    odd = TimeGrid(grid.points ** 1.5)
+    chol = [sample_batch(spec, odd, seed, b) for b in sizes]
+    for batch in chol:
+        assert np.allclose(batch[:k], chol[0][:k], rtol=1e-12, atol=1e-12)
+
+
+def test_high_hurst_samples_by_circulant():
+    spec = GmfbmSpec(hursts=(0.95,), coeffs=(1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = sample(spec, TimeGrid.uniform(64), seed=0)
+    assert path.method == "circulant" and not path.used_fallback
+    for n in (64, 2048, 4096):
+        for hurst in np.linspace(0.05, 0.99, 95):
+            assert _fgn_circulant_sqrt_eigs(hurst, n) is not None, (n, hurst)
 
 
 def test_self_similarity_in_law():

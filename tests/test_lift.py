@@ -16,6 +16,7 @@ from roughmix.lift import (
     lift_piecewise_linear,
     p_variation,
     sharpness_probe,
+    subsampled_lift,
 )
 
 
@@ -301,6 +302,19 @@ def test_sharpness_probe_brownian_area_stabilizes():
     res = sharpness_probe(0.49, m_max=8, seeds=range(30), m_min=4)
     v = res["variances"]
     assert max(v.values()) / min(v.values()) < 2.0
+
+
+def test_levy_area_is_bilinear_form_of_increments():
+    # the identity behind criterion 6's exact variance: the area of the
+    # level-m lift is x^T S y with S_ij = sign(j - i) / 2
+    path = sample(GmfbmSpec((0.3,), (1.0,), dim=2), TimeGrid.dyadic(8), seed=4)
+    for m in (1, 2, 5, 8):
+        step = 2 ** (8 - m)
+        inc = np.diff(path.values[::step], axis=0)
+        i = np.arange(2 ** m)
+        s = 0.5 * np.sign(i[None, :] - i[:, None])
+        got = subsampled_lift(path, step).levy_area()[0, 1]
+        assert got == pytest.approx(inc[:, 0] @ s @ inc[:, 1], rel=1e-13, abs=1e-15)
 
 
 def test_sharpness_probe_rejects_large_hurst():
