@@ -5,14 +5,14 @@ bench-rate, bench-scaling. Every run writes its outputs plus a
 ``manifest.json`` recording the full configuration, seed, package version,
 and content hashes of input files, so stochastic outputs are reproducible
 from their manifests. Exit codes: 0 success, 2 configuration error,
-3 numerical error.
+3 numerical error (a non-finite result included); a run that exits 2 or 3
+writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import CompositionError, ConfigurationError, NumericsError
 from .estimate import default_lags, fit_mixture
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, format_csv, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, dumps, format_csv, sample
 from .lift import (
     Level2RoughPath,
     cauchy_diagnostic,
@@ -37,32 +37,30 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list[Path],
-                    outputs: list[str], **extra) -> None:
+def _emit(args: argparse.Namespace, inputs: list[Path], texts: dict[str, str],
+          **extra) -> None:
+    """Write each named output text and a ``manifest.json`` to ``args.output``.
+
+    The manifest text is serialised before the directory is made, as the
+    output texts were by the caller, so a run that raises leaves no file.
+    """
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = {
+    manifest = dumps({
         "version": __version__,
         "config": cfg,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": outputs,
+        "outputs": list(texts),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **extra,
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _outdir(args) -> Path:
+    }, indent=2)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, text in {**texts, "manifest.json": manifest + "\n"}.items():
+        (out / name).write_text(text)
 
 
 def _load_spec(path: str) -> GmfbmSpec:
     return GmfbmSpec.from_json(Path(path).read_text())
-
-
-def _write_csv_rows(path: Path, header: str, rows) -> None:
-    path.write_text(format_csv(header, rows))
 
 
 # --------------------------------------------------------------------------- #
@@ -73,29 +71,20 @@ def cmd_sim(args) -> None:
     spec = _load_spec(args.spec)
     grid = TimeGrid.uniform(args.n, spec.horizon)
     path = sample(spec, grid, args.seed, method=args.method)
-    out = _outdir(args)
-    (out / "path.csv").write_text(path.to_csv())
-    _write_manifest(out, args, [Path(args.spec)], ["path.csv"],
-                    sampling={"method": path.method,
-                              "used_fallback": path.used_fallback})
+    _emit(args, [Path(args.spec)], {"path.csv": path.to_csv()},
+          sampling={"method": path.method, "used_fallback": path.used_fallback})
 
 
 def cmd_lift(args) -> None:
     path = SamplePath.from_csv(Path(args.input).read_text())
     rp = lift_piecewise_linear(path)
-    out = _outdir(args)
-    (out / "level2.json").write_text(rp.to_json() + "\n")
-    _write_manifest(out, args, [Path(args.input)], ["level2.json"])
+    _emit(args, [Path(args.input)], {"level2.json": rp.to_json() + "\n"})
 
 
 def cmd_sig(args) -> None:
     path = SamplePath.from_csv(Path(args.input).read_text())
-    with np.errstate(over="ignore", invalid="ignore"):
-        tensor = (log_signature if args.log else signature)(path, args.level)
-    text = tensor.to_json()  # raises on a non-finite level, before any file
-    out = _outdir(args)
-    (out / "signature.json").write_text(text + "\n")
-    _write_manifest(out, args, [Path(args.input)], ["signature.json"])
+    tensor = (log_signature if args.log else signature)(path, args.level)
+    _emit(args, [Path(args.input)], {"signature.json": tensor.to_json() + "\n"})
 
 
 def _build_field(name: str, dim: int, e: int):
@@ -124,9 +113,7 @@ def cmd_solve(args) -> None:
     y0 = np.array([float(v) for v in args.y0.split(",")])
     field = _build_field(args.field, rp.dim, y0.size)
     sol = rde_solve(rp, field, y0)
-    out = _outdir(args)
-    (out / "solution.csv").write_text(sol.to_csv())
-    _write_manifest(out, args, inputs, ["solution.csv"])
+    _emit(args, inputs, {"solution.csv": sol.to_csv()})
 
 
 def cmd_estimate(args) -> None:
@@ -137,32 +124,26 @@ def cmd_estimate(args) -> None:
         lags = [int(v) for v in args.lags.split(",")]
     report = fit_mixture(path, lags=lags, n_components=args.components,
                          n_bootstrap=args.bootstrap)
-    out = _outdir(args)
-    (out / "fit.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2) + "\n"
-    )
-    _write_manifest(out, args, [Path(args.input)], ["fit.json"])
+    _emit(args, [Path(args.input)],
+          {"fit.json": dumps(report.to_json_dict(), indent=2) + "\n"})
 
 
 def cmd_bench_cauchy(args) -> None:
     spec = _load_spec(args.spec)
     res = cauchy_diagnostic(spec, args.m_max, args.p, range(args.seeds))
-    out = _outdir(args)
-    _write_csv_rows(out / "cauchy.csv", "m,seed,d_p",
-                    [(m, s, float(d)) for m, s, d in res["rows"]])
-    _write_csv_rows(out / "cauchy_summary.csv", "m,stat,value",
-                    [(m, "median", v) for m, v in res["medians"].items()])
-    _write_manifest(out, args, [Path(args.spec)],
-                    ["cauchy.csv", "cauchy_summary.csv"])
+    _emit(args, [Path(args.spec)], {
+        "cauchy.csv": format_csv(
+            "m,seed,d_p", [(m, s, float(d)) for m, s, d in res["rows"]]),
+        "cauchy_summary.csv": format_csv(
+            "m,stat,value", [(m, "median", v) for m, v in res["medians"].items()]),
+    })
 
 
 def cmd_bench_sharpness(args) -> None:
     res = sharpness_probe(args.hurst, args.m_max, range(args.seeds))
-    out = _outdir(args)
-    _write_csv_rows(out / "sharpness.csv", "m,stat,value",
-                    [(m, "levy_area_variance", v)
-                     for m, v in res["variances"].items()])
-    _write_manifest(out, args, [], ["sharpness.csv"])
+    _emit(args, [], {"sharpness.csv": format_csv(
+        "m,stat,value",
+        [(m, "levy_area_variance", v) for m, v in res["variances"].items()])})
 
 
 def cmd_bench_rate(args) -> None:
@@ -172,29 +153,25 @@ def cmd_bench_rate(args) -> None:
     res = convergence_rate(spec, field, y0,
                           range(args.mesh_min, args.mesh_max + 1),
                           range(args.seeds))
-    out = _outdir(args)
-    _write_csv_rows(out / "rate.csv", "mesh,err,seed",
-                    [(mesh, float(err), s) for mesh, s, err in res["rows"]])
-    _write_csv_rows(
-        out / "rate_summary.csv", "stat,value",
-        [("median_slope", res["median_slope"]), ("predicted", res["predicted"])],
-    )
-    _write_manifest(out, args, [Path(args.spec)], ["rate.csv", "rate_summary.csv"])
+    _emit(args, [Path(args.spec)], {
+        "rate.csv": format_csv(
+            "mesh,err,seed", [(mesh, float(err), s) for mesh, s, err in res["rows"]]),
+        "rate_summary.csv": format_csv(
+            "stat,value",
+            [("median_slope", res["median_slope"]), ("predicted", res["predicted"])]),
+    })
 
 
 def cmd_bench_scaling(args) -> None:
     scales = [float(v) for v in args.scales.split(",")]
     res = cross_term_scaling(args.hi, args.hj, scales, args.n_paths, args.seed)
-    out = _outdir(args)
-    _write_csv_rows(
-        out / "scaling.csv", "t,moment,stderr",
-        list(zip(res["t_scales"], res["moments"], res["stderrs"])),
-    )
-    _write_csv_rows(
-        out / "scaling_summary.csv", "stat,value",
-        [("slope", res["slope"]), ("expected_slope", res["expected_slope"])],
-    )
-    _write_manifest(out, args, [], ["scaling.csv", "scaling_summary.csv"])
+    _emit(args, [], {
+        "scaling.csv": format_csv(
+            "t,moment,stderr", zip(res["t_scales"], res["moments"], res["stderrs"])),
+        "scaling_summary.csv": format_csv(
+            "stat,value",
+            [("slope", res["slope"]), ("expected_slope", res["expected_slope"])]),
+    })
 
 
 # --------------------------------------------------------------------------- #
@@ -287,7 +264,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        # overflow is reported by the exit code, through the finite checks
+        # of the writers, not by a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.func(args)
     except SystemExit as err:
         return int(err.code or 0)
     except (ConfigurationError, CompositionError, ValueError, OSError) as err:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveDefiniteError
+from .errors import NonPositiveDefiniteError, NumericsError
 
 __all__ = [
     "GmfbmSpec",
@@ -71,7 +72,7 @@ class GmfbmSpec:
         return min(self.hursts)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dumps(
             {
                 "hursts": list(self.hursts),
                 "coeffs": list(self.coeffs),
@@ -141,13 +142,29 @@ class TimeGrid:
         return cls.uniform(2 ** m, horizon)
 
 
+def _csv_field(v) -> str:
+    if not isinstance(v, float):
+        return str(v)
+    if not math.isfinite(v):
+        raise NumericsError(f"refusing to write the non-finite value {v}")
+    return f"{v:.17g}"
+
+
 def format_csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row; floats as %.17g."""
-    lines = [header] + [
-        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-        for row in rows
-    ]
+    """CSV text: the header line, then one line per row; floats as %.17g.
+
+    A non-finite float raises NumericsError.
+    """
+    lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def dumps(obj, **kw) -> str:
+    """JSON text of ``obj``; a non-finite float raises NumericsError."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kw)
+    except ValueError as err:
+        raise NumericsError("refusing to write a non-finite value") from err
 
 
 @dataclass
@@ -186,7 +203,12 @@ class SamplePath:
 
     @classmethod
     def from_csv(cls, text: str) -> "SamplePath":
-        data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # an input without data rows is rejected just below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] < 1 or data.shape[1] < 2:
+            raise ValueError("path CSV needs a data row and a value column after t")
         if not np.isfinite(data).all():
             raise ValueError("path CSV holds non-finite values")
         return cls(grid=TimeGrid(data[:, 0]), values=data[:, 1:])

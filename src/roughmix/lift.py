@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompositionError
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, dumps, sample
 
 __all__ = [
     "Level2RoughPath",
@@ -122,7 +122,7 @@ class Level2RoughPath:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dumps(
             {
                 "grid": self.grid.points.tolist(),
                 "inc1": self.inc1.tolist(),
@@ -276,16 +276,17 @@ def _variation_dp(rp: Level2RoughPath, level: int, power: float) -> float:
     n = rp.n_intervals
     if n + 1 > 64:
         raise ValueError("exact DP oracle limited to grids of <= 64 points")
-    best = np.full(n + 1, -np.inf)
-    best[0] = 0.0
+    best = np.zeros(n + 1)
     for j in range(1, n + 1):
-        for i in range(j):
-            x1, x2 = rp.over(i, j)
-            w = np.linalg.norm(x1) if level == 1 else np.linalg.norm(x2)
-            cand = best[i] + w ** power
-            if cand > best[j]:
-                best[j] = cand
+        blocks = rp.over(np.arange(j), j)[level - 1]
+        w = np.linalg.norm(blocks.reshape(j, -1), axis=1)
+        best[j] = np.max(best[:j] + w ** power)
     return float(best[n])
+
+
+def _check_p(p: float) -> None:
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
 
 
 def p_variation(rp: Level2RoughPath, p: float,
@@ -296,8 +297,7 @@ def p_variation(rp: Level2RoughPath, p: float,
     Returns max over k in ``levels`` of sup_D (sum |X^k_{u,v}|^{p/k})^{k/p}.
     The level-2 term requires p >= 2 and is skipped for smaller p.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     if not set(levels) <= {1, 2}:
         raise ValueError("levels must be drawn from (1, 2)")
     schedule = schedule or PartitionSchedule()
@@ -349,6 +349,7 @@ def cauchy_diagnostic(
     measures d_p(lift_m, lift_{m+1}) for m = 1..m_max. Reductions follow
     the given seed order.
     """
+    _check_p(p)
     if p <= 1.0 / spec.min_hurst:
         warnings.warn(
             f"p={p} is at or below 1/min(H)={1.0 / spec.min_hurst:.3f}; "

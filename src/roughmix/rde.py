@@ -189,7 +189,7 @@ def _initial_state(y0) -> np.ndarray:
 def _blow_up(k: int, y: np.ndarray) -> NumericsError:
     return NumericsError(
         f"blow-up at interval {k}: non-finite state from y={y} "
-        f"(last finite state norm {np.linalg.norm(y):.6g})"
+        f"(last finite state max-norm {np.abs(y).max():.6g})"
     )
 
 
@@ -238,8 +238,8 @@ def solve(rp: Level2RoughPath, field: VectorField, y0) -> RdeSolution:
     propagator P_k = I + sum_a A_a X^1_a + sum_{a,b} A_b A_a X^2_{ab}, all
     built in one batched einsum per level, and loops only over y <- P_k y.
     Every other field calls ``davie_step`` once per interval. A non-finite
-    state raises NumericsError naming the interval and the norm of the last
-    finite state.
+    state raises NumericsError naming the interval and the largest absolute
+    entry of the last finite state.
     """
     if field.mats is not None:
         k = rp.n_intervals

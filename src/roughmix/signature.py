@@ -80,30 +80,16 @@ def level_formulas_check(path_or_values) -> dict:
 
     For a geometric (piecewise-linear) lift, S^(1) equals the total increment
     and S^(2) equals the lift's level-2 tensor, whose symmetric part already
-    carries (1/2) S^(1) (x) S^(1). The alternative reading, S^(2) =
-    level-2 + (1/2) S^(1) (x) S^(1) with "level-2" meaning only the
-    antisymmetric (area) part, is reported alongside.
+    carries (1/2) S^(1) (x) S^(1).
     """
     sig = signature(path_or_values, level=2)
     rp = lift_piecewise_linear(path_or_values)
     x1, x2 = rp.total()
-    s1 = sig.level_array(1)
-    s2 = sig.level_array(2, reshape=True)
-    half_sq = 0.5 * np.outer(s1, s1)
-    area = 0.5 * (x2 - x2.T)
     _, viol = ta.is_group_like(sig)
     return {
-        "level1_residual": float(np.abs(s1 - x1).max()),
-        # adopted convention: S^(2) equals the geometric lift's level-2
-        "level2_residual_geometric": float(np.abs(s2 - x2).max()),
-        # alternative reading: level-2 means the area part only
-        "level2_residual_area_plus_half_square": float(
-            np.abs(s2 - (area + half_sq)).max()
-        ),
-        # literal full-level-2 + half-square reading (inconsistent for
-        # geometric lifts; reported, not asserted)
-        "level2_residual_full_plus_half_square": float(
-            np.abs(s2 - (x2 + half_sq)).max()
+        "level1_residual": float(np.abs(sig.level_array(1) - x1).max()),
+        "level2_residual_geometric": float(
+            np.abs(sig.level_array(2, reshape=True) - x2).max()
         ),
         "shuffle_violation": float(viol),
     }

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CompositionError, ConfigurationError, NumericsError
+from .errors import CompositionError, ConfigurationError
+from .gmfbm import dumps
 
 __all__ = [
     "TruncatedTensor",
@@ -144,15 +145,12 @@ class TruncatedTensor:
 
     # ------------------------------------------------------------------ #
     def to_json(self) -> str:
-        if not all(np.isfinite(lv).all() for lv in self.levels):
-            raise NumericsError("tensor has non-finite entries (overflow)")
-        return json.dumps(
+        return dumps(
             {
                 "dim": self.dim,
                 "level": self.level,
                 "levels": [lv.tolist() for lv in self.levels],
-            },
-            allow_nan=False,
+            }
         )
 
     @classmethod

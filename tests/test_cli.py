@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roughmix
 from roughmix.cli import main
@@ -191,7 +196,6 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numerical_blowup_exits_3(tmp_path):
     # a driver with an astronomically large jump overflows the linear solver
     t = np.array([0.0, 0.5, 1.0])
@@ -203,6 +207,45 @@ def test_numerical_blowup_exits_3(tmp_path):
                "-o", tmp_path / "o") == 3
 
 
+@pytest.mark.filterwarnings("error")
+def test_blowup_message_reports_finite_max_entry(tmp_path, capsys):
+    driver = tmp_path / "driver.csv"
+    driver.write_text("t,x1\n0,0\n0.5,1\n1,0.5\n")
+    assert run("solve", "--driver", driver, "--y0", "1e308,1e308",
+               "-o", tmp_path / "o") == 3
+    assert "last finite state max-norm 1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_lift_overflow_exits_3_without_output(tmp_path, capsys):
+    csv = tmp_path / "huge.csv"
+    csv.write_text("t,x1\n0,0\n0.5,1e200\n1,2e200\n")
+    out = tmp_path / "o"
+    assert run("lift", "--input", csv, "-o", out) == 3
+    assert capsys.readouterr().err.startswith("numerical error:")
+    assert not (out / "level2.json").exists()
+
+
+def test_bench_cauchy_nan_p_exits_2_without_output(tmp_path, spec_file, capsys):
+    out = tmp_path / "o"
+    assert run("bench-cauchy", "--spec", spec_file, "--p", "nan", "--m-max", 2,
+               "--seeds", 1, "-o", out) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_t_only_csv_solve_exits_2(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_text("t\n0\n0.5\n1\n")
+    out = tmp_path / "o"
+    assert run("solve", "--driver", csv, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bench_scaling_subcommand(tmp_path):
     out = tmp_path / "o"
     assert run("bench-scaling", "--hi", 0.5, "--hj", 0.75, "--n-paths", 200,
@@ -210,3 +253,101 @@ def test_bench_scaling_subcommand(tmp_path):
     lines = (out / "scaling_summary.csv").read_text().splitlines()
     stats = dict(line.split(",") for line in lines[1:])
     assert float(stats["expected_slope"]) == 2.5
+
+
+# --------------------------------------------------------------------------- #
+# malformed inputs: every run exits 0, 2 or 3, without a traceback, and a run
+# that fails writes no file
+
+FINITE = ["0", "0.5", "-2", "1e200"]
+BAD = ["1e400", "nan", "inf", "x", ""]
+CSV_COMMANDS = [["lift"], ["sig", "--level", "3"], ["solve"],
+                ["solve", "--field", "sigmoid"], ["estimate"]]
+
+
+def _csv(header, rows):
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+def _timed_csv(rows, bad):
+    """Rows after a valid time column; ``bad`` replaces the last entry."""
+    if bad is not None and rows[-1]:
+        rows = [*rows[:-1], [*rows[-1][:-1], bad]]
+    header = "t" + "".join(f",x{i + 1}" for i in range(len(rows[0])))
+    return _csv(header, [[str(0.5 * k), *row] for k, row in enumerate(rows)])
+
+
+garbled_csvs = st.one_of(
+    st.text(max_size=20),
+    st.builds(_csv, st.sampled_from(["t", "t,x1", "t,x1,x2"]),
+              st.lists(st.lists(st.sampled_from(FINITE + BAD), max_size=3),
+                       max_size=4)),
+)
+timed_csvs = st.integers(0, 2).flatmap(lambda d: st.builds(
+    _timed_csv,
+    st.lists(st.lists(st.sampled_from(FINITE), min_size=d, max_size=d),
+             min_size=2, max_size=5),
+    st.one_of(st.none(), st.sampled_from(BAD))))
+numbers = st.sampled_from([0.0, 0.5, -1.0, 1e308, float("nan"), float("inf")])
+json_values = st.one_of(
+    numbers, st.sampled_from([None, "x", True]),
+    st.lists(numbers, max_size=3), st.lists(st.lists(numbers, max_size=4), max_size=3),
+)
+level2_jsons = st.one_of(
+    st.text(max_size=20),
+    st.builds(json.dumps, json_values),
+    st.builds(json.dumps, st.dictionaries(st.sampled_from(["grid", "inc1", "inc2"]),
+                                          json_values)),
+    # well-formed shapes over one interval, with any entries
+    st.builds(lambda g, x1, x2: json.dumps({"grid": [0.0, g], "inc1": [[x1]],
+                                            "inc2": [[x2]]}),
+              numbers, numbers, numbers),
+)
+spec_items = st.sampled_from([0.3, 0.7, 0.0, 1.0, 1e308, float("nan"), "x", None])
+spec_jsons = st.one_of(
+    st.text(max_size=20),
+    st.builds(json.dumps, st.fixed_dictionaries({}, optional={
+        "hursts": st.one_of(spec_items, st.lists(spec_items, max_size=2)),
+        "coeffs": st.one_of(spec_items, st.lists(spec_items, max_size=2)),
+        "dim": st.sampled_from([1, 2, 0, 1.5, "x", None]),
+        "horizon": spec_items,
+    })),
+    st.builds(lambda h, a: json.dumps({"hursts": [h], "coeffs": [a]}),
+              spec_items, spec_items),
+)
+
+
+def _csv_case(tmp: Path, command, text):
+    (tmp / "in.csv").write_text(text)
+    return [*command, "--driver" if command[0] == "solve" else "--input", tmp / "in.csv"]
+
+
+def _level2_case(tmp: Path, text):
+    (tmp / "driver.csv").write_text("t,x1\n0,0\n0.5,1\n1,0.5\n")
+    (tmp / "lift.json").write_text(text)
+    return ["solve", "--driver", tmp / "driver.csv", "--lift", tmp / "lift.json"]
+
+
+def _spec_case(tmp: Path, text):
+    (tmp / "spec.json").write_text(text)
+    return ["sim", "--spec", tmp / "spec.json", "--n", 8, "--seed", 1]
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(_csv_case), st.sampled_from(CSV_COMMANDS), garbled_csvs),
+    st.tuples(st.just(_csv_case), st.sampled_from(CSV_COMMANDS), timed_csvs),
+    st.tuples(st.just(_level2_case), level2_jsons),
+    st.tuples(st.just(_spec_case), spec_jsons),
+))
+def test_malformed_inputs_keep_exit_contract(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        argv = case[0](Path(tmp), *case[1:])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*argv, "-o", out)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or not out.exists()

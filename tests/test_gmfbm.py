@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughmix.errors import NumericsError
 from roughmix.gmfbm import (
     GmfbmSpec,
     SamplePath,
@@ -13,6 +14,7 @@ from roughmix.gmfbm import (
     _fgn_circulant,
     _fgn_circulant_sqrt_eigs,
     covariance,
+    dumps,
     format_csv,
     increment_cross_covariance,
     increment_variance,
@@ -302,3 +304,19 @@ def test_csv_golden_bytes():
     assert format_csv("m,stat,value", [(3, "median", 0.1)]) == (
         "m,stat,value\n3,median,0.10000000000000001\n"
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writers_refuse_non_finite_values(bad):
+    with pytest.raises(NumericsError):
+        format_csv("t,x1", [(0.0, 1.0), (1.0, bad)])
+    with pytest.raises(NumericsError):
+        dumps({"levels": [[1.0, bad]]})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "t,x1\n", "t\n0\n0.5\n1\n"],
+                         ids=["empty", "header-only", "t-only"])
+def test_from_csv_rejects_missing_rows_or_values(text):
+    with pytest.raises(ValueError):
+        SamplePath.from_csv(text)

@@ -240,8 +240,9 @@ def test_p_variation_single_increment():
 
 def test_p_variation_rejects_small_p():
     rp = lift_piecewise_linear(np.array([[0.0], [1.0]]))
-    with pytest.raises(ValueError):
-        p_variation(rp, 0.5)
+    for p in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            p_variation(rp, p)
 
 
 @given(st.integers(0, 1000))
