@@ -70,7 +70,7 @@ def _load_spec(path: str) -> GmfbmSpec:
 def cmd_sim(args) -> None:
     spec = _load_spec(args.spec)
     grid = TimeGrid.uniform(args.n, spec.horizon)
-    path = sample(spec, grid, args.seed, method=args.method)
+    path = sample(spec, grid, args.seed)
     _emit(args, [Path(args.spec)], {"path.csv": path.to_csv()},
           sampling={"method": path.method, "used_fallback": path.used_fallback})
 
@@ -104,16 +104,16 @@ def _build_field(name: str, dim: int, e: int):
 
 
 def cmd_solve(args) -> None:
-    inputs = [Path(args.driver)]
-    if args.lift:
-        rp = Level2RoughPath.from_json(Path(args.lift).read_text())
-        inputs.append(Path(args.lift))
+    if args.lift is not None:
+        source = Path(args.lift)
+        rp = Level2RoughPath.from_json(source.read_text())
     else:
-        rp = lift_piecewise_linear(SamplePath.from_csv(Path(args.driver).read_text()))
+        source = Path(args.driver)
+        rp = lift_piecewise_linear(SamplePath.from_csv(source.read_text()))
     y0 = np.array([float(v) for v in args.y0.split(",")])
     field = _build_field(args.field, rp.dim, y0.size)
     sol = rde_solve(rp, field, y0)
-    _emit(args, inputs, {"solution.csv": sol.to_csv()})
+    _emit(args, [source], {"solution.csv": sol.to_csv()})
 
 
 def cmd_estimate(args) -> None:
@@ -189,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "cholesky", "circulant"],
-                   default="auto")
     p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_sim)
 
@@ -207,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sig)
 
     p = sub.add_parser("solve", help="solve an RDE along a driver")
-    p.add_argument("--driver", required=True)
-    p.add_argument("--lift", default=None, help="optional precomputed level-2 JSON")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--driver", help="path CSV, lifted piecewise-linearly")
+    src.add_argument("--lift", help="precomputed level-2 JSON")
     p.add_argument("--field", default="linear",
                    choices=["linear", "bilinear", "sigmoid"])
     p.add_argument("--y0", default="1.0")

@@ -25,6 +25,9 @@ __all__ = [
     "fit_mixture_from_table",
 ]
 
+# candidate Hurst exponents for the initial NNLS fit of a mixture
+_H_GRID = np.round(np.arange(0.05, 0.975, 0.0125), 12)
+
 
 @dataclass
 class FitReport:
@@ -131,13 +134,12 @@ def _row_weights(dts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return 1.0 / (values * np.sqrt(dts))
 
 
-def _weighted_nnls(dts, values, hursts, weights=None):
+def _weighted_nnls(dts, values, hursts):
     """Row-weighted NNLS of the structure values against the power-law design."""
     # imported on use, so that importing roughmix does not load scipy.optimize
     from scipy.optimize import nnls
 
-    if weights is None:
-        weights = _row_weights(dts, values)
+    weights = _row_weights(dts, values)
     a = _design(dts, hursts) * weights[:, None]
     w, rnorm = nnls(a, values * weights)
     return w, rnorm
@@ -147,7 +149,6 @@ def fit_mixture_from_table(
     dts,
     values,
     n_components: int,
-    h_grid=None,
     refine_iters: int = 4,
 ) -> FitReport:
     from scipy.optimize import minimize_scalar
@@ -162,12 +163,9 @@ def fit_mixture_from_table(
         )
     if np.any(values <= 0):
         raise ValueError("structure values must be positive to fit")
-    if h_grid is None:
-        h_grid = np.arange(0.05, 0.975, 0.0125)
-    h_grid = np.unique(np.round(np.asarray(h_grid, dtype=float), 12))
 
     flags: list[str] = []
-    w, _ = _weighted_nnls(dts, values, h_grid)
+    w, _ = _weighted_nnls(dts, values, _H_GRID)
     # strongest candidates; merge adjacent grid picks into one component
     active = np.flatnonzero(w > 0)
     groups: list[list[int]] = []
@@ -179,11 +177,11 @@ def fit_mixture_from_table(
     cands = sorted(
         groups, key=lambda g: -sum(w[i] for i in g)
     )[:n_components]
-    hursts = [float(np.average([h_grid[i] for i in g],
+    hursts = [float(np.average([_H_GRID[i] for i in g],
                                weights=[w[i] for i in g])) for g in cands]
     while len(hursts) < n_components:
         flags.append("underdetermined-initialization")
-        hursts.append(float(np.clip(np.median(h_grid), 0.05, 0.95)))
+        hursts.append(float(np.clip(np.median(_H_GRID), 0.05, 0.95)))
     hursts = np.array(sorted(hursts))
 
     # coordinate descent on exponents, convex NNLS in the weights
@@ -226,7 +224,6 @@ def fit_mixture(
     path: SamplePath,
     lags=None,
     n_components: int = 2,
-    h_grid=None,
     n_bootstrap: int = 0,
     bootstrap_seed: int = 0,
 ) -> FitReport:
@@ -237,7 +234,7 @@ def fit_mixture(
     """
     lags = default_lags(len(path.grid)) if lags is None else list(lags)
     dts, values = structure_function(path, lags)
-    report = fit_mixture_from_table(dts, values, n_components, h_grid)
+    report = fit_mixture_from_table(dts, values, n_components)
     if n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)
         hs, ws = [], []
@@ -249,8 +246,7 @@ def fit_mixture(
                 continue
             try:
                 rep = fit_mixture_from_table(
-                    dts[pick], values[pick], n_comp_eff, h_grid,
-                    refine_iters=2,
+                    dts[pick], values[pick], n_comp_eff, refine_iters=2,
                 )
             except (ValueError, ConfigurationError):
                 continue

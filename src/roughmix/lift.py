@@ -44,8 +44,8 @@ class Level2RoughPath:
     grid: TimeGrid
     inc1: np.ndarray  # (n_intervals, d)
     inc2: np.ndarray  # (n_intervals, d, d)
-    _prefix1: np.ndarray = field(default=None, repr=False)
-    _prefix2: np.ndarray = field(default=None, repr=False)
+    _prefix1: np.ndarray = field(init=False, repr=False)
+    _prefix2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.inc1 = np.asarray(self.inc1, dtype=float)
@@ -341,7 +341,6 @@ def cauchy_diagnostic(
     m_max: int,
     p: float,
     seeds,
-    method: str = "auto",
 ) -> dict:
     """Distances between consecutive dyadic lifts, per seed and per level m.
 
@@ -350,6 +349,9 @@ def cauchy_diagnostic(
     the given seed order.
     """
     _check_p(p)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least 1 seed")
     if p <= 1.0 / spec.min_hurst:
         warnings.warn(
             f"p={p} is at or below 1/min(H)={1.0 / spec.min_hurst:.3f}; "
@@ -360,7 +362,7 @@ def cauchy_diagnostic(
     grid = TimeGrid.dyadic(m_fine, spec.horizon)
     rows = []  # (m, seed, d_p)
     for seed in seeds:
-        path = sample(spec, grid, seed, method=method)
+        path = sample(spec, grid, seed)
         approx = {m: dyadic_approx(path, m) for m in range(1, m_fine + 1)}
         for m in range(1, m_max + 1):
             rows.append((m, int(seed), _dp_distance(approx[m], approx[m + 1], p)))
@@ -386,7 +388,6 @@ def sharpness_probe(
     m_max: int,
     seeds,
     m_min: int = 1,
-    method: str = "auto",
 ) -> dict:
     """Variance across seeds of the dyadic-lift Levy area of a 2-d fBm at each m.
 
@@ -395,12 +396,15 @@ def sharpness_probe(
     """
     if not (0.0 < h_small < 0.5):
         raise ValueError("h_small must lie in (0, 0.5)")
+    seeds = list(seeds)
+    if len(seeds) < 2:
+        raise ValueError("need at least 2 seeds for a variance")
     spec = GmfbmSpec((h_small,), (1.0,), dim=2, horizon=1.0)
     grid = TimeGrid.dyadic(m_max, 1.0)
     areas = {m: [] for m in range(m_min, m_max + 1)}
     n = len(grid) - 1
     for seed in seeds:
-        path = sample(spec, grid, seed, method=method)
+        path = sample(spec, grid, seed)
         for m in range(m_min, m_max + 1):
             rp = subsampled_lift(path, n // (2 ** m))
             areas[m].append(rp.levy_area()[0, 1])

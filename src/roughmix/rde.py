@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as ta
 from .errors import NumericsError
-from .gmfbm import GmfbmSpec, TimeGrid, format_csv, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, format_csv, sample
 from .lift import Level2RoughPath, lift_piecewise_linear, subsampled_lift
 
 __all__ = [
@@ -55,7 +55,6 @@ class VectorField:
 
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = "custom"
     mats: np.ndarray | None = None
 
     def check_consistency(self, y: np.ndarray, tol: float = 1e-4,
@@ -82,25 +81,21 @@ class VectorField:
         return err
 
 
-def vector_field(f: Callable[[np.ndarray], np.ndarray],
-                 name: str = "custom") -> VectorField:
+def vector_field(f: Callable[[np.ndarray], np.ndarray]) -> VectorField:
     """Wrap a plain f(y) -> (e, d) callable; the Jacobian term is finite-differenced."""
 
     def jac_apply(y, g, h=1e-6):
         fy = f(y)
-        e, d = fy.shape
-        out = np.zeros(e)
-        # directional derivative of f along f(y) g columns
-        for a in range(d):
-            for b in range(d):
-                if g[a, b] == 0.0:
-                    continue
-                direction = fy[:, a]
-                df = (f(y + h * direction) - f(y - h * direction)) / (2 * h)
-                out += df[:, b] * g[a, b]
+        out = np.zeros(fy.shape[0])
+        # one central difference of f along each column f(y)[:, a], whose
+        # (e, d) result contracts with row a of g
+        for a in range(fy.shape[1]):
+            direction = fy[:, a]
+            df = (f(y + h * direction) - f(y - h * direction)) / (2 * h)
+            out += df @ g[a]
         return out
 
-    return VectorField(eval=f, jacobian_apply=jac_apply, name=name)
+    return VectorField(eval=f, jacobian_apply=jac_apply)
 
 
 def linear_field(mats) -> VectorField:
@@ -117,8 +112,7 @@ def linear_field(mats) -> VectorField:
         ay = np.einsum("aij,j->ai", stacked, y)  # (d, e)
         return np.einsum("bik,ak,ab->i", stacked, ay, g)
 
-    return VectorField(eval=ev, jacobian_apply=jac_apply, name="linear",
-                       mats=stacked)
+    return VectorField(eval=ev, jacobian_apply=jac_apply, mats=stacked)
 
 
 def constant_field(c) -> VectorField:
@@ -131,7 +125,7 @@ def constant_field(c) -> VectorField:
     def jac_apply(y, g):
         return np.zeros(c.shape[0])
 
-    return VectorField(eval=ev, jacobian_apply=jac_apply, name="constant")
+    return VectorField(eval=ev, jacobian_apply=jac_apply)
 
 
 def sigmoid_field(scale: float = 1.0, e: int = 1, d: int = 1) -> VectorField:
@@ -146,14 +140,13 @@ def sigmoid_field(scale: float = 1.0, e: int = 1, d: int = 1) -> VectorField:
         # d_l f_{i b} = delta_{il} dtanh_{i b}
         return np.einsum("ib,ia,ab->i", dtanh, fy, g)
 
-    return VectorField(eval=ev, jacobian_apply=jac_apply, name="sigmoid")
+    return VectorField(eval=ev, jacobian_apply=jac_apply)
 
 
 @dataclass
 class RdeSolution:
     grid: TimeGrid
     states: np.ndarray  # (n_points, e)
-    scheme: str = "davie"
 
     @property
     def final(self) -> np.ndarray:
@@ -213,8 +206,7 @@ def _propagators(levels: list, mats: np.ndarray) -> np.ndarray:
     return props
 
 
-def _propagate(rp: Level2RoughPath, props: np.ndarray, y0,
-               scheme: str) -> RdeSolution:
+def _propagate(rp: Level2RoughPath, props: np.ndarray, y0) -> RdeSolution:
     """States y_{k+1} = P_k y_k, sequentially; raises at the first non-finite one."""
     y = _initial_state(y0)
     states = np.empty((len(props) + 1, y.size))
@@ -228,7 +220,7 @@ def _propagate(rp: Level2RoughPath, props: np.ndarray, y0,
     if not finite.all():
         k = int(np.argmin(finite)) - 1
         raise _blow_up(k, states[k])
-    return RdeSolution(grid=rp.grid, states=states, scheme=scheme)
+    return RdeSolution(grid=rp.grid, states=states)
 
 
 def solve(rp: Level2RoughPath, field: VectorField, y0) -> RdeSolution:
@@ -244,7 +236,7 @@ def solve(rp: Level2RoughPath, field: VectorField, y0) -> RdeSolution:
     if field.mats is not None:
         k = rp.n_intervals
         levels = [np.ones((k, 1)), rp.inc1, rp.inc2.reshape(k, rp.dim ** 2)]
-        return _propagate(rp, _propagators(levels, field.mats), y0, "davie")
+        return _propagate(rp, _propagators(levels, field.mats), y0)
     y = _initial_state(y0)
     states = np.empty((rp.n_intervals + 1, y.size))
     states[0] = y
@@ -275,11 +267,29 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
     # canonical group-like extension: exp of the level-<=2 log part
     g = ta._exp([np.zeros((k, 1)), ell[1], ell[2]]
                 + [np.zeros((k, d ** n)) for n in range(3, level + 1)])
-    return _propagate(rp, _propagators(g, mats), y0, "linear-exact")
+    return _propagate(rp, _propagators(g, mats), y0)
 
 
 # --------------------------------------------------------------------------- #
 # harnesses
+
+
+def _subsampled_errors(path: SamplePath, m_ref: int, mesh_levels,
+                       field: VectorField, y0) -> tuple[list, float]:
+    """Errors of the solves on the 2^m-interval subsampled lifts, and their rate.
+
+    ``path`` has 2^m_ref intervals. The reference is the solve on its full
+    lift; each error is the max over the coarse grid points, and the rate
+    is the log-log slope of error against mesh size 2^-m.
+    """
+    ref = solve(lift_piecewise_linear(path), field, y0)
+    errors = []
+    for m in mesh_levels:
+        stride = 2 ** (m_ref - m)
+        sol = solve(subsampled_lift(path, stride), field, y0)
+        errors.append(float(np.abs(sol.states - ref.states[::stride]).max()))
+    h = [2.0 ** -m for m in mesh_levels]
+    return errors, float(np.polyfit(np.log(h), np.log(errors), 1)[0])
 
 
 def convergence_rate(
@@ -289,7 +299,6 @@ def convergence_rate(
     mesh_levels,
     seeds,
     ref_factor: int = 4,
-    method: str = "auto",
 ) -> dict:
     """Empirical Davie-scheme rate against a fine-mesh reference.
 
@@ -312,24 +321,18 @@ def convergence_rate(
     mesh_levels = sorted(int(m) for m in mesh_levels)
     if len(mesh_levels) < 3:
         raise ValueError("need at least 3 mesh levels")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least 1 seed")
     m_ref = mesh_levels[-1] + int(np.round(np.log2(ref_factor)))
     grid = TimeGrid.dyadic(m_ref, spec.horizon)
     slopes = []
     rows = []  # (mesh, seed, error)
     for seed in seeds:
-        path = sample(spec, grid, seed, method=method)
-        ref = solve(lift_piecewise_linear(path), field, y0)
-        errors = []
-        for m in mesh_levels:
-            stride = 2 ** (m_ref - m)
-            sol = solve(subsampled_lift(path, stride), field, y0)
-            err = float(
-                np.abs(sol.states - ref.states[::stride]).max()
-            )
-            errors.append(err)
-            rows.append((2 ** m, int(seed), err))
-        h = [2.0 ** -m for m in mesh_levels]
-        slopes.append(float(np.polyfit(np.log(h), np.log(errors), 1)[0]))
+        path = sample(spec, grid, seed)
+        errors, slope = _subsampled_errors(path, m_ref, mesh_levels, field, y0)
+        rows += [(2 ** m, int(seed), err) for m, err in zip(mesh_levels, errors)]
+        slopes.append(slope)
     return {
         "rows": rows,
         "slopes": slopes,
@@ -338,34 +341,28 @@ def convergence_rate(
     }
 
 
-def smooth_driver_rate(field: VectorField, y0, mesh_levels,
-                       driver=None, ref_level: int | None = None) -> dict:
-    """Rate control on a deterministic smooth driver (default t -> (t, t^2))."""
+def smooth_driver_rate(field: VectorField, y0, mesh_levels) -> dict:
+    """Rate control on the deterministic smooth driver t -> (t, t^2) on [0, 1].
+
+    The reference mesh is 2^3 times the finest; the dyadic nodes of
+    ``linspace`` are exact, so each coarse mesh is a subsample of it.
+    """
     mesh_levels = sorted(int(m) for m in mesh_levels)
-    if driver is None:
-        driver = lambda t: np.column_stack([t, t ** 2])
-    m_ref = ref_level if ref_level is not None else mesh_levels[-1] + 3
-    t_ref = np.linspace(0.0, 1.0, 2 ** m_ref + 1)
-    ref = solve(lift_piecewise_linear(driver(t_ref), TimeGrid(t_ref)), field, y0)
-    errors = []
-    for m in mesh_levels:
-        t = np.linspace(0.0, 1.0, 2 ** m + 1)
-        sol = solve(lift_piecewise_linear(driver(t), TimeGrid(t)), field, y0)
-        stride = 2 ** (m_ref - m)
-        errors.append(float(np.abs(sol.states - ref.states[::stride]).max()))
-    h = [2.0 ** -m for m in mesh_levels]
-    slope = float(np.polyfit(np.log(h), np.log(errors), 1)[0])
+    m_ref = mesh_levels[-1] + 3
+    t = np.linspace(0.0, 1.0, 2 ** m_ref + 1)
+    path = SamplePath(grid=TimeGrid(t), values=np.column_stack([t, t ** 2]))
+    errors, slope = _subsampled_errors(path, m_ref, mesh_levels, field, y0)
     return {"errors": errors, "slope": slope}
 
 
-def holder_estimate(values, dt: float = None, grid: TimeGrid | None = None,
-                    max_lag_fraction: float = 1 / 256) -> dict:
+def holder_estimate(values, dt: float = None) -> dict:
     """Holder exponent estimate from max increment size across dyadic lags.
 
-    For each dyadic lag the maximum absolute increment is normalized by the
-    Gaussian-extremes factor sqrt(2 log(#increments)) before the log-log
-    regression; without it the slope is biased low by the slowly varying
-    extreme-value correction.
+    The lags are 1, 2, 4, ... up to n/256 of the n increments, and ``dt``
+    (default 1/n) is the grid step. For each lag the maximum absolute
+    increment is normalized by the Gaussian-extremes factor
+    sqrt(2 log(#increments)) before the log-log regression; without it the
+    slope is biased low by the slowly varying extreme-value correction.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] == 1:
@@ -375,13 +372,11 @@ def holder_estimate(values, dt: float = None, grid: TimeGrid | None = None,
         raise ValueError("need at least 64 points")
     if np.ptp(values) == 0.0:
         raise ValueError("constant path has no Holder exponent")
-    if grid is not None:
-        dt = float(np.diff(grid.points).mean())
     if dt is None:
         dt = 1.0 / n
     lags = []
     lag = 1
-    while lag <= max(1, int(n * max_lag_fraction)):
+    while lag <= max(1, n // 256):
         lags.append(lag)
         lag *= 2
     stats = []

@@ -101,7 +101,6 @@ def expected_signature_mc(
     level: int,
     n_paths: int,
     seed: int,
-    method: str = "auto",
 ) -> tuple[TruncatedTensor, TruncatedTensor]:
     """Monte Carlo mean of path signatures, with per-entry standard errors.
 
@@ -109,7 +108,7 @@ def expected_signature_mc(
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    values = sample_batch(spec, grid, seed, n_paths, method=method)
+    values = sample_batch(spec, grid, seed, n_paths)
     levels = _signature_levels(values, level)
     means = [lv.mean(axis=0) for lv in levels]
     ses = [np.sqrt(np.clip((lv ** 2).mean(axis=0) - m ** 2, 0.0, None) / n_paths)
@@ -135,9 +134,11 @@ def cross_term_scaling(
         raise ValueError(
             "H_i + H_j must exceed 1/2 for the cross Young integral to exist"
         )
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths")
     t_scales = np.asarray(sorted(float(t) for t in t_scales))
-    if t_scales.size < 3:
-        raise ValueError("need at least 3 interval lengths for the regression")
+    if np.unique(t_scales).size < 3:
+        raise ValueError("need at least 3 distinct interval lengths")
     moments = []
     ses = []
     for si, t in enumerate(t_scales):

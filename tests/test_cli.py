@@ -42,7 +42,6 @@ def test_sim_writes_path_and_manifest(tmp_path, spec_file):
     assert manifest["config"]["seed"] == 7
     assert str(spec_file) in manifest["inputs"]
     assert "path.csv" in manifest["outputs"]
-    assert manifest["config"]["method"] == "auto"
     assert manifest["sampling"] == {"method": "circulant", "used_fallback": False}
 
 
@@ -97,8 +96,7 @@ def test_solve_subcommand(tmp_path, spec_file):
 
 def test_estimate_subcommand(tmp_path, spec_file):
     out = tmp_path / "out"
-    run("sim", "--spec", spec_file, "--n", 4096, "--seed", 4, "--method",
-        "circulant", "-o", out)
+    run("sim", "--spec", spec_file, "--n", 4096, "--seed", 4, "-o", out)
     assert run("estimate", "--input", out / "path.csv", "--components", 1,
                "-o", tmp_path / "est") == 0
     fit = json.loads((tmp_path / "est" / "fit.json").read_text())
@@ -169,7 +167,7 @@ def test_solve_rejects_malformed_lift_with_exit_2(tmp_path, capsys, edit):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     out = tmp_path / "o"
-    assert run("solve", "--driver", driver, "--lift", bad, "-o", out) == 2
+    assert run("solve", "--lift", bad, "-o", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "solution.csv").exists()
@@ -255,6 +253,57 @@ def test_bench_scaling_subcommand(tmp_path):
     assert float(stats["expected_slope"]) == 2.5
 
 
+SCALING = ["bench-scaling", "--hi", 0.5, "--hj", 0.75, "--seed", 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    [*SCALING, "--n-paths", 1],
+    [*SCALING, "--n-paths", 0],
+    [*SCALING, "--n-paths", 20, "--scales", "1,1,1"],
+    ["bench-rate", "--spec", None, "--mesh-min", 5, "--mesh-max", 7, "--seeds", 0],
+    ["bench-sharpness", "--hurst", 0.2, "--m-max", 3, "--seeds", 1],
+    ["bench-sharpness", "--hurst", 0.2, "--m-max", 3, "--seeds", 0],
+    ["bench-cauchy", "--spec", None, "--p", 2.1, "--m-max", 3, "--seeds", 0],
+], ids=["scaling-1-path", "scaling-0-paths", "scaling-one-scale", "rate-0-seeds",
+        "sharpness-1-seed", "sharpness-0-seeds", "cauchy-0-seeds"])
+def test_degenerate_bench_inputs_exit_2_without_output(tmp_path, spec_file, capfd,
+                                                       argv):
+    out = tmp_path / "o"
+    argv = [spec_file if a is None else a for a in argv]
+    assert run(*argv, "-o", out) == 2
+    # capfd, not capsys: LAPACK writes its complaints to the stdout descriptor
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def _lifted(tmp_path):
+    driver = tmp_path / "driver.csv"
+    driver.write_text("t,x1,x2\n0,0,0\n0.5,1,-0.5\n1,0.5,0.25\n")
+    run("lift", "--input", driver, "-o", tmp_path / "lift")
+    return driver, tmp_path / "lift" / "level2.json"
+
+
+def test_solve_from_lift_alone_hashes_only_the_lift(tmp_path):
+    driver, level2 = _lifted(tmp_path)
+    args = ["--field", "bilinear", "--y0", "1.0,0.5"]
+    assert run("solve", "--lift", level2, *args, "-o", tmp_path / "a") == 0
+    assert run("solve", "--driver", driver, *args, "-o", tmp_path / "b") == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert list(manifest["inputs"]) == [str(level2)]
+    assert ((tmp_path / "a" / "solution.csv").read_bytes()
+            == (tmp_path / "b" / "solution.csv").read_bytes())
+
+
+def test_solve_rejects_driver_with_lift(tmp_path):
+    driver, level2 = _lifted(tmp_path)
+    out = tmp_path / "o"
+    assert run("solve", "--driver", driver, "--lift", level2, "-o", out) == 2
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------- #
 # malformed inputs: every run exits 0, 2 or 3, without a traceback, and a run
 # that fails writes no file
@@ -323,9 +372,8 @@ def _csv_case(tmp: Path, command, text):
 
 
 def _level2_case(tmp: Path, text):
-    (tmp / "driver.csv").write_text("t,x1\n0,0\n0.5,1\n1,0.5\n")
     (tmp / "lift.json").write_text(text)
-    return ["solve", "--driver", tmp / "driver.csv", "--lift", tmp / "lift.json"]
+    return ["solve", "--lift", tmp / "lift.json"]
 
 
 def _spec_case(tmp: Path, text):

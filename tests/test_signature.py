@@ -178,8 +178,7 @@ def test_level2_shuffle_identity_random_path():
 def test_expected_signature_brownian():
     spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
     grid = TimeGrid.uniform(64)
-    mean, se = expected_signature_mc(spec, grid, level=2, n_paths=2000, seed=17,
-                                     method="circulant")
+    mean, se = expected_signature_mc(spec, grid, level=2, n_paths=2000, seed=17)
     # level-1 mean vanishes
     assert abs(mean.coeff((1,))) < 4 * max(se.coeff((1,)), 1e-12)
     # word (1,1) mean is E[M_1^2]/2 = 1/2
@@ -189,8 +188,7 @@ def test_expected_signature_brownian():
 def test_expected_signature_antisymmetric_level2_vanishes():
     spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,), dim=2)
     grid = TimeGrid.uniform(64)
-    mean, se = expected_signature_mc(spec, grid, level=2, n_paths=2000, seed=29,
-                                     method="circulant")
+    mean, se = expected_signature_mc(spec, grid, level=2, n_paths=2000, seed=29)
     m2 = mean.level_array(2, reshape=True)
     s2 = se.level_array(2, reshape=True)
     anti = 0.5 * (m2 - m2.T)
