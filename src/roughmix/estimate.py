@@ -3,11 +3,14 @@
 The lag-indexed mean squared increment (structure function) of a GMFBM
 behaves as sum_k a_k^2 |dt|^{2H_k}. A single component is a log-log line;
 mixtures are fit by nonnegative least squares over a grid of candidate
-Hurst exponents, refined by coordinate descent on the exponents.
+Hurst exponents, refined by coordinate descent on the exponents: each
+exponent in turn is moved to the minimiser of the NNLS residual found by a
+bounded Brent search (golden section with parabolic steps) on [0.01, 0.99].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +30,9 @@ __all__ = [
 
 # candidate Hurst exponents for the initial NNLS fit of a mixture
 _H_GRID = np.round(np.arange(0.05, 0.975, 0.0125), 12)
+# absolute tolerance and evaluation cap of the bounded Brent refinement
+_BRENT_XATOL = 1e-8
+_BRENT_MAXFUN = 500
 
 
 @dataclass
@@ -145,14 +151,85 @@ def _weighted_nnls(dts, values, hursts):
     return w, rnorm
 
 
+def _bounded_brent(f, lo: float, hi: float) -> float:
+    """Minimiser of a scalar f on [lo, hi] by Brent's bounded search.
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` (Forsythe,
+    Malcolm and Moler's ``fminbound``) on plain floats with xatol
+    ``_BRENT_XATOL`` and at most ``_BRENT_MAXFUN`` evaluations: the same
+    golden mean, tolerances and returned point, so it returns the same
+    float bit for bit without scipy's per-call wrapping.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = float(f(xf))
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = float(f(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf
+
+
 def fit_mixture_from_table(
     dts,
     values,
     n_components: int,
     refine_iters: int = 4,
 ) -> FitReport:
-    from scipy.optimize import minimize_scalar
-
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
     if n_components < 1:
@@ -196,9 +273,7 @@ def fit_mixture_from_table(
                 trial[k] = hk
                 return objective(trial)
 
-            res = minimize_scalar(f, bounds=(0.01, 0.99), method="bounded",
-                                  options={"xatol": 1e-8})
-            hursts[k] = res.x
+            hursts[k] = _bounded_brent(f, 0.01, 0.99)
 
     # collapse components whose exponents coincide (non-identifiable)
     hursts = np.sort(hursts)

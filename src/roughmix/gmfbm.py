@@ -13,6 +13,7 @@ Cholesky, whose matrix product blocks by batch size) nor on thread count.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -299,12 +300,18 @@ def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
                                    f"positive definite, even with jitter {jitter:.3g}")
 
 
+# (hurst, n) pairs whose circulant eigenvalues stay memoised
+_EIGS_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_EIGS_CACHE_SIZE)
 def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray | None:
     """Square roots of the n + 1 distinct eigenvalues of the circulant
     embedding [g(0) .. g(n), g(n-1) .. g(1)] of n unit-spacing fGn steps.
 
     It is positive semidefinite for fGn at every Hurst parameter; None marks
-    a failure of that, as a safety net.
+    a failure of that, as a safety net. Results are memoised per (hurst, n)
+    and returned read-only, so no caller can change a cached array.
     """
     k = np.arange(n + 1.0)
     gamma = 0.5 * (
@@ -314,7 +321,9 @@ def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray | None:
     eigs = np.fft.rfft(np.concatenate([gamma, gamma[n - 1:0:-1]])).real
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         return None
-    return np.sqrt(np.clip(eigs, 0.0, None))
+    sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None))
+    sqrt_eigs.flags.writeable = False
+    return sqrt_eigs
 
 
 def _fgn_circulant(sqrt_eigs: np.ndarray, rng: np.random.Generator,

@@ -349,6 +349,8 @@ def cauchy_diagnostic(
     the given seed order.
     """
     _check_p(p)
+    if m_max < 1:
+        raise ValueError(f"need m_max >= 1 for a level to compare, got {m_max}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least 1 seed")
@@ -396,6 +398,9 @@ def sharpness_probe(
     """
     if not (0.0 < h_small < 0.5):
         raise ValueError("h_small must lie in (0, 0.5)")
+    if not 1 <= m_min <= m_max:
+        raise ValueError(f"need 1 <= m_min <= m_max, got m_min={m_min}, "
+                         f"m_max={m_max}")
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for a variance")

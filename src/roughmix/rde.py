@@ -207,15 +207,24 @@ def _propagators(levels: list, mats: np.ndarray) -> np.ndarray:
 
 
 def _propagate(rp: Level2RoughPath, props: np.ndarray, y0) -> RdeSolution:
-    """States y_{k+1} = P_k y_k, sequentially; raises at the first non-finite one."""
+    """States y_{k+1} = P_k y_k; raises at the first non-finite one.
+
+    A scalar state (e = 1) is one running product over [y0, P_0, P_1, ...]:
+    each step is the same single multiply as the 1 x 1 ``np.dot``, so the
+    states are bit-identical. Larger states loop sequentially.
+    """
     y = _initial_state(y0)
     states = np.empty((len(props) + 1, y.size))
     states[0] = y
     # a non-finite state stays non-finite under y <- P_k y, so the first
     # non-finite row marks the blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        for prop, cur, nxt in zip(props, states[:-1], states[1:]):
-            np.dot(prop, cur, out=nxt)
+        if y.size == 1:
+            states[1:, 0] = props[:, 0, 0]
+            np.multiply.accumulate(states[:, 0], out=states[:, 0])
+        else:
+            for prop, cur, nxt in zip(props, states[:-1], states[1:]):
+                np.dot(prop, cur, out=nxt)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite)) - 1
@@ -358,8 +367,9 @@ def smooth_driver_rate(field: VectorField, y0, mesh_levels) -> dict:
 def holder_estimate(values, dt: float = None) -> dict:
     """Holder exponent estimate from max increment size across dyadic lags.
 
-    The lags are 1, 2, 4, ... up to n/256 of the n increments, and ``dt``
-    (default 1/n) is the grid step. For each lag the maximum absolute
+    The lags are 1, 2, 4, ... up to n/256 of the n increments, so the path
+    needs at least 513 points (n >= 512) for the two lags a slope needs;
+    ``dt`` (default 1/n) is the grid step. For each lag the maximum absolute
     increment is normalized by the Gaussian-extremes factor
     sqrt(2 log(#increments)) before the log-log regression; without it the
     slope is biased low by the slowly varying extreme-value correction.
@@ -368,15 +378,15 @@ def holder_estimate(values, dt: float = None) -> dict:
     if values.shape[0] == 1:
         values = values.T
     n = values.shape[0] - 1
-    if n + 1 < 64:
-        raise ValueError("need at least 64 points")
+    if n < 512:
+        raise ValueError(f"need at least 513 points for two lags, got {n + 1}")
     if np.ptp(values) == 0.0:
         raise ValueError("constant path has no Holder exponent")
     if dt is None:
         dt = 1.0 / n
     lags = []
     lag = 1
-    while lag <= max(1, n // 256):
+    while lag <= n // 256:
         lags.append(lag)
         lag *= 2
     stats = []

@@ -265,8 +265,11 @@ SCALING = ["bench-scaling", "--hi", 0.5, "--hj", 0.75, "--seed", 1]
     ["bench-sharpness", "--hurst", 0.2, "--m-max", 3, "--seeds", 1],
     ["bench-sharpness", "--hurst", 0.2, "--m-max", 3, "--seeds", 0],
     ["bench-cauchy", "--spec", None, "--p", 2.1, "--m-max", 3, "--seeds", 0],
+    ["bench-cauchy", "--spec", None, "--p", 2.1, "--m-max", 0, "--seeds", 2],
+    ["bench-sharpness", "--hurst", 0.2, "--m-max", 0, "--seeds", 2],
 ], ids=["scaling-1-path", "scaling-0-paths", "scaling-one-scale", "rate-0-seeds",
-        "sharpness-1-seed", "sharpness-0-seeds", "cauchy-0-seeds"])
+        "sharpness-1-seed", "sharpness-0-seeds", "cauchy-0-seeds",
+        "cauchy-0-levels", "sharpness-0-levels"])
 def test_degenerate_bench_inputs_exit_2_without_output(tmp_path, spec_file, capfd,
                                                        argv):
     out = tmp_path / "o"

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from roughmix import estimate
 from roughmix.errors import ConfigurationError
 from roughmix.estimate import (
     FitReport,
+    _bounded_brent,
+    _weighted_nnls,
     default_lags,
     fit_mixture,
     fit_mixture_from_table,
@@ -210,3 +215,62 @@ def test_refit_residual_self_consistent():
         refit.append(rep2.residual)
     assert np.median(refit) <= 2.0 * np.median(orig)
     assert np.median(orig) <= 2.0 * np.median(refit)
+
+
+# --------------------------------------------------------------------------- #
+# bounded Brent refinement
+
+
+def _nnls_residual(h):
+    dts = 2.0 ** np.arange(-12.0, -3.0)
+    values = 1.5 * dts ** 0.8 + 0.3 * dts ** 1.4
+    return _weighted_nnls(dts, values, np.array([h, 0.75]))[1]
+
+
+BRENT_OBJECTIVES = {
+    "smooth-interior": lambda x: (x - 0.37) ** 2 + 1.0,
+    "lower-bound": lambda x: x,
+    "upper-bound": lambda x: -x,
+    "constant": lambda x: 2.5,
+    "non-smooth": lambda x: abs(x - 0.61) + 0.1 * (math.floor(20.0 * x) % 3),
+    "nnls-residual": _nnls_residual,
+}
+
+
+def _scipy_bounded(f, maxiter=500):
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(f, bounds=(0.01, 0.99), method="bounded",
+                          options={"xatol": 1e-8, "maxiter": maxiter})
+    return res.x, res.nfev
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("name", list(BRENT_OBJECTIVES))
+def test_bounded_brent_matches_scipy_bit_for_bit(name):
+    f = BRENT_OBJECTIVES[name]
+    want, nfev = _scipy_bounded(f)
+    g, calls = _counted(f)
+    assert _bounded_brent(g, 0.01, 0.99) == want
+    assert len(calls) == nfev
+
+
+def test_bounded_brent_stops_at_the_evaluation_cap(monkeypatch):
+    # no objective found reaches 500 evaluations at xatol 1e-8 (Brent's
+    # search needs a few dozen), so the cap is lowered on both sides
+    f = BRENT_OBJECTIVES["non-smooth"]
+    assert _scipy_bounded(f)[1] > 10
+    want, nfev = _scipy_bounded(f, maxiter=10)
+    monkeypatch.setattr(estimate, "_BRENT_MAXFUN", 10)
+    g, calls = _counted(f)
+    assert _bounded_brent(g, 0.01, 0.99) == want
+    assert len(calls) == nfev == 10

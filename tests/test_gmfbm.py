@@ -271,6 +271,21 @@ def test_high_hurst_samples_by_circulant():
             assert _fgn_circulant_sqrt_eigs(hurst, n) is not None, (n, hurst)
 
 
+def test_repeated_samples_are_byte_identical():
+    grid = TimeGrid.uniform(512)
+    first = sample(TWO_COMP, grid, seed=3).values.tobytes()
+    assert sample(TWO_COMP, grid, seed=3).values.tobytes() == first
+    assert sample_batch(TWO_COMP, grid, 3, 2)[0].tobytes() == first
+
+
+def test_cached_circulant_eigenvalues_are_read_only():
+    eigs = _fgn_circulant_sqrt_eigs(0.3, 128)
+    assert _fgn_circulant_sqrt_eigs(0.3, 128) is eigs
+    assert not eigs.flags.writeable
+    with pytest.raises(ValueError):
+        eigs[0] = 0.0
+
+
 def test_self_similarity_in_law():
     # second moments of M_{h t} match the rescaled spec
     h = 4.0

@@ -323,6 +323,16 @@ def test_sharpness_probe_rejects_large_hurst():
         sharpness_probe(0.6, 5, range(3))
 
 
+@pytest.mark.parametrize("m_max,m_min", [(0, 1), (-1, 1), (3, 4)])
+def test_diagnostics_reject_empty_level_range(m_max, m_min):
+    with pytest.raises(ValueError, match="m_max"):
+        sharpness_probe(0.2, m_max, range(3), m_min=m_min)
+    if m_max < 1:
+        spec = GmfbmSpec(hursts=(0.6,), coeffs=(1.0,))
+        with pytest.raises(ValueError, match="m_max"):
+            cauchy_diagnostic(spec, m_max=m_max, p=2.1, seeds=range(2))
+
+
 def test_moment_scaling_of_level2():
     # E[ |level-2 over [0,t]|^2 ] scales like t^{4H} for a single component
     h = 0.4

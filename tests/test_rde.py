@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from roughmix import rde
 from roughmix.errors import NumericsError
 from roughmix.gmfbm import GmfbmSpec, TimeGrid, sample
 from roughmix.lift import Level2RoughPath, lift_piecewise_linear
@@ -104,6 +105,33 @@ def test_flow_property_bit_level():
     assert np.array_equal(
         np.vstack([first.states, second.states[1:]]), whole.states
     )
+
+
+def dot_fold(props, y0):
+    """Oracle: y_{k+1} = P_k y_k by one np.dot per interval."""
+    states = [np.asarray(y0, dtype=float)]
+    for prop in props:
+        states.append(np.dot(prop, states[-1]))
+    return np.array(states)
+
+
+def test_scalar_states_equal_sequential_dot_fold(monkeypatch):
+    # the scalar running product gives the dot loop's states bit for bit
+    props = []
+    build = rde._propagators
+    monkeypatch.setattr(rde, "_propagators",
+                        lambda levels, mats: props.append(build(levels, mats))
+                        or props[-1])
+    rng = np.random.default_rng(11)
+    rp = lift_piecewise_linear(np.cumsum(0.05 * rng.normal(size=(1025, 2)), axis=0),
+                               TimeGrid.uniform(1024))
+    mats = rng.normal(size=(2, 1, 1))
+    y0 = [-0.7]
+    got = [solve(rp, linear_field(mats), y0).states,
+           linear_exact(rp, mats, y0).states]
+    assert len(props) == 2 and props[0].shape == (1024, 1, 1)
+    for states, prop in zip(got, props):
+        assert np.array_equal(states, dot_fold(prop, y0))
 
 
 def davie_fold(rp, field, y0):
@@ -255,8 +283,14 @@ def test_holder_mixture_tracks_minimum():
 
 
 def test_holder_rejects_constant_path():
-    with pytest.raises(ValueError):
-        holder_estimate(np.zeros(128))
+    with pytest.raises(ValueError, match="constant"):
+        holder_estimate(np.zeros(513))
+
+
+@pytest.mark.parametrize("n_points", [64, 100, 511])
+def test_holder_rejects_paths_too_short_for_two_lags(n_points):
+    with pytest.raises(ValueError, match="513 points"):
+        holder_estimate(np.linspace(0.0, 1.0, n_points))
 
 
 def test_stability_probe_monotone():
