@@ -168,6 +168,13 @@ def dumps(obj, **kw) -> str:
         raise NumericsError("refusing to write a non-finite value") from err
 
 
+def path_values(values) -> np.ndarray:
+    """Path values as a float (..., n_points, d) array; a 1-d array is one
+    coordinate, (n_points, 1)."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    return values[:, None] if values.ndim == 1 else values
+
+
 @dataclass
 class SamplePath:
     """A d-dimensional path on a time grid, with sampling provenance.
@@ -187,9 +194,7 @@ class SamplePath:
     used_fallback: bool = False
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if self.values.shape[0] == 1 and len(self.grid) > 1:
-            self.values = self.values.T
+        self.values = path_values(self.values)
         if self.values.shape[0] != len(self.grid):
             raise ValueError("values row count must equal grid length")
 
@@ -420,15 +425,11 @@ def sample_batch(
     seed: int,
     n_paths: int,
     method: str = "auto",
-    return_components: bool = False,
-):
+) -> np.ndarray:
     """Draw ``n_paths`` independent paths at once; values shape (n_paths, n, d).
 
     Path k is the same for every ``n_paths`` > k: each (component,
     coordinate) stream hands out its draws path by path.
     """
     comps, _, _ = _component_paths(spec, grid, seed, method, size=n_paths)
-    values = np.tensordot(np.asarray(spec.coeffs), comps, axes=(0, 0))
-    if return_components:
-        return values, comps
-    return values
+    return np.tensordot(np.asarray(spec.coeffs), comps, axes=(0, 0))

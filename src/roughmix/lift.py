@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompositionError
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, dumps, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, dumps, path_values, sample
 
 __all__ = [
     "Level2RoughPath",
@@ -202,7 +202,7 @@ def lift_piecewise_linear(path_or_values, grid: TimeGrid | None = None) -> Level
         grid = path_or_values.grid
         values = path_or_values.values
     else:
-        values = np.atleast_2d(np.asarray(path_or_values, dtype=float))
+        values = path_values(path_or_values)
         if grid is None:
             grid = TimeGrid.uniform(values.shape[0] - 1)
     if values.shape[0] < 2:
@@ -232,8 +232,7 @@ def cross_level2(x_values: np.ndarray, y_values: np.ndarray) -> np.ndarray:
     Values are (..., n_points, d) with any leading batch axes; a 1-d input
     is one coordinate, (n_points, 1). Returns (..., d_x, d_y).
     """
-    x, y = (np.asarray(v, dtype=float) for v in (x_values, y_values))
-    x, y = (v[:, None] if v.ndim == 1 else v for v in (x, y))
+    x, y = path_values(x_values), path_values(y_values)
     dx = np.diff(x, axis=-2)
     dy = np.diff(y, axis=-2)
     left = x[..., :-1, :] - x[..., :1, :]

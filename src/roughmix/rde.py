@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as ta
 from .errors import NumericsError
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, format_csv, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, format_csv, path_values, sample
 from .lift import Level2RoughPath, lift_piecewise_linear, subsampled_lift
 
 __all__ = [
@@ -367,19 +367,19 @@ def smooth_driver_rate(field: VectorField, y0, mesh_levels) -> dict:
 def holder_estimate(values, dt: float = None) -> dict:
     """Holder exponent estimate from max increment size across dyadic lags.
 
-    The lags are 1, 2, 4, ... up to n/256 of the n increments, so the path
-    needs at least 513 points (n >= 512) for the two lags a slope needs;
-    ``dt`` (default 1/n) is the grid step. For each lag the maximum absolute
-    increment is normalized by the Gaussian-extremes factor
+    ``values`` is (n + 1, d); a 1-d array is one coordinate. The lags are
+    1, 2, 4, ... up to n/256 of the n increments, so the path needs at
+    least 1025 points (n >= 1024) for three lags: a line through two lags
+    leaves no residual to estimate a stderr from. ``dt`` (default 1/n) is
+    the grid step. For each lag the maximum absolute increment is
+    normalized by the Gaussian-extremes factor
     sqrt(2 log(#increments)) before the log-log regression; without it the
     slope is biased low by the slowly varying extreme-value correction.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] == 1:
-        values = values.T
+    values = path_values(values)
     n = values.shape[0] - 1
-    if n < 512:
-        raise ValueError(f"need at least 513 points for two lags, got {n + 1}")
+    if n < 1024:
+        raise ValueError(f"need at least 1025 points for three lags, got {n + 1}")
     if np.ptp(values) == 0.0:
         raise ValueError("constant path has no Holder exponent")
     if dt is None:
@@ -399,7 +399,7 @@ def holder_estimate(values, dt: float = None) -> dict:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     se = float(
-        np.sqrt(np.sum(resid ** 2) / max(len(x) - 2, 1) / np.sum((x - x.mean()) ** 2))
+        np.sqrt(np.sum(resid ** 2) / (len(x) - 2) / np.sum((x - x.mean()) ** 2))
     )
     return {
         "exponent": float(slope),
@@ -422,12 +422,20 @@ def stability_probe(
     For each perturbation size eps the spec is shifted by eps in every Hurst
     parameter and relatively in every coefficient, and y0 by eps; the same
     seed reuses the same Gaussian draws, so the difference isolates the
-    parameter effect. Reports the median (over seeds) sup-norm difference
-    per eps.
+    parameter effect; each seed's unperturbed path is solved once. Reports
+    the median (over seeds) sup-norm difference per eps.
     """
     perturbations = sorted(float(e) for e in perturbations)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least 1 seed")
     grid = TimeGrid.uniform(n_intervals, spec.horizon)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+
+    def states(sp: GmfbmSpec, seed, start) -> np.ndarray:
+        return solve(lift_piecewise_linear(sample(sp, grid, seed)), field, start).states
+
+    bases = [states(spec, seed, y0) for seed in seeds]
     table = {}
     for eps in perturbations:
         hursts = tuple(h + eps for h in spec.hursts)
@@ -439,16 +447,8 @@ def stability_probe(
             dim=spec.dim,
             horizon=spec.horizon,
         )
-        diffs = []
-        for seed in seeds:
-            base = solve(
-                lift_piecewise_linear(sample(spec, grid, seed)), field, y0
-            )
-            shifted = solve(
-                lift_piecewise_linear(sample(pert, grid, seed)), field,
-                y0 + eps,
-            )
-            diffs.append(float(np.abs(base.states - shifted.states).max()))
+        diffs = [float(np.abs(base - states(pert, seed, y0 + eps)).max())
+                 for seed, base in zip(seeds, bases)]
         table[eps] = float(np.median(diffs))
     sizes = list(table)
     return {

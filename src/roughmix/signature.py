@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as ta
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample_batch
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _component_paths, path_values,
+                    sample_batch)
 from .lift import cross_level2, lift_piecewise_linear
 from .tensor import TruncatedTensor
 
@@ -61,11 +62,8 @@ def signature(path_or_values, level: int = 4) -> TruncatedTensor:
     """Truncated signature of the polyline through the sample points."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    values = (
-        path_or_values.values
-        if isinstance(path_or_values, SamplePath)
-        else np.atleast_2d(np.asarray(path_or_values, dtype=float))
-    )
+    values = (path_or_values.values if isinstance(path_or_values, SamplePath)
+              else path_values(path_or_values))
     if values.shape[0] < 2:
         raise ValueError("need at least 2 grid points")
     return TruncatedTensor(values.shape[1], level, _signature_levels(values, level))
@@ -144,8 +142,7 @@ def cross_term_scaling(
     for si, t in enumerate(t_scales):
         spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), dim=1, horizon=t)
         grid = TimeGrid.uniform(n_steps, t)
-        _, comps = sample_batch(spec, grid, seed + si, n_paths,
-                                return_components=True)
+        comps, _, _ = _component_paths(spec, grid, seed + si, "auto", n_paths)
         # comps is (component, path, point, 1); one cross integral per path
         cross = cross_level2(comps[0], comps[1])[:, 0, 0]
         sq = cross ** 2

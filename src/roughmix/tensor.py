@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from functools import lru_cache
 
 import numpy as np
 
@@ -259,46 +258,38 @@ def exp_of_increment(delta, level: int) -> TruncatedTensor:
 # shuffle product and group-like check
 
 
-@lru_cache(maxsize=None)
-def _shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> tuple:
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    out: Counter = Counter()
-    for w, c in _shuffle_words(u[1:], v):
-        out[(u[0],) + w] += c
-    for w, c in _shuffle_words(u, v[1:]):
-        out[(v[0],) + w] += c
-    return tuple(out.items())
+def _riffles(m: int, n: int):
+    """Each riffle of words of m and n letters, as the positions that the
+    m + n letters of their concatenation take in the riffled word."""
+    for p in itertools.combinations(range(m + n), m):
+        yield p + tuple(q for q in range(m + n) if q not in p)
 
 
 def shuffle(u, v) -> dict[tuple[int, ...], int]:
     """All riffle interleavings of two words, with multiplicity."""
     u = tuple(int(a) for a in u)
     v = tuple(int(a) for a in v)
-    return dict(_shuffle_words(u, v))
+    return dict(Counter(tuple(a for _, a in sorted(zip(perm, u + v)))
+                        for perm in _riffles(len(u), len(v))))
 
 
 def is_group_like(x: TruncatedTensor, tol: float = 1e-8) -> tuple[bool, float]:
     """Check the shuffle relations <x,u><x,v> = <x, u sh v> for |u|+|v| <= level.
 
-    Returns (pass, max absolute violation).
+    All words of lengths m and n are checked at once: level m + n viewed as
+    a (d,) * (m + n) array and transposed by a riffle's positions holds, in
+    its (d^m, d^n) reshape, the riffled word's coefficient at [u, v] (the
+    axis permutation does the index arithmetic of storage order). The sum
+    over riffles is compared with the outer product of levels m and n.
+    Returns (pass, max absolute violation); a NaN entry fails the check.
     """
     d, N = x.dim, x.level
-    worst = abs(x.scalar - 1.0)
-    letters = range(1, d + 1)
-    for lu in range(1, N):
-        for lv in range(1, N - lu + 1):
-            lvl_u = x.levels[lu]
-            lvl_v = x.levels[lv]
-            for u in itertools.product(letters, repeat=lu):
-                cu = lvl_u[word_to_index(u, d)]
-                for v in itertools.product(letters, repeat=lv):
-                    cv = lvl_v[word_to_index(v, d)]
-                    rhs = sum(
-                        c * x.levels[lu + lv][word_to_index(w, d)]
-                        for w, c in shuffle(u, v).items()
-                    )
-                    worst = max(worst, abs(cu * cv - rhs))
+    worst = [abs(x.scalar - 1.0)]
+    for m in range(1, N):
+        for n in range(1, N - m + 1):
+            top = x.levels[m + n].reshape((d,) * (m + n))
+            rhs = sum(top.transpose(perm) for perm in _riffles(m, n))
+            lhs = np.outer(x.levels[m], x.levels[n])
+            worst.append(float(np.abs(lhs - rhs.reshape(lhs.shape)).max()))
+    worst = float(np.max(worst))
     return worst <= tol, worst

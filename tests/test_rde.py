@@ -284,12 +284,13 @@ def test_holder_mixture_tracks_minimum():
 
 def test_holder_rejects_constant_path():
     with pytest.raises(ValueError, match="constant"):
-        holder_estimate(np.zeros(513))
+        holder_estimate(np.zeros(1025))
 
 
-@pytest.mark.parametrize("n_points", [64, 100, 511])
+@pytest.mark.parametrize("n_points", [64, 100, 511, 513, 600, 1024])
 def test_holder_rejects_paths_too_short_for_two_lags(n_points):
-    with pytest.raises(ValueError, match="513 points"):
+    # the slope needs three lags (n >= 1024) to leave a residual for its stderr
+    with pytest.raises(ValueError, match="1025 points for three lags"):
         holder_estimate(np.linspace(0.0, 1.0, n_points))
 
 
@@ -299,3 +300,9 @@ def test_stability_probe_monotone():
                           seeds=range(5), n_intervals=256)
     assert res["monotone"]
     assert min(res["table"].values()) > 0.0
+
+
+def test_stability_probe_rejects_empty_seeds():
+    spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
+    with pytest.raises(ValueError, match="at least 1 seed"):
+        stability_probe(spec, [0.01], SCALAR_LINEAR, [1.0], seeds=[])

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughmix import tensor as ta
-from roughmix.gmfbm import GmfbmSpec, TimeGrid
+from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid
+from roughmix.lift import cross_level2, lift_piecewise_linear
+from roughmix.rde import holder_estimate
 from roughmix.signature import (
     _signature_levels,
     cross_term_scaling,
@@ -28,6 +30,20 @@ def random_polyline(seed, n=9, d=2):
 
 # --------------------------------------------------------------------------- #
 # exact algebraic behavior
+
+
+def test_one_dimensional_values_are_one_coordinate():
+    flat = np.cumsum(np.random.default_rng(5).normal(size=1025))
+    col = flat[:, None]
+    path = SamplePath(TimeGrid.uniform(flat.size - 1), flat)
+    assert np.array_equal(path.values, col)
+    a, b = lift_piecewise_linear(flat), lift_piecewise_linear(col)
+    assert np.array_equal(a.inc1, b.inc1) and np.array_equal(a.inc2, b.inc2)
+    for fn in (signature, log_signature):
+        assert fn(flat[:9], 3).max_diff(fn(col[:9], 3)) == 0.0
+    assert level_formulas_check(flat[:9]) == level_formulas_check(col[:9])
+    assert holder_estimate(flat) == holder_estimate(col)
+    assert np.array_equal(cross_level2(flat, flat), cross_level2(col, col))
 
 
 def test_straight_line_signature_is_exponential():

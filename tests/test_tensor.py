@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from roughmix import tensor as ta
 from roughmix.errors import CompositionError, ConfigurationError
+from roughmix.signature import signature
 from roughmix.tensor import TruncatedTensor
 
 
@@ -180,6 +183,59 @@ def test_shuffle_multiplicity():
     assert ta.shuffle((1,), (1,)) == {(1, 1): 2}
 
 
+def shuffle_oracle(u, v) -> Counter:
+    """The recursive definition: ua sh vb = (u sh vb) a + (ua sh v) b."""
+    if not u or not v:
+        return Counter({u + v: 1})
+    out = Counter()
+    for w, c in shuffle_oracle(u[:-1], v).items():
+        out[w + u[-1:]] += c
+    for w, c in shuffle_oracle(u, v[:-1]).items():
+        out[w + v[-1:]] += c
+    return out
+
+
+def group_like_oracle(x: TruncatedTensor) -> float:
+    """Max violation of <x,u><x,v> = <x, u sh v>, word pair by word pair."""
+    letters = range(1, x.dim + 1)
+    worst = abs(x.scalar - 1.0)
+    for m in range(1, x.level):
+        for n in range(1, x.level - m + 1):
+            for u in itertools.product(letters, repeat=m):
+                for v in itertools.product(letters, repeat=n):
+                    rhs = sum(c * x.coeff(w) for w, c in shuffle_oracle(u, v).items())
+                    worst = max(worst, abs(x.coeff(u) * x.coeff(v) - rhs))
+    return worst
+
+
+@given(st.lists(st.integers(1, 3), max_size=6), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_shuffle_matches_recursive_definition(letters, split):
+    u, v = tuple(letters[:split]), tuple(letters[split:])
+    assert ta.shuffle(u, v) == dict(shuffle_oracle(u, v))
+
+
+def group_like_cases():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        for level in range(2, 6):
+            yield ta.unit(d, level)
+            yield ta.exp(ta.from_level1(rng.normal(size=d), level))
+            # a Brownian-scale 16-step polyline on [0, 1]
+            steps = rng.normal(size=(16, d)) / 4.0
+            yield signature(np.cumsum(np.vstack([np.zeros(d), steps]), axis=0), level)
+            yield TruncatedTensor(d, level, [rng.normal(size=d ** n)
+                                             for n in range(level + 1)])
+
+
+def test_group_like_matches_word_by_word_oracle():
+    for x in group_like_cases():
+        ok, viol = ta.is_group_like(x)
+        want = group_like_oracle(x)
+        assert ok == (want <= 1e-8)
+        assert abs(viol - want) <= 1e-15 * max(1.0, want)
+
+
 def test_group_like_unit_and_exponentials():
     ok, viol = ta.is_group_like(ta.unit(2, 4))
     assert ok and viol == 0.0
@@ -193,7 +249,16 @@ def test_group_like_detects_pure_level2():
     x = TruncatedTensor(2, 2, [[1.0], np.zeros(2), [1.0, 0.0, 0.0, 0.0]])
     ok, viol = ta.is_group_like(x)
     assert not ok
-    assert viol == pytest.approx(2.0)
+    assert viol == group_like_oracle(x) == 2.0
+
+
+def test_group_like_fails_on_nan():
+    x = ta.exp(ta.from_level1([0.5, -1.2], 3))
+    levels = list(x.levels)
+    levels[2] = levels[2].copy()
+    levels[2][1] = np.nan
+    ok, viol = ta.is_group_like(TruncatedTensor(2, 3, levels))
+    assert not ok and math.isnan(viol)
 
 
 def test_factorial_decay_for_straight_lines():
