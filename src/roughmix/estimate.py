@@ -304,8 +304,12 @@ def fit_mixture(
 ) -> FitReport:
     """Fit (H_k, a_k^2) from a sampled path.
 
-    With ``n_bootstrap`` > 0, per-parameter standard errors are estimated by
-    resampling lag rows of the structure table and refitting.
+    With ``n_bootstrap`` > 0, per-parameter standard errors are the spread of
+    refits on resampled lag rows of the structure table. Each replicate draws
+    rows with replacement and then keeps the distinct ones (``np.unique``),
+    so it refits a subsample without repeats rather than a true bootstrap
+    sample; replicates with fewer than two rows per component, or whose fit
+    fails or loses a component, are skipped.
     """
     lags = default_lags(len(path.grid)) if lags is None else list(lags)
     dts, values = structure_function(path, lags)

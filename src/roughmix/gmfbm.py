@@ -4,6 +4,8 @@ The model is a weighted sum of N independent fractional Brownian motions,
 ``M_t = sum_k a_k * B^{H_k}_t``, sampled exactly: by circulant embedding
 (Davies-Harte) on uniform grids, by Cholesky factorization of the
 per-component covariance otherwise (``method="auto"``, the default).
+Cholesky sampling builds a dense covariance, so it is refused above
+``MAX_CHOLESKY_POINTS`` grid points.
 
 Randomness is counter-based (Philox), one stream per ``(seed, component,
 coordinate)``, handed out path by path: path k of a batch does not depend on
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveDefiniteError, NumericsError
+from .errors import ConfigurationError, NonPositiveDefiniteError, NumericsError
 
 __all__ = [
     "GmfbmSpec",
@@ -292,6 +294,11 @@ def _fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
     )
 
 
+# grid points (t = 0 included) above which Cholesky sampling is refused: its
+# dense covariance grows as the square (4096 points: 128 MiB)
+MAX_CHOLESKY_POINTS = 4096
+
+
 def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with a one-shot jitter retry before erroring."""
     n = cov.shape[0]
@@ -382,6 +389,11 @@ def _component_paths(
                 )
                 fallback = True
         if sqrt_eigs is None:
+            if n + 1 > MAX_CHOLESKY_POINTS:
+                raise ConfigurationError(
+                    f"Cholesky sampling on {n + 1} grid points needs a dense "
+                    f"{n} x {n} covariance (cap {MAX_CHOLESKY_POINTS} points)"
+                )
             factor = _cholesky_factor(_fbm_covariance(hurst, grid.points[1:]))
         for coord in range(spec.dim):
             rng = _stream(seed, k, coord)

@@ -272,11 +272,14 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
     if level < 2:
         raise ValueError("level must be >= 2")
     ta._check_size(d, level)
-    ell = ta._log([np.ones((k, 1)), rp.inc1, rp.inc2.reshape(k, d * d)])
+    # words-first, C-ordered: elementwise results inherit their operands' order
+    ell = ta._log([np.ones((1, k)), rp.inc1.T.copy(),
+                   rp.inc2.reshape(k, d * d).T.copy()])
     # canonical group-like extension: exp of the level-<=2 log part
-    g = ta._exp([np.zeros((k, 1)), ell[1], ell[2]]
-                + [np.zeros((k, d ** n)) for n in range(3, level + 1)])
-    return _propagate(rp, _propagators(g, mats), y0)
+    g = ta._exp([np.zeros((1, k)), ell[1], ell[2]]
+                + [np.zeros((d ** n, k)) for n in range(3, level + 1)])
+    # back to (k, d^n) rows: einsum's reduction bits follow its operands' layout
+    return _propagate(rp, _propagators([lv.T.copy() for lv in g], mats), y0)
 
 
 # --------------------------------------------------------------------------- #

@@ -2,10 +2,11 @@
 
 The signature of sampled data is the exact signature of its piecewise-linear
 interpolant: the product over segments of exp(increment) in the truncated
-tensor algebra, taken as a balanced Chen product tree batched over paths.
-Each linear segment's signature is exactly the tensor exponential of its
-increment, so no higher-order log corrections are needed; refinement error
-relative to the underlying process is measured empirically instead.
+tensor algebra, taken by Chen accumulation (a running sum over segments, one
+cumsum per level below the top) batched over paths. Each linear segment's
+signature is exactly the tensor exponential of its increment, so no
+higher-order log corrections are needed; refinement error relative to the
+underlying process is measured empirically instead.
 """
 
 from __future__ import annotations
@@ -26,34 +27,58 @@ __all__ = [
     "cross_term_scaling",
 ]
 
-# Stored entries per chunk of segment exponentials (8 MiB of float64): bounds
-# _signature_levels' working memory on long paths and large batches.
+# Entries per chunk, counting a full signature per segment (8 MiB of float64):
+# bounds _signature_levels' working memory on long paths and large batches.
 CHUNK_ENTRIES = 2 ** 20
 
 
-def _signature_levels(values: np.ndarray, level: int) -> list:
-    """Raw signature levels (..., d^k) of the polylines through values (..., n, d).
+def _segment_sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] (x) b[..., j] for raw levels (d^i, ..., s) and (d^k, ..., s):
+    one matmul over the segment axis per batch entry, words-first (d^(i+k), ...)."""
+    prod = np.matmul(np.moveaxis(a, 0, -2), np.moveaxis(b, 0, -1))
+    return np.moveaxis(prod.reshape(prod.shape[:-2] + (-1,)), -1, 0)
 
-    Chen's identity is associative, so segment exponentials are multiplied
-    pairwise, log2(n) batched products with an odd tail carried up, in chunks
-    of at most ``CHUNK_ENTRIES`` stored entries folded left to right.
+
+def _chunk_signature(delta: np.ndarray, level: int) -> list:
+    """Raw signature levels (d^k, ...) of a polyline with increments (d, ..., s).
+
+    Chen's identity as a running sum over the segments j:
+    S^k(t_{j+1}) = S^k(t_j) + sum_{m=1..k} S^{k-m}(t_j) (x) delta_j^{(x) m} / m!.
+    Levels 1 .. level - 1 are one cumsum each; the top level is needed only
+    at the end, so it is the segment sum of those outer products, with
+    delta_j^{(x) level} / level! taken as (delta_j^{(x) (level-1)} / (level-1)!)
+    (x) delta_j / level, as in ``ta._exp_of_increment``.
     """
-    deltas = np.diff(values, axis=-2)
-    d = deltas.shape[-1]
+    powers = ta._exp_of_increment(delta, level - 1)
+    # running[k][..., j]: level k of the signature after segment j
+    running = [None]
+    for k in range(1, level):
+        step = powers[k].copy()
+        for m in range(1, k):
+            step[..., 1:] += ta._outer(running[k - m][..., :-1], powers[m][..., 1:])
+        running.append(np.cumsum(step, axis=-1, out=step))
+    top = _segment_sum_outer(powers[level - 1], delta / level)
+    for m in range(1, level):
+        top += _segment_sum_outer(running[level - m][..., :-1], powers[m][..., 1:])
+    return [powers[0][..., 0]] + [lv[..., -1].copy() for lv in running[1:]] + [top]
+
+
+def _signature_levels(values: np.ndarray, level: int) -> list:
+    """Raw signature levels (d^k, ...) of the polylines through values (..., n, d).
+
+    Segments are taken in chunks of at most ``CHUNK_ENTRIES`` stored entries,
+    each by Chen accumulation, and the chunks multiplied left to right.
+    """
+    d = values.shape[-1]
     ta._check_size(d, level)
     per_segment = values[..., 0, 0].size * sum(d ** k for k in range(level + 1))
     chunk = max(1, CHUNK_ENTRIES // per_segment)
     acc = None
-    for start in range(0, deltas.shape[-2], chunk):
-        part = ta._exp_of_increment(deltas[..., start:start + chunk, :], level)
-        while (m := part[0].shape[-2]) > 1:
-            prod = ta._mul([lv[..., 0:m - 1:2, :] for lv in part],
-                           [lv[..., 1:m:2, :] for lv in part])
-            if m % 2:
-                prod = [np.concatenate([p, lv[..., -1:, :]], axis=-2)
-                        for p, lv in zip(prod, part)]
-            part = prod
-        part = [lv[..., 0, :] for lv in part]
+    for start in range(0, values.shape[-2] - 1, chunk):
+        # words-first increments (d, ..., s), segments along memory
+        delta = np.ascontiguousarray(np.moveaxis(
+            np.diff(values[..., start:start + chunk + 1, :], axis=-2), -1, 0))
+        part = _chunk_signature(delta, level)
         acc = part if acc is None else ta._mul(acc, part)
     return acc
 
@@ -108,8 +133,8 @@ def expected_signature_mc(
         raise ValueError("need at least 2 paths")
     values = sample_batch(spec, grid, seed, n_paths)
     levels = _signature_levels(values, level)
-    means = [lv.mean(axis=0) for lv in levels]
-    ses = [np.sqrt(np.clip((lv ** 2).mean(axis=0) - m ** 2, 0.0, None) / n_paths)
+    means = [lv.mean(axis=-1) for lv in levels]
+    ses = [np.sqrt(np.clip((lv ** 2).mean(axis=-1) - m ** 2, 0.0, None) / n_paths)
            for lv, m in zip(levels, means)]
     return tuple(TruncatedTensor(spec.dim, level, lv) for lv in (means, ses))
 

@@ -5,8 +5,11 @@ lexicographic word order: the word (w_1, ..., w_n) with letters in 1..d
 sits at index sum_j (w_j - 1) * d^(n - j). Level 0 is the scalar part.
 See docs/format.md for the serialized layout.
 
-The private kernels take raw level lists of (..., d^n) arrays whose leading
-batch axes broadcast; ``TruncatedTensor`` and the public functions wrap them.
+The private kernels take raw level lists stored words-first: level n is a
+(d^n, ...) array whose trailing batch axes (the same number at every level
+and in both operands) broadcast, so numpy's inner loops run over the batch,
+not over the d letters. ``TruncatedTensor`` and the public functions wrap
+them with 1-d levels, which are the same in either layout.
 """
 
 from __future__ import annotations
@@ -190,13 +193,14 @@ def from_level1(vec, level: int) -> TruncatedTensor:
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat outer product over the last axis; words concatenate lexicographically."""
-    prod = a[..., :, None] * b[..., None, :]
-    return prod.reshape(prod.shape[:-2] + (-1,))
+    """Flat outer product over the leading (word) axis; words concatenate
+    lexicographically."""
+    prod = a[:, None] * b[None, :]
+    return prod.reshape((a.shape[0] * b.shape[0],) + prod.shape[2:])
 
 
 def _mul(x, y) -> list:
-    """Truncated product of raw levels (..., d^n): out[n] = sum_i x[i] (x) y[n - i]."""
+    """Truncated product of raw levels (d^n, ...): out[n] = sum_i x[i] (x) y[n - i]."""
     return [sum(_outer(x[i], y[n - i]) for i in range(n + 1))
             for n in range(len(x))]
 
@@ -220,8 +224,8 @@ def _log(x) -> list:
 
 
 def _exp_of_increment(delta: np.ndarray, level: int) -> list:
-    """Raw levels of exp(delta) for increments (..., d): delta^{(x) n} / n!."""
-    levels = [np.ones(delta.shape[:-1] + (1,))]
+    """Raw levels of exp(delta) for increments (d, ...): delta^{(x) n} / n!."""
+    levels = [np.ones((1,) + delta.shape[1:])]
     for n in range(1, level + 1):
         levels.append(_outer(levels[-1], delta / n))
     return levels

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughmix.errors import NumericsError
+from roughmix import gmfbm
+from roughmix.errors import ConfigurationError, NumericsError
 from roughmix.gmfbm import (
+    MAX_CHOLESKY_POINTS,
     GmfbmSpec,
     SamplePath,
     TimeGrid,
@@ -207,6 +209,25 @@ def test_sample_components_retained_and_mix():
     assert path.components.shape == (2, 17, 1)
     mixed = 1.0 * path.components[0] + 2.0 * path.components[1]
     assert np.allclose(mixed, path.values)
+
+
+@pytest.mark.parametrize("method", ["auto", "cholesky", "circulant"])
+def test_cholesky_refused_above_cap(method, monkeypatch):
+    # one grid point over the cap, as a non-uniform grid ("auto"), a Cholesky
+    # request and a circulant embedding that falls back: each is refused
+    # before its dense covariance is built
+    def no_covariance(*args):
+        raise AssertionError("covariance built")
+
+    monkeypatch.setattr(gmfbm, "_fbm_covariance", no_covariance)
+    monkeypatch.setattr(gmfbm, "_fgn_circulant_sqrt_eigs", lambda hurst, n: None)
+    grid = TimeGrid.uniform(MAX_CHOLESKY_POINTS)
+    if method == "auto":
+        grid = TimeGrid(grid.points ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the fallback's warning
+        with pytest.raises(ConfigurationError, match="cap"):
+            sample(BROWNIAN, grid, seed=1, method=method)
 
 
 def test_circulant_requires_uniform_grid():

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,22 +137,23 @@ def sequential_signature(values, level):
 
 
 def assert_matches_fold(levels, values, level):
+    """Raw levels are words-first, (d^n, batch)."""
     for b, path in enumerate(values):
         want = sequential_signature(path, level)
         for n in range(level + 1):
             scale = max(1.0, want.norm_level(n))
-            assert np.abs(levels[n][b] - want.levels[n]).max() / scale <= 1e-12
+            assert np.abs(levels[n][:, b] - want.levels[n]).max() / scale <= 1e-12
 
 
 @given(st.integers(2, 40), st.integers(1, 3), st.integers(1, 4),
        st.integers(1, 3), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
-def test_product_tree_matches_sequential_fold(n, d, level, batch, seed):
+def test_chen_accumulation_matches_sequential_fold(n, d, level, batch, seed):
     values = np.cumsum(np.random.default_rng(seed).normal(size=(batch, n, d)), axis=1)
     assert_matches_fold(_signature_levels(values, level), values, level)
 
 
-def test_product_tree_chunked_fold(monkeypatch):
+def test_chen_accumulation_chunked_fold(monkeypatch):
     # 3 paths x 15 entries per segment: chunks of 2 segments under a cap of 100
     values = random_polyline(31, n=38)[None] * np.array([1.0, -0.5, 2.0])[:, None, None]
     whole = _signature_levels(values, 3)
@@ -160,6 +162,23 @@ def test_product_tree_chunked_fold(monkeypatch):
     assert_matches_fold(chunked, values, 3)
     for a, b in zip(whole, chunked):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+def test_long_path_signature_memory():
+    # 2^18 segments at level 4: 8 chunks under CHUNK_ENTRIES, working memory
+    # bounded by one chunk
+    values = np.cumsum(np.random.default_rng(41).normal(size=(2 ** 18 + 1, 2)),
+                       axis=0) / 512
+    tracemalloc.start()
+    try:
+        sig = signature(values, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20
+    assert np.abs(sig.level_array(1) - (values[-1] - values[0])).max() <= 1e-12
+    ok, viol = ta.is_group_like(sig)
+    assert ok, viol
 
 
 # --------------------------------------------------------------------------- #
