@@ -1,21 +1,22 @@
 """Hurst and mixing-coefficient estimation via multi-scale second moments.
 
 The lag-indexed mean squared increment (structure function) of a GMFBM
-behaves as sum_k a_k^2 |dt|^{2H_k}. A single component is a log-log line;
-mixtures are fit by nonnegative least squares over a grid of candidate
-Hurst exponents, refined by coordinate descent on the exponents: each
-exponent in turn is moved to the minimiser of the NNLS residual found by a
-bounded Brent search (golden section with parabolic steps) on [0.01, 0.99].
+behaves as sum_k a_k^2 |dt|^{2H_k}. A single component is a log-log line.
+Mixtures of k <= 2 components are fit by variable projection (Golub and
+Pereyra, 1973): for given exponents the weights a_k^2 are an exact,
+closed-form nonnegative least-squares fit, so only the exponents are
+searched. The best k-subset of a grid of exponents starts a joint Newton
+polish of the projected residual on [0.01, 0.99]. numpy is the only
+dependency.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericsError
 from .gmfbm import SamplePath
 
 __all__ = [
@@ -28,11 +29,15 @@ __all__ = [
     "fit_mixture_from_table",
 ]
 
-# candidate Hurst exponents for the initial NNLS fit of a mixture
+# candidate Hurst exponents of the grid start of a mixture fit
 _H_GRID = np.round(np.arange(0.05, 0.975, 0.0125), 12)
-# absolute tolerance and evaluation cap of the bounded Brent refinement
-_BRENT_XATOL = 1e-8
-_BRENT_MAXFUN = 500
+# the polish keeps exponents in [_H_LO, _H_HI] and adjacent ones _H_GAP apart
+_H_LO, _H_HI, _H_GAP = 0.01, 0.99, 0.02
+# finite-difference step of the Newton stencil; the polish stops when its
+# step is below _H_TOL or after _NEWTON_MAXITER iterations
+_FD_STEP, _H_TOL, _NEWTON_MAXITER = 1e-5, 1e-9, 100
+# smallest |curvature| a Newton step divides by, relative to the largest
+_CURV_FLOOR = 1e-6
 
 
 @dataclass
@@ -102,9 +107,11 @@ def structure_function(path: SamplePath, lags) -> tuple[np.ndarray, np.ndarray]:
     n = len(path.grid)
     if any(l < 1 or l >= n for l in lags):
         raise ValueError("lags must be in [1, n_points - 1]")
-    values = np.array(
-        [np.mean((path.values[l:] - path.values[:-l]) ** 2) for l in lags]
-    )
+    # an overflow gives inf, which the fits reject as a NumericsError
+    with np.errstate(over="ignore"):
+        values = np.array(
+            [np.mean((path.values[l:] - path.values[:-l]) ** 2) for l in lags]
+        )
     return np.array(lags, dtype=float) * dt, values
 
 
@@ -114,6 +121,8 @@ def fit_single_from_table(dts, values) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if dts.size < 2:
         raise ValueError("need at least 2 lags")
+    if not np.isfinite(values).all():
+        raise NumericsError("structure values must be finite to fit")
     if np.any(values <= 0):
         raise ValueError("structure values must be positive to fit")
     slope, intercept = np.polyfit(np.log(dts), np.log(values), 1)
@@ -130,168 +139,159 @@ def fit_single(path: SamplePath, lags=None) -> tuple[float, float]:
 # mixtures
 
 
-def _design(dts: np.ndarray, hursts: np.ndarray) -> np.ndarray:
-    return dts[:, None] ** (2.0 * hursts[None, :])
+def _weighted(dts: np.ndarray, values: np.ndarray, hursts: np.ndarray):
+    """Row-weighted columns dts^{2H} of a (..., k) exponent batch, and the target.
 
-
-def _row_weights(dts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    Returns the columns, shape (..., n, k), and the weighted values, shape (n,).
+    """
     # relative error per lag, downweighted by the sqrt(lag) growth of the
     # structure-function sampling error (fewer effective blocks per lag)
-    return 1.0 / (values * np.sqrt(dts))
+    weights = 1.0 / (values * np.sqrt(dts))
+    cols = weights[:, None] * dts[:, None] ** (2.0 * hursts[..., None, :])
+    return cols, values * weights
 
 
-def _weighted_nnls(dts, values, hursts):
-    """Row-weighted NNLS of the structure values against the power-law design."""
-    # imported on use, so that importing roughmix does not load scipy.optimize
-    from scipy.optimize import nnls
+def _nnls(diag, cross, corr, bb: float):
+    """Exact min ||X w - b|| over w >= 0 on k <= 2 columns x_j, for a batch of B.
 
-    weights = _row_weights(dts, values)
-    a = _design(dts, hursts) * weights[:, None]
-    w, rnorm = nnls(a, values * weights)
-    return w, rnorm
-
-
-def _bounded_brent(f, lo: float, hi: float) -> float:
-    """Minimiser of a scalar f on [lo, hi] by Brent's bounded search.
-
-    A port of scipy's ``minimize_scalar(method="bounded")`` (Forsythe,
-    Malcolm and Moler's ``fminbound``) on plain floats with xatol
-    ``_BRENT_XATOL`` and at most ``_BRENT_MAXFUN`` evaluations: the same
-    golden mean, tolerances and returned point, so it returns the same
-    float bit for bit without scipy's per-call wrapping.
+    Takes diag = x_j.x_j and corr = x_j.b (k, B), all positive here, cross =
+    x_0.x_1 (B,) and bb = b.b. The optimum is the least-squares fit on the
+    best support with nonnegative weights: one column or, for k = 2, both.
+    Returns the weights (k, B) and the squared residuals (B,).
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = float(f(xf))
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = float(f(x))
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BRENT_MAXFUN:
-            break
-    return xf
+    single = corr / diag
+    gain = single * corr  # how far each one-column fit lowers bb
+    if len(corr) == 1:
+        return single, bb - gain[0]
+    second = gain[1] > gain[0]
+    w = single * np.array([~second, second])
+    (d0, d1), (c0, c1) = diag, corr
+    pair = np.array([d1 * c0 - cross * c1, d0 * c1 - cross * c0])
+    pair /= d0 * d1 - cross * cross
+    pair_gain = pair[0] * c0 + pair[1] * c1
+    # both columns where that is feasible and strictly better, so that a
+    # rounding-level gain keeps a weight at 0
+    gain = np.maximum(gain[0], gain[1])
+    both = (pair[0] >= 0) & (pair[1] >= 0) & (pair_gain > gain)
+    return np.where(both, pair, w), bb - np.where(both, pair_gain, gain)
 
 
-def fit_mixture_from_table(
-    dts,
-    values,
-    n_components: int,
-    refine_iters: int = 4,
-) -> FitReport:
+def _project(dts, values, hursts):
+    """NNLS weights (k, B) and residual norms (B,) for a (B, k) exponent batch."""
+    cols, b = _weighted(dts, values, hursts)
+    w, _ = _nnls(np.einsum("bik,bik->kb", cols, cols),
+                 np.einsum("bi,bi->b", cols[..., 0], cols[..., -1]),
+                 np.einsum("bik,i->kb", cols, b), float(b @ b))
+    # the residual from its vector: bb - w.c cancels to a few digits of it
+    r = b - np.einsum("bik,kb->bi", cols, w)
+    return w, np.sqrt(np.einsum("bi,bi->b", r, r))
+
+
+def _feasible(hursts: np.ndarray) -> np.ndarray:
+    """Nearest sorted exponents in [_H_LO, _H_HI], adjacent ones _H_GAP apart."""
+    h = np.clip(np.sort(hursts), _H_LO, _H_HI)
+    if h.size == 2 and h[1] - h[0] < _H_GAP:
+        mid = np.clip(h.mean(), _H_LO + _H_GAP / 2, _H_HI - _H_GAP / 2)
+        h = np.array([mid - _H_GAP / 2, mid + _H_GAP / 2])
+    return h
+
+
+def _newton_step(f: np.ndarray, hursts: np.ndarray) -> np.ndarray:
+    """Projected Newton step from squared residuals f on the 3^k stencil.
+
+    Central differences give the gradient and the Hessian. The step keeps
+    the constraints that hold with equality and that the gradient pushes
+    against; each eigen-direction of the Hessian on the rest takes
+    |curvature|, so the step descends where it is not positive definite.
+    """
+    k, h, c = hursts.size, _FD_STEP, f.size // 2
+    place = 3 ** np.arange(k)[::-1]  # index distance of a unit move per axis
+    up, down = f[c + place], f[c - place]
+    grad = (up - down) / (2 * h)
+    hess = np.diag((up - 2 * f[c] + down) / h ** 2)
+    if k == 2:  # f[8], f[6], f[2], f[0] at offsets (+, +), (+, -), (-, +), (-, -)
+        hess[0, 1] = hess[1, 0] = (f[8] - f[6] - f[2] + f[0]) / (4 * h ** 2)
+    # constraints a.h >= l: h_1 >= lo, h_k <= hi, h_2 - h_1 >= gap
+    eye = np.eye(k)
+    rows = np.vstack([eye[:1], -eye[-1:], np.diff(eye, axis=0)])
+    bounds = np.array([_H_LO, -_H_HI, _H_GAP][:k + 1])
+    blocking = rows[(rows @ hursts - bounds < 1e-12) & (rows @ grad > 0)]
+    # an orthonormal basis of the directions that keep them
+    free = np.linalg.svd(blocking)[2][len(blocking):].T if len(blocking) else eye
+    lam, vec = np.linalg.eigh(free.T @ hess @ free)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, _CURV_FLOOR * lam.max(initial=0.0))
+    # a direction with no curvature at all is one the residual ignores (a
+    # component of weight 0): the step leaves it
+    along = np.divide(vec.T @ (free.T @ grad), lam,
+                      out=np.zeros(lam.size), where=lam > 0)
+    return -free @ (vec @ along)
+
+
+def _polish(dts, values, hursts: np.ndarray) -> np.ndarray:
+    """Joint Newton descent of the projected residual from feasible exponents.
+
+    Each trial point's 3^k stencil is one batched call; its centre accepts
+    the trial if the residual drops, or else the step is halved.
+    """
+    k = hursts.size
+    offsets = _FD_STEP * (np.indices((3,) * k).reshape(k, -1).T - 1)
+    centre = offsets.shape[0] // 2
+    f = _project(dts, values, hursts + offsets)[1] ** 2
+    for _ in range(_NEWTON_MAXITER):
+        step = _newton_step(f, hursts)
+        while True:
+            if np.abs(step).max() < _H_TOL:
+                return hursts
+            trial = _feasible(hursts + step)
+            ft = _project(dts, values, trial + offsets)[1] ** 2
+            if ft[centre] < f[centre]:
+                break
+            step /= 2
+        hursts, f = trial, ft
+    return hursts
+
+
+def fit_mixture_from_table(dts, values, n_components: int) -> FitReport:
+    """Fit 1 or 2 power laws to a structure table by variable projection.
+
+    Only the exponents are searched; their weights are an exact NNLS. A
+    component whose final weight is 0 is dropped.
+    """
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if n_components < 1:
-        raise ConfigurationError("n_components must be >= 1")
-    if dts.size < 2 * n_components:
+    if n_components not in (1, 2):
+        raise ConfigurationError("n_components must be 1 or 2")
+    if np.unique(dts).size < 2 * n_components:
         raise ConfigurationError(
-            f"{n_components} components need at least {2 * n_components} lags"
+            f"{n_components} components need at least {2 * n_components} "
+            "distinct lags"
         )
+    if not np.isfinite(values).all():
+        raise NumericsError("structure values must be finite to fit")
     if np.any(values <= 0):
         raise ValueError("structure values must be positive to fit")
 
-    flags: list[str] = []
-    w, _ = _weighted_nnls(dts, values, _H_GRID)
-    # strongest candidates; merge adjacent grid picks into one component
-    active = np.flatnonzero(w > 0)
-    groups: list[list[int]] = []
-    for idx in active:
-        if groups and idx - groups[-1][-1] <= 1:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    cands = sorted(
-        groups, key=lambda g: -sum(w[i] for i in g)
-    )[:n_components]
-    hursts = [float(np.average([_H_GRID[i] for i in g],
-                               weights=[w[i] for i in g])) for g in cands]
-    while len(hursts) < n_components:
-        flags.append("underdetermined-initialization")
-        hursts.append(float(np.clip(np.median(_H_GRID), 0.05, 0.95)))
-    hursts = np.array(sorted(hursts))
+    # start: the best grid point or grid pair two steps (0.025 >= _H_GAP)
+    # apart or more, from one Gram matrix of the grid's columns
+    cols, b = _weighted(dts, values, _H_GRID)
+    gram, corr = cols.T @ cols, cols.T @ b
+    n = _H_GRID.size
+    subsets = (np.arange(n)[None] if n_components == 1
+               else np.array(np.triu_indices(n, 2)))
+    _, res = _nnls(np.diagonal(gram)[subsets], gram[subsets[0], subsets[-1]],
+                   corr[subsets], float(b @ b))
+    hursts = _polish(dts, values, _H_GRID[subsets[:, np.argmin(res)]])
 
-    # coordinate descent on exponents, convex NNLS in the weights
-    def objective(hs):
-        _, rnorm = _weighted_nnls(dts, values, np.asarray(hs))
-        return rnorm
-
-    for _ in range(refine_iters):
-        for k in range(len(hursts)):
-            def f(hk, k=k):
-                trial = hursts.copy()
-                trial[k] = hk
-                return objective(trial)
-
-            hursts[k] = _bounded_brent(f, 0.01, 0.99)
-
-    # collapse components whose exponents coincide (non-identifiable)
-    hursts = np.sort(hursts)
-    keep = [0]
-    for k in range(1, len(hursts)):
-        if hursts[k] - hursts[keep[-1]] < 0.02:
-            flags.append("non-identifiable: duplicate Hurst components merged")
-        else:
-            keep.append(k)
-    hursts = hursts[keep]
-
-    weights, rnorm = _weighted_nnls(dts, values, hursts)
+    weights, rnorm = _project(dts, values, hursts[None])
+    keep = weights[:, 0] > 0
+    merged = ["non-identifiable: duplicate Hurst components merged"]
     return FitReport(
-        hursts_hat=hursts,
-        coeffs_sq_hat=weights,
-        residual=float(rnorm),
+        hursts_hat=hursts[keep],
+        coeffs_sq_hat=weights[keep, 0],
+        residual=float(rnorm[0]),
         dts=dts,
-        flags=flags,
+        flags=[] if keep.all() else merged,
     )
 
 
@@ -305,11 +305,11 @@ def fit_mixture(
     """Fit (H_k, a_k^2) from a sampled path.
 
     With ``n_bootstrap`` > 0, per-parameter standard errors are the spread of
-    refits on resampled lag rows of the structure table. Each replicate draws
-    rows with replacement and then keeps the distinct ones (``np.unique``),
-    so it refits a subsample without repeats rather than a true bootstrap
-    sample; replicates with fewer than two rows per component, or whose fit
-    fails or loses a component, are skipped.
+    refits on bootstrap samples of the lag rows of the structure table: each
+    replicate draws as many rows as the table has, with replacement, and
+    refits all of them, so a row drawn twice counts twice. Replicates with
+    fewer than two distinct rows per component, or whose fit loses a
+    component, are skipped.
     """
     lags = default_lags(len(path.grid)) if lags is None else list(lags)
     dts, values = structure_function(path, lags)
@@ -320,15 +320,9 @@ def fit_mixture(
         n_comp_eff = report.hursts_hat.size
         for _ in range(n_bootstrap):
             pick = np.sort(rng.integers(0, dts.size, size=dts.size))
-            pick = np.unique(pick)
-            if pick.size < 2 * n_comp_eff:
+            if np.unique(pick).size < 2 * n_comp_eff:
                 continue
-            try:
-                rep = fit_mixture_from_table(
-                    dts[pick], values[pick], n_comp_eff, refine_iters=2,
-                )
-            except (ValueError, ConfigurationError):
-                continue
+            rep = fit_mixture_from_table(dts[pick], values[pick], n_comp_eff)
             if rep.hursts_hat.size == n_comp_eff:
                 hs.append(rep.hursts_hat)
                 ws.append(rep.coeffs_sq_hat)

@@ -116,6 +116,25 @@ def test_missing_input_exits_2(tmp_path):
                "-o", tmp_path / "o") == 2
 
 
+def test_estimate_three_components_exits_2(tmp_path, spec_file):
+    out = tmp_path / "out"
+    run("sim", "--spec", spec_file, "--n", 1024, "--seed", 4, "-o", out)
+    assert run("estimate", "--input", out / "path.csv", "--components", 3,
+               "--lags", "1,2,4,8,16,32", "-o", tmp_path / "est") == 2
+    assert not (tmp_path / "est").exists()
+
+
+def test_estimate_overflow_exits_3_without_output(tmp_path, capsys):
+    values = 1e160 * np.random.default_rng(0).standard_normal(200)
+    csv = tmp_path / "huge.csv"
+    csv.write_text("t,x1\n" + "".join(
+        f"{t:.17g},{v:.17g}\n" for t, v in zip(np.linspace(0.0, 1.0, 200), values)))
+    out = tmp_path / "o"
+    assert run("estimate", "--input", csv, "-o", out) == 3
+    assert capsys.readouterr().err.startswith("numerical error:")
+    assert not (out / "fit.json").exists()
+
+
 def test_estimate_single_row_exits_2(tmp_path, capsys):
     one = tmp_path / "one.csv"
     one.write_text("t,x1\n0,0\n")
@@ -185,9 +204,15 @@ def test_sig_overflow_exits_3_without_output(tmp_path, capsys, log):
 
 
 def test_cli_import_loads_no_scipy():
+    # neither importing the CLI nor fitting a mixture loads scipy
     src = str(Path(roughmix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, roughmix.cli; "
+    code = ("import sys, roughmix.cli\n"
+            "from roughmix.estimate import fit_mixture\n"
+            "from roughmix.gmfbm import GmfbmSpec, TimeGrid, sample\n"
+            "spec = GmfbmSpec(hursts=(0.5, 0.75), coeffs=(1.0, 2.0))\n"
+            "fit_mixture(sample(spec, TimeGrid.uniform(1024), 0), n_components=2,\n"
+            "            n_bootstrap=5)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
