@@ -119,8 +119,8 @@ def fit_single_from_table(dts, values) -> tuple[float, float]:
     """Log-log least squares: slope/2 is H, exp(intercept) is a^2."""
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if dts.size < 2:
-        raise ValueError("need at least 2 lags")
+    if np.unique(dts).size < 2:
+        raise ConfigurationError("a line needs at least 2 distinct lags")
     if not np.isfinite(values).all():
         raise NumericsError("structure values must be finite to fit")
     if np.any(values <= 0):

@@ -10,15 +10,21 @@ Cholesky sampling builds a dense covariance, so it is refused above
 Randomness is counter-based (Philox), one stream per ``(seed, component,
 coordinate)``, handed out path by path: path k of a batch does not depend on
 the batch size (bit for bit under circulant sampling, to rounding under
-Cholesky, whose matrix product blocks by batch size) nor on thread count.
+Cholesky, whose matrix product blocks by rows drawn at once). The streams
+are independent, so they are drawn in parallel over the usable CPUs, each in
+chunks of at most ``CHUNK_ENTRIES`` normals; a draw whose streams each fit
+in one chunk runs on the calling thread. Each stream's draws stay in order,
+so the output does not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import itertools
 import json
-import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -145,21 +151,24 @@ class TimeGrid:
         return cls.uniform(2 ** m, horizon)
 
 
-def _csv_field(v) -> str:
-    if not isinstance(v, float):
-        return str(v)
-    if not math.isfinite(v):
-        raise NumericsError(f"refusing to write the non-finite value {v}")
-    return f"{v:.17g}"
-
-
 def format_csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row; floats as %.17g.
+    """CSV text: the header line, then one line per row.
 
-    A non-finite float raises NumericsError.
+    Rows have equal length and each column one type, as in the first row: a
+    float column is written as %.17g, any other column by ``str``. A
+    non-finite float raises NumericsError.
     """
-    lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    rows = list(rows)
+    if not rows:
+        return header + "\n"
+    floats = [isinstance(v, float) for v in rows[0]]
+    flat = tuple(itertools.chain.from_iterable(rows))
+    values = np.fromiter(itertools.compress(flat, itertools.cycle(floats)), float)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise NumericsError(f"refusing to write the non-finite value {bad}")
+    line = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    return header + "\n" + (line * len(rows)) % flat
 
 
 def dumps(obj, **kw) -> str:
@@ -358,11 +367,70 @@ def _fgn_circulant(sqrt_eigs: np.ndarray, rng: np.random.Generator,
     return np.fft.irfft(w, n=2 * n, axis=1)[:, :n]
 
 
+def _circulant_rows(sqrt_eigs: np.ndarray, step_scale: float,
+                    rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` (rows, n) with the stream's next fBm rows: fGn, cumsum, scale."""
+    np.cumsum(_fgn_circulant(sqrt_eigs, rng, out.shape[0]), axis=1, out=out)
+    out *= step_scale
+
+
+def _cholesky_rows(factor: np.ndarray, rng: np.random.Generator,
+                   out: np.ndarray) -> None:
+    """Fill ``out`` (rows, n) with the stream's next fBm rows: normals times L^T."""
+    np.matmul(rng.standard_normal(out.shape), factor.T, out=out)
+
+
+def _fill_stream(fill, rng: np.random.Generator, out: np.ndarray, rows: int) -> None:
+    """Draw one stream's (size, n) rows in order, ``rows`` at a time."""
+    for start in range(0, out.shape[0], rows):
+        fill(rng, out[start:start + rows])
+
+
+# Entries per sampling chunk, counting 2n normals per row of n steps (512 KiB
+# of float64): bounds each stream's temporaries. A draw whose streams each
+# fit in one chunk runs on the calling thread; larger ones fan out.
+CHUNK_ENTRIES = 2 ** 16
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The module's thread pool, created on first use, one worker per usable CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="roughmix-sample")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _component_paths(
     spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str, size: int
 ) -> tuple[np.ndarray, str, bool]:
     """Per-component fBm paths (N, size, n_points, dim), the method used and
-    whether circulant sampling fell back to Cholesky for some component."""
+    whether circulant sampling fell back to Cholesky for some component.
+
+    Everything that can warn or raise runs first, on the calling thread;
+    then each (component, coordinate) stream fills its own slice of the
+    result, on the pool when some stream spans more than one chunk.
+    """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
     if grid.horizon > spec.horizon * (1 + 1e-12):
@@ -377,6 +445,8 @@ def _component_paths(
     if n < 1:
         return comps, method, fallback
 
+    rows = max(1, CHUNK_ENTRIES // (2 * n))
+    jobs = []
     for k, hurst in enumerate(spec.hursts):
         sqrt_eigs = None
         if method == "circulant":
@@ -395,14 +465,21 @@ def _component_paths(
                     f"{n} x {n} covariance (cap {MAX_CHOLESKY_POINTS} points)"
                 )
             factor = _cholesky_factor(_fbm_covariance(hurst, grid.points[1:]))
-        for coord in range(spec.dim):
-            rng = _stream(seed, k, coord)
-            if sqrt_eigs is None:
-                comps[k, :, 1:, coord] = rng.standard_normal((size, n)) @ factor.T
-            else:
-                out = comps[k, :, 1:, coord]
-                np.cumsum(_fgn_circulant(sqrt_eigs, rng, size), axis=1, out=out)
-                out *= (grid.points[1] - grid.points[0]) ** hurst
+            fill = functools.partial(_cholesky_rows, factor)
+        else:
+            step_scale = (grid.points[1] - grid.points[0]) ** hurst
+            fill = functools.partial(_circulant_rows, sqrt_eigs, step_scale)
+        jobs += [functools.partial(_fill_stream, fill, _stream(seed, k, coord),
+                                   comps[k, :, 1:, coord], rows)
+                 for coord in range(spec.dim)]
+
+    if size * 2 * n <= CHUNK_ENTRIES:
+        for job in jobs:
+            job()
+    else:
+        futures = [_executor().submit(job) for job in jobs]
+        for future in futures:
+            future.result()
     return comps, method, fallback
 
 

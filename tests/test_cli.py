@@ -204,15 +204,19 @@ def test_sig_overflow_exits_3_without_output(tmp_path, capsys, log):
 
 
 def test_cli_import_loads_no_scipy():
-    # neither importing the CLI nor fitting a mixture loads scipy
+    # neither importing the CLI nor fitting a mixture loads scipy; importing
+    # it loads no thread pool, and a single-chunk sample starts no thread
     src = str(Path(roughmix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, roughmix.cli\n"
+    code = ("import sys, threading, roughmix.cli\n"
+            "assert 'concurrent.futures.thread' not in sys.modules\n"
             "from roughmix.estimate import fit_mixture\n"
             "from roughmix.gmfbm import GmfbmSpec, TimeGrid, sample\n"
+            "threads = threading.active_count()\n"
             "spec = GmfbmSpec(hursts=(0.5, 0.75), coeffs=(1.0, 2.0))\n"
-            "fit_mixture(sample(spec, TimeGrid.uniform(1024), 0), n_components=2,\n"
-            "            n_bootstrap=5)\n"
+            "path = sample(spec, TimeGrid.uniform(1024), 0)\n"
+            "assert threading.active_count() == threads\n"
+            "fit_mixture(path, n_components=2, n_bootstrap=5)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)

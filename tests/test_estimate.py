@@ -93,8 +93,15 @@ def test_fit_single_known_hurst():
 def test_fit_single_rejects_degenerate_values():
     with pytest.raises(ValueError):
         fit_single_from_table([0.1, 0.2], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        fit_single_from_table([0.1], [1.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_single_needs_two_distinct_lags():
+    # one lag, or one lag repeated, does not determine a line
+    for dts, values in (([0.1], [1.0]), ([0.1, 0.1], [1.0, 2.0]),
+                        ([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            fit_single_from_table(dts, values)
 
 
 # --------------------------------------------------------------------------- #

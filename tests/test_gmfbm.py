@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -281,6 +283,86 @@ def test_paths_do_not_depend_on_batch_size(seed, n, dim, sizes):
         assert np.allclose(batch[:k], chol[0][:k], rtol=1e-12, atol=1e-12)
 
 
+THREE_COMP = GmfbmSpec(hursts=(0.3, 0.6, 0.9), coeffs=(1.0, -0.5, 2.0), dim=2)
+CHUNK_ROWS_64 = gmfbm.CHUNK_ENTRIES // 128  # rows per chunk of a 64-step stream
+
+
+class _InlineExecutor:
+    """Runs each job on the calling thread as it is submitted."""
+
+    def submit(self, fn):
+        future = Future()
+        future.set_result(fn())
+        return future
+
+
+def test_batch_rows_do_not_depend_on_chunk_boundaries():
+    # batch sizes on both sides of one chunk's row count, and a ragged last
+    # chunk: every row is drawn as in the largest batch
+    grid = TimeGrid.uniform(64)
+    sizes = [CHUNK_ROWS_64 - 1, CHUNK_ROWS_64, CHUNK_ROWS_64 + 1,
+             2 * CHUNK_ROWS_64 + 7]
+    big = sample_batch(THREE_COMP, grid, 4, sizes[-1])
+    for size in sizes[:-1]:
+        assert sample_batch(THREE_COMP, grid, 4, size).tobytes() == big[:size].tobytes()
+    assert sample(THREE_COMP, grid, 4).values.tobytes() == big[0].tobytes()
+    # Cholesky rows go through the same chunks, equal to rounding
+    odd = TimeGrid(grid.points ** 1.5)
+    chol = sample_batch(THREE_COMP, odd, 4, sizes[-1])
+    for size in sizes[:-1]:
+        assert np.allclose(sample_batch(THREE_COMP, odd, 4, size), chol[:size],
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_output_does_not_depend_on_workers(monkeypatch):
+    grid, odd = TimeGrid.uniform(64), TimeGrid(TimeGrid.uniform(64).points ** 1.5)
+    size = 2 * CHUNK_ROWS_64 + 7
+    real = [sample_batch(THREE_COMP, g, 8, size) for g in (grid, odd)]
+    one_worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        for executor in (_InlineExecutor(), one_worker):
+            monkeypatch.setattr(gmfbm, "_executor", lambda: executor)
+            got = [sample_batch(THREE_COMP, g, 8, size) for g in (grid, odd)]
+            assert got[0].tobytes() == real[0].tobytes()
+            assert np.allclose(got[1], real[1], rtol=1e-12, atol=1e-12)
+    finally:
+        one_worker.shutdown()
+
+
+def test_single_chunk_draws_stay_on_the_calling_thread(monkeypatch):
+    def no_pool():
+        raise AssertionError("pool used")
+
+    monkeypatch.setattr(gmfbm, "_executor", no_pool)
+    sample_batch(THREE_COMP, TimeGrid.uniform(64), 1, CHUNK_ROWS_64)
+    sample(TWO_COMP, TimeGrid.uniform(gmfbm.CHUNK_ENTRIES // 2), 1)
+    with pytest.raises(AssertionError, match="pool used"):
+        sample_batch(THREE_COMP, TimeGrid.uniform(64), 1, CHUNK_ROWS_64 + 1)
+
+
+def _send_batch(conn):
+    conn.send_bytes(sample_batch(THREE_COMP, TimeGrid.uniform(64), 2,
+                                 2 * CHUNK_ROWS_64).tobytes())
+    conn.close()
+
+
+def test_forked_child_samples_on_a_pool_of_its_own():
+    # the child inherits the parent's pool object but none of its threads
+    want = sample_batch(THREE_COMP, TimeGrid.uniform(64), 2, 2 * CHUNK_ROWS_64)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_batch, args=(send,))
+    child.start()
+    try:
+        assert recv.poll(60), "forked child produced no batch"
+        assert recv.recv_bytes() == want.tobytes()
+        child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+
+
 def test_high_hurst_samples_by_circulant():
     spec = GmfbmSpec(hursts=(0.95,), coeffs=(1.0,))
     with warnings.catch_warnings():
@@ -340,6 +422,28 @@ def test_csv_golden_bytes():
     assert format_csv("m,stat,value", [(3, "median", 0.1)]) == (
         "m,stat,value\n3,median,0.10000000000000001\n"
     )
+
+
+def _per_field_csv(header, rows):
+    """Reference writer: each field on its own, floats as %.17g."""
+    def field(v):
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    return "\n".join([header] + [",".join(map(field, row)) for row in rows]) + "\n"
+
+
+def test_csv_matches_per_field_writer():
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((8193, 3)) * 10.0 ** rng.integers(-320, 300, (8193, 3))
+    values[::97, 1] = -0.0
+    path = SamplePath(TimeGrid.uniform(8192), values)
+    rows = np.column_stack([path.grid.points, path.values]).tolist()
+    assert path.to_csv() == _per_field_csv("t,x1,x2,x3", rows)
+    mixed = [(m, 10 ** (3 * m), "median", np.float64(v), float(-v), True)
+             for m, v in enumerate(rng.standard_normal(40))]
+    header = "m,big,stat,value,neg,flag"
+    assert format_csv(header, mixed) == _per_field_csv(header, mixed)
+    assert format_csv("stat,value", []) == "stat,value\n"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
