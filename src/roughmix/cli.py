@@ -189,19 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("lift", help="level-2 lift of a path CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("sig", help="truncated signature of a path CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--level", type=int, default=4)
     p.add_argument("--log", action="store_true", help="emit the log-signature")
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_sig)
 
     p = sub.add_parser("solve", help="solve an RDE along a driver")
@@ -211,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="linear",
                    choices=["linear", "bilinear", "sigmoid"])
     p.add_argument("--y0", default="1.0")
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("estimate", help="fit Hurst/mixing parameters")
@@ -219,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=1)
     p.add_argument("--lags", default="auto")
     p.add_argument("--bootstrap", type=int, default=0)
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bench-cauchy", help="dyadic-lift convergence diagnostic")
@@ -227,14 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--m-max", type=int, default=10)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_bench_cauchy)
 
     p = sub.add_parser("bench-sharpness", help="Levy-area divergence probe")
     p.add_argument("--hurst", type=float, required=True)
     p.add_argument("--m-max", type=int, default=10)
     p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_bench_sharpness)
 
     p = sub.add_parser("bench-rate", help="Davie scheme convergence rate")
@@ -244,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh-min", type=int, default=6)
     p.add_argument("--mesh-max", type=int, default=10)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_bench_rate)
 
     p = sub.add_parser("bench-scaling", help="cross-term variance scaling")
@@ -253,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", default="0.125,0.25,0.5,1.0")
     p.add_argument("--n-paths", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", default="out")
     p.set_defaults(func=cmd_bench_scaling)
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", default="out")
     return parser
 
 

@@ -89,12 +89,7 @@ def _uniform_dt(path: SamplePath) -> float:
 
 def default_lags(n_points: int) -> list[int]:
     """Dyadic lags 1, 2, 4, ..., up to n/64."""
-    lags = []
-    lag = 1
-    while lag <= max(1, (n_points - 1) // 64):
-        lags.append(lag)
-        lag *= 2
-    return lags
+    return [2 ** q for q in range(max(1, (n_points - 1) // 64).bit_length())]
 
 
 def structure_function(path: SamplePath, lags) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,10 @@
 The model is a weighted sum of N independent fractional Brownian motions,
 ``M_t = sum_k a_k * B^{H_k}_t``, sampled exactly: by circulant embedding
 (Davies-Harte) on uniform grids, by Cholesky factorization of the
-per-component covariance otherwise (``method="auto"``, the default).
-Cholesky sampling builds a dense covariance, so it is refused above
-``MAX_CHOLESKY_POINTS`` grid points.
+per-component covariance otherwise (``method="auto"``, the default). The
+circulant embedding is nonnegative definite at every Hurst parameter, so it
+has no fallback. Cholesky sampling builds a dense covariance, so it is
+refused above ``MAX_CHOLESKY_POINTS`` grid points.
 
 Randomness is counter-based (Philox), one stream per ``(seed, component,
 coordinate)``, handed out path by path: path k of a batch does not depend on
@@ -67,8 +68,8 @@ class GmfbmSpec:
             raise ValueError("coefficients must be finite")
         if all(a == 0.0 for a in self.coeffs):
             raise ValueError("coefficients must not all be zero")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not np.issubdtype(type(self.dim), np.integer) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
         if not 0.0 < self.horizon < np.inf:
             raise ValueError("horizon must be positive and finite")
 
@@ -102,7 +103,7 @@ class GmfbmSpec:
             return cls(
                 hursts=tuple(obj["hursts"]),
                 coeffs=tuple(obj["coeffs"]),
-                dim=int(obj.get("dim", 1)),
+                dim=obj.get("dim", 1),
                 horizon=float(obj.get("horizon", 1.0)),
             )
         except TypeError as err:
@@ -193,7 +194,7 @@ class SamplePath:
     ``components[k]`` holds the k-th fBm component path (same shape as
     ``values``), retained so that cross-term experiments can decompose the
     mixture. ``method`` is the sampling method used; ``used_fallback`` is
-    set when the circulant method fell back to Cholesky.
+    always False (circulant sampling has no fallback), kept for its readers.
     """
 
     grid: TimeGrid
@@ -325,23 +326,43 @@ def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
 _EIGS_CACHE_SIZE = 32
 
 
+def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
+    """Autocovariance g(0) .. g(n) of unit-spacing fGn, to a few ulps at every lag.
+
+    g(1) = 2^{2H-1} - 1; for k >= 2, g(k) = (1/2) k^{2H} f(1/k) with f(x) =
+    (1+x)^{2H} + (1-x)^{2H} - 2 = 2 sum_{j>=1} C(2H, 2j) x^{2j}, 40 terms by
+    Horner. They share one sign and shrink by 4 at least, so nothing cancels
+    as it does in the second difference of k^{2H} (log10(k^2) digits lost).
+    """
+    a = 2.0 * hurst
+    j = np.arange(2.0, 81.0, 2.0)
+    binom = np.cumprod((a - j + 2) * (a - j + 1) / ((j - 1) * j))  # C(a, j)
+    k = np.arange(2.0, n + 1.0)
+    x2 = 1.0 / (k * k)
+    half_f = 0.0  # f(1/k) / 2 = sum_j C(a, 2j) x2^j
+    for c in binom[::-1]:
+        half_f = x2 * (c + half_f)
+    head = [1.0, np.expm1((a - 1.0) * np.log(2.0))]
+    return np.concatenate([head, k ** a * half_f])[:n + 1]
+
+
 @functools.lru_cache(maxsize=_EIGS_CACHE_SIZE)
-def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray | None:
+def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
     """Square roots of the n + 1 distinct eigenvalues of the circulant
     embedding [g(0) .. g(n), g(n-1) .. g(1)] of n unit-spacing fGn steps.
 
-    It is positive semidefinite for fGn at every Hurst parameter; None marks
-    a failure of that, as a safety net. Results are memoised per (hurst, n)
-    and returned read-only, so no caller can change a cached array.
+    It is nonnegative definite at every H. For H <= 1/2, g <= 0 off lag 0,
+    so each eigenvalue is at least sum_{k in Z} g(k) >= 0 (Craigmile, J. Time
+    Ser. Anal. 2003); for H > 1/2, g is positive, decreasing and convex from
+    lag 1, so each eigenvalue is a Fejer-weighted sum of second differences.
+    An eigenvalue below -1e-10 of the largest raises NumericsError. Results are
+    memoised per (hurst, n), read-only, so no caller can change a cached array.
     """
-    k = np.arange(n + 1.0)
-    gamma = 0.5 * (
-        (k + 1.0) ** (2 * hurst) - 2.0 * k ** (2 * hurst)
-        + np.abs(k - 1.0) ** (2 * hurst)
-    )
+    gamma = _fgn_autocovariance(hurst, n)
     eigs = np.fft.rfft(np.concatenate([gamma, gamma[n - 1:0:-1]])).real
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
-        return None
+        raise NumericsError(f"circulant embedding of fGn with H={hurst} on {n} "
+                            f"steps is indefinite (eigenvalue {eigs.min():.3g})")
     sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None))
     sqrt_eigs.flags.writeable = False
     return sqrt_eigs
@@ -360,6 +381,7 @@ def _fgn_circulant(sqrt_eigs: np.ndarray, rng: np.random.Generator,
     w[:, 1:n] = z[:, 1:]
     w[:, 0] = z[:, 0].real
     w[:, n] = z[:, 0].imag
+    del z  # freed before irfft allocates: a smaller peak per pool worker
     # irfft divides by 2n: a real bin needs sqrt(2n eig), a complex one sqrt(n eig)
     scale = np.sqrt(n) * sqrt_eigs
     scale[[0, n]] *= np.sqrt(2.0)
@@ -423,11 +445,10 @@ if hasattr(os, "register_at_fork"):
 
 def _component_paths(
     spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str, size: int
-) -> tuple[np.ndarray, str, bool]:
-    """Per-component fBm paths (N, size, n_points, dim), the method used and
-    whether circulant sampling fell back to Cholesky for some component.
+) -> tuple[np.ndarray, str]:
+    """Per-component fBm paths (N, size, n_points, dim) and the method used.
 
-    Everything that can warn or raise runs first, on the calling thread;
+    Everything that can raise runs first, on the calling thread;
     then each (component, coordinate) stream fills its own slice of the
     result, on the pool when some stream spans more than one chunk.
     """
@@ -440,35 +461,25 @@ def _component_paths(
     elif method == "circulant" and not grid.is_uniform:
         raise ValueError("circulant sampling requires a uniform grid")
     n = len(grid) - 1
+    if method == "cholesky" and n + 1 > MAX_CHOLESKY_POINTS:
+        raise ConfigurationError(
+            f"Cholesky sampling on {n + 1} grid points needs a dense "
+            f"{n} x {n} covariance (cap {MAX_CHOLESKY_POINTS} points)"
+        )
     comps = np.zeros((spec.n_components, size, n + 1, spec.dim))
-    fallback = False
     if n < 1:
-        return comps, method, fallback
+        return comps, method
 
     rows = max(1, CHUNK_ENTRIES // (2 * n))
     jobs = []
     for k, hurst in enumerate(spec.hursts):
-        sqrt_eigs = None
         if method == "circulant":
-            sqrt_eigs = _fgn_circulant_sqrt_eigs(hurst, n)
-            if sqrt_eigs is None:
-                warnings.warn(
-                    f"circulant embedding not positive definite for H={hurst}; "
-                    "falling back to Cholesky",
-                    RuntimeWarning,
-                )
-                fallback = True
-        if sqrt_eigs is None:
-            if n + 1 > MAX_CHOLESKY_POINTS:
-                raise ConfigurationError(
-                    f"Cholesky sampling on {n + 1} grid points needs a dense "
-                    f"{n} x {n} covariance (cap {MAX_CHOLESKY_POINTS} points)"
-                )
+            step_scale = (grid.points[1] - grid.points[0]) ** hurst
+            fill = functools.partial(_circulant_rows,
+                                     _fgn_circulant_sqrt_eigs(hurst, n), step_scale)
+        else:
             factor = _cholesky_factor(_fbm_covariance(hurst, grid.points[1:]))
             fill = functools.partial(_cholesky_rows, factor)
-        else:
-            step_scale = (grid.points[1] - grid.points[0]) ** hurst
-            fill = functools.partial(_circulant_rows, sqrt_eigs, step_scale)
         jobs += [functools.partial(_fill_stream, fill, _stream(seed, k, coord),
                                    comps[k, :, 1:, coord], rows)
                  for coord in range(spec.dim)]
@@ -480,7 +491,13 @@ def _component_paths(
         futures = [_executor().submit(job) for job in jobs]
         for future in futures:
             future.result()
-    return comps, method, fallback
+    return comps, method
+
+
+def _mix(coeffs, comps: np.ndarray) -> np.ndarray:
+    """a_0 comps[0] + a_1 comps[1] + ..., elementwise and with no temporary:
+    a BLAS product leaves idle OpenBLAS threads spinning against the pool."""
+    return np.einsum("k,k...->...", np.asarray(coeffs), comps)
 
 
 def sample(
@@ -495,16 +512,15 @@ def sample(
     otherwise), ``"circulant"`` or ``"cholesky"``. The per-component fBm
     paths are kept on the returned object.
     """
-    comps, method, fallback = _component_paths(spec, grid, seed, method, size=1)
+    comps, method = _component_paths(spec, grid, seed, method, size=1)
     comps = comps[:, 0]  # (N, n, d)
     return SamplePath(
         grid=grid,
-        values=np.tensordot(np.asarray(spec.coeffs), comps, axes=(0, 0)),
+        values=_mix(spec.coeffs, comps),
         spec=spec,
         seed=seed,
         components=comps,
         method=method,
-        used_fallback=fallback,
     )
 
 
@@ -520,5 +536,5 @@ def sample_batch(
     Path k is the same for every ``n_paths`` > k: each (component,
     coordinate) stream hands out its draws path by path.
     """
-    comps, _, _ = _component_paths(spec, grid, seed, method, size=n_paths)
-    return np.tensordot(np.asarray(spec.coeffs), comps, axes=(0, 0))
+    comps, _ = _component_paths(spec, grid, seed, method, size=n_paths)
+    return _mix(spec.coeffs, comps)

@@ -387,11 +387,7 @@ def holder_estimate(values, dt: float = None) -> dict:
         raise ValueError("constant path has no Holder exponent")
     if dt is None:
         dt = 1.0 / n
-    lags = []
-    lag = 1
-    while lag <= n // 256:
-        lags.append(lag)
-        lag *= 2
+    lags = [2 ** q for q in range((n // 256).bit_length())]
     stats = []
     for lag in lags:
         inc = np.linalg.norm(values[lag:] - values[:-lag], axis=1)

@@ -167,7 +167,7 @@ def cross_term_scaling(
     for si, t in enumerate(t_scales):
         spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), dim=1, horizon=t)
         grid = TimeGrid.uniform(n_steps, t)
-        comps, _, _ = _component_paths(spec, grid, seed + si, "auto", n_paths)
+        comps, _ = _component_paths(spec, grid, seed + si, "auto", n_paths)
         # comps is (component, path, point, 1); one cross integral per path
         cross = cross_level2(comps[0], comps[1])[:, 0, 0]
         sq = cross ** 2

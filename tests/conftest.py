@@ -1,4 +1,20 @@
+import numpy as np
 import pytest
+
+from roughmix import gmfbm
+
+
+@pytest.fixture
+def indefinite_embedding(monkeypatch):
+    """Make every circulant embedding indefinite, with nothing left cached."""
+    def gamma(hurst, n):  # eigenvalues 1 + 1.8 cos(pi m / n), down to -0.8
+        out = np.zeros(n + 1)
+        out[:2] = 1.0, 0.9
+        return out
+
+    monkeypatch.setattr(gmfbm, "_fgn_autocovariance", gamma)
+    monkeypatch.setattr(gmfbm, "_fgn_circulant_sqrt_eigs",
+                        gmfbm._fgn_circulant_sqrt_eigs.__wrapped__)
 
 
 def pytest_collection_modifyitems(config, items):

@@ -153,7 +153,12 @@ def test_bad_spec_exits_2(tmp_path):
     ('{"coeffs": [1.0]}', 64),  # no hursts
     ('{"hursts": [0.5], "coeffs": [NaN]}', 64),
     (json.dumps(SPEC), 0),
-], ids=["no-hursts", "nan-coeff", "zero-intervals"])
+    ('{"hursts": [0.5], "coeffs": [1.0], "dim": Infinity}', 64),
+    ('{"hursts": [0.5], "coeffs": [1.0], "dim": 1e400}', 64),
+    ('{"hursts": [0.5], "coeffs": [1.0], "dim": 2.7}', 64),
+    ('{"hursts": [0.5], "coeffs": [1.0], "dim": true}', 64),
+], ids=["no-hursts", "nan-coeff", "zero-intervals", "inf-dim", "overflow-dim",
+        "fractional-dim", "bool-dim"])
 def test_bad_spec_or_grid_exits_2_without_output(tmp_path, capsys, spec_text, n):
     spec = tmp_path / "spec.json"
     spec.write_text(spec_text)
@@ -162,6 +167,21 @@ def test_bad_spec_or_grid_exits_2_without_output(tmp_path, capsys, spec_text, n)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "path.csv").exists()
+
+
+def test_indefinite_embedding_exits_3_without_output(tmp_path, spec_file, capsys,
+                                                     indefinite_embedding):
+    out = tmp_path / "o"
+    assert run("sim", "--spec", spec_file, "--n", 64, "--seed", 1, "-o", out) == 3
+    assert capsys.readouterr().err.startswith("numerical error:")
+    assert not out.exists()
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == roughmix.__version__
 
 
 def test_sig_rejects_non_finite_csv(tmp_path):
@@ -390,7 +410,7 @@ spec_jsons = st.one_of(
     st.builds(json.dumps, st.fixed_dictionaries({}, optional={
         "hursts": st.one_of(spec_items, st.lists(spec_items, max_size=2)),
         "coeffs": st.one_of(spec_items, st.lists(spec_items, max_size=2)),
-        "dim": st.sampled_from([1, 2, 0, 1.5, "x", None]),
+        "dim": st.sampled_from([1, 2, 0, 1.5, float("inf"), "x", None]),
         "horizon": spec_items,
     })),
     st.builds(lambda h, a: json.dumps({"hursts": [h], "coeffs": [a]}),

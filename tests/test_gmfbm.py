@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from roughmix.gmfbm import (
     GmfbmSpec,
     SamplePath,
     TimeGrid,
+    _fgn_autocovariance,
     _fgn_circulant,
     _fgn_circulant_sqrt_eigs,
     covariance,
@@ -211,25 +213,26 @@ def test_sample_components_retained_and_mix():
     assert path.components.shape == (2, 17, 1)
     mixed = 1.0 * path.components[0] + 2.0 * path.components[1]
     assert np.allclose(mixed, path.values)
+    # the mix is the elementwise sum a_0 c_0 + a_1 c_1 + ..., in that order
+    c = sample(THREE_COMP, grid, seed=2).components
+    mixed = 1.0 * c[0] + -0.5 * c[1] + 2.0 * c[2]
+    assert np.array_equal(mixed, sample(THREE_COMP, grid, seed=2).values)
+    assert np.array_equal(mixed[None], sample_batch(THREE_COMP, grid, 2, 1))
 
 
-@pytest.mark.parametrize("method", ["auto", "cholesky", "circulant"])
+@pytest.mark.parametrize("method", ["auto", "cholesky"])
 def test_cholesky_refused_above_cap(method, monkeypatch):
-    # one grid point over the cap, as a non-uniform grid ("auto"), a Cholesky
-    # request and a circulant embedding that falls back: each is refused
-    # before its dense covariance is built
+    # one grid point over the cap, as a non-uniform grid ("auto") and as a
+    # Cholesky request: each is refused before its dense covariance is built
     def no_covariance(*args):
         raise AssertionError("covariance built")
 
     monkeypatch.setattr(gmfbm, "_fbm_covariance", no_covariance)
-    monkeypatch.setattr(gmfbm, "_fgn_circulant_sqrt_eigs", lambda hurst, n: None)
     grid = TimeGrid.uniform(MAX_CHOLESKY_POINTS)
     if method == "auto":
         grid = TimeGrid(grid.points ** 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the fallback's warning
-        with pytest.raises(ConfigurationError, match="cap"):
-            sample(BROWNIAN, grid, seed=1, method=method)
+    with pytest.raises(ConfigurationError, match="cap"):
+        sample(BROWNIAN, grid, seed=1, method=method)
 
 
 def test_circulant_requires_uniform_grid():
@@ -245,6 +248,18 @@ class _BasisDraws:
         return np.eye(*shape)
 
 
+FGN_HURSTS = [0.01, 0.1, 0.3, 0.4999, 0.5001, 0.75, 0.95, 0.999]
+FGN_LAGS = [*range(1, 40), 100, 1000, 4095, 65535, 262143]
+
+
+def _fgn_autocovariance_reference(hurst: float, k: int) -> Decimal:
+    """(1/2)((k+1)^{2H} - 2 k^{2H} + (k-1)^{2H}) in 60 digits, from the exact
+    binary value of H: the second difference loses about 11 of them."""
+    with localcontext(prec=60):
+        a = 2 * Decimal(hurst)
+        return ((k + 1) ** a - 2 * Decimal(k) ** a + Decimal(k - 1) ** a) / 2
+
+
 @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.95])
 def test_circulant_covariance_exact(hurst):
     # the sampler is linear in its 2n normals; feeding it the basis vectors
@@ -252,10 +267,52 @@ def test_circulant_covariance_exact(hurst):
     n = 64
     responses = _fgn_circulant(_fgn_circulant_sqrt_eigs(hurst, n),
                                _BasisDraws(), 2 * n)
-    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
-    toeplitz = 0.5 * ((lag + 1) ** (2 * hurst) - 2 * lag ** (2 * hurst)
-                      + np.abs(lag - 1) ** (2 * hurst))
+    # against the decimal autocovariance: the float second difference is off
+    # by up to 3e-13 at these lags
+    gamma = np.array([1.0] + [float(_fgn_autocovariance_reference(hurst, k))
+                              for k in range(1, n)])
+    toeplitz = gamma[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
     assert np.abs(responses.T @ responses - toeplitz).max() <= 1e-14
+
+
+@pytest.mark.parametrize("hurst", FGN_HURSTS)
+def test_fgn_autocovariance_matches_decimal_reference(hurst):
+    gamma = _fgn_autocovariance(hurst, FGN_LAGS[-1])
+    assert gamma[0] == 1.0
+    for k in FGN_LAGS:
+        want = _fgn_autocovariance_reference(hurst, k)
+        assert abs((Decimal(gamma[k]) - want) / want) <= Decimal("4e-15"), k
+
+
+def test_fgn_autocovariance_vanishes_at_brownian_hurst():
+    gamma = _fgn_autocovariance(0.5, 4096)
+    assert gamma[0] == 1.0 and not gamma[1:].any()
+
+
+@pytest.mark.parametrize("hurst", FGN_HURSTS)
+def test_fgn_autocovariance_keeps_embedding_nonnegative(hurst):
+    # the facts behind a nonnegative definite embedding at every H: negative
+    # correlations below H = 1/2; positive, decreasing, convex ones above
+    gamma = _fgn_autocovariance(hurst, 1000)
+    if hurst < 0.5:
+        assert (gamma[1:] < 0).all()
+    else:
+        assert (gamma > 0).all() and (np.diff(gamma) < 0).all()
+        assert (gamma[:-2] - 2 * gamma[1:-1] + gamma[2:] >= 0).all()
+
+
+def test_long_high_hurst_embedding_is_nonnegative():
+    # 2^18 steps at H = 0.999: the second-difference autocovariance put the
+    # smallest eigenvalue at -1.2e-8 of the largest; eigenvalues only
+    sqrt_eigs = _fgn_circulant_sqrt_eigs.__wrapped__(0.999, 2 ** 18)
+    assert sqrt_eigs.size == 2 ** 18 + 1 and np.isfinite(sqrt_eigs).all()
+
+
+def test_indefinite_embedding_raises_numerics_error(indefinite_embedding):
+    with pytest.raises(NumericsError, match="indefinite"):
+        sample(TWO_COMP, TimeGrid.uniform(16), seed=1)
+    with pytest.raises(NumericsError, match="indefinite"):
+        sample_batch(TWO_COMP, TimeGrid.uniform(16), 1, 3)
 
 
 @given(
@@ -371,7 +428,7 @@ def test_high_hurst_samples_by_circulant():
     assert path.method == "circulant" and not path.used_fallback
     for n in (64, 2048, 4096):
         for hurst in np.linspace(0.05, 0.99, 95):
-            assert _fgn_circulant_sqrt_eigs(hurst, n) is not None, (n, hurst)
+            _fgn_circulant_sqrt_eigs.__wrapped__(hurst, n)  # raises if indefinite
 
 
 def test_repeated_samples_are_byte_identical():
