@@ -262,7 +262,7 @@ def main(argv=None) -> int:
             args.func(args)
     except SystemExit as err:
         return int(err.code or 0)
-    except (ConfigurationError, CompositionError, ValueError, OSError) as err:
+    except (ConfigurationError, CompositionError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericsError as err:

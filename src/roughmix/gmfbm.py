@@ -24,6 +24,7 @@ import functools
 import io
 import itertools
 import json
+import numbers
 import os
 import threading
 import warnings
@@ -56,8 +57,13 @@ class GmfbmSpec:
     horizon: float = 1.0
 
     def __post_init__(self):
+        # float() would also take a bool or a numeric string
+        reals = (*self.hursts, *self.coeffs, self.horizon)
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in reals):
+            raise ValueError("hursts, coeffs and horizon must be real numbers")
         object.__setattr__(self, "hursts", tuple(float(h) for h in self.hursts))
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
+        object.__setattr__(self, "horizon", float(self.horizon))
         if len(self.hursts) != len(self.coeffs):
             raise ValueError("hursts and coeffs must have the same length")
         if len(self.hursts) == 0:
@@ -104,7 +110,7 @@ class GmfbmSpec:
                 hursts=tuple(obj["hursts"]),
                 coeffs=tuple(obj["coeffs"]),
                 dim=obj.get("dim", 1),
-                horizon=float(obj.get("horizon", 1.0)),
+                horizon=obj.get("horizon", 1.0),
             )
         except TypeError as err:
             raise ValueError(f"malformed spec: {err}") from err

@@ -7,7 +7,8 @@ pieces compose by Chen's identity. Prefix sums make the increment pair
 (X^1, X^2) over any grid subinterval an O(1) lookup.
 
 Also here: dyadic piecewise-linear approximations, p-variation functionals
-(dyadic partitions plus an exact dynamic-programming oracle on small
+(every dyadic partition at once, as one stack of blocks whose norms are
+summed per partition, plus an exact dynamic-programming oracle on small
 grids), and the empirical convergence and sharpness diagnostics for dyadic
 lifts of GMFBM.
 """
@@ -56,18 +57,12 @@ class Level2RoughPath:
         d = self.inc1.shape[1]
         if self.inc2.shape != (n, d, d):
             raise ValueError("inc2 must be (n_intervals, d, d)")
-        self._build_prefix()
-
-    def _build_prefix(self):
-        n, d = self.inc1.shape
-        a = np.zeros((n + 1, d))
+        a = self._prefix1 = np.zeros((n + 1, d))
         np.cumsum(self.inc1, axis=0, out=a[1:])
-        b = np.zeros((n + 1, d, d))
         # Chen accumulation: X2(0, j+1) = X2(0, j) + inc2_j + X1(0, j) (x) inc1_j
         cross = a[:-1, :, None] * self.inc1[:, None, :]
-        np.cumsum(self.inc2 + cross, axis=0, out=b[1:])
-        self._prefix1 = a
-        self._prefix2 = b
+        self._prefix2 = np.zeros((n + 1, d, d))
+        np.cumsum(self.inc2 + cross, axis=0, out=self._prefix2[1:])
 
     @property
     def dim(self) -> int:
@@ -158,6 +153,8 @@ class PartitionSchedule:
     def __post_init__(self):
         if self.family not in ("dyadic", "all_subsets_dp"):
             raise ValueError(f"unknown partition family {self.family!r}")
+        if not np.issubdtype(type(self.max_depth), np.integer) or self.max_depth < 0:
+            raise ValueError(f"max_depth must be an int >= 0, got {self.max_depth!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -251,23 +248,29 @@ def subsampled_lift(path: SamplePath, stride: int) -> Level2RoughPath:
 # p-variation
 
 
-def _partition_indices(n_intervals: int, max_depth: int):
-    """Yield the dyadic partitions into min(2^q, n) blocks, q = 0..max_depth.
+def _dyadic_blocks(n: int, max_depth: int):
+    """Stacked blocks of the partitions into k = min(2^q, n) blocks, q <= max_depth.
 
-    Each partition is an array of node indices including both endpoints.
+    Nodes are round(j n / k), j = 0..k, and each k is kept once. Returns the
+    ``lo`` and ``hi`` node indices of every block and each partition's offset.
     """
-    for q in range(max_depth + 1):
-        k = min(2 ** q, n_intervals)
-        yield np.unique(np.round(np.linspace(0, n_intervals, k + 1)).astype(int))
+    if n < 1:
+        raise ValueError("p-variation needs at least 1 interval")
+    ks = np.minimum(2 ** np.arange(min(max_depth, (n - 1).bit_length()) + 1), n)
+    starts = np.cumsum(ks) - ks
+    j = np.arange(ks.sum()) - np.repeat(starts, ks)
+    lo, hi = np.round(np.stack([j, j + 1]) * np.repeat(n / ks, ks)).astype(int)
+    return lo, hi, starts
 
 
-def _partition_sum(blocks: np.ndarray, power: float) -> float:
-    """Sum of |block|^power over a partition's blocks, stacked on axis 0.
+def _block_norms(blocks: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each flattened block (Frobenius at level 2), on axis 0."""
+    return np.linalg.norm(blocks.reshape(blocks.shape[0], -1), axis=1)
 
-    |.| is the Euclidean norm of the flattened block (Frobenius for level 2).
-    """
-    norms = np.linalg.norm(blocks.reshape(blocks.shape[0], -1), axis=1)
-    return float(np.sum(norms ** power))
+
+def _max_partition_sum(blocks: np.ndarray, starts: np.ndarray, power: float) -> float:
+    """Largest sum of |block|^power over stacked partitions beginning at ``starts``."""
+    return float(np.add.reduceat(_block_norms(blocks) ** power, starts).max())
 
 
 def _variation_dp(rp: Level2RoughPath, level: int, power: float) -> float:
@@ -277,8 +280,7 @@ def _variation_dp(rp: Level2RoughPath, level: int, power: float) -> float:
         raise ValueError("exact DP oracle limited to grids of <= 64 points")
     best = np.zeros(n + 1)
     for j in range(1, n + 1):
-        blocks = rp.over(np.arange(j), j)[level - 1]
-        w = np.linalg.norm(blocks.reshape(j, -1), axis=1)
+        w = _block_norms(rp.over(np.arange(j), j)[level - 1])
         best[j] = np.max(best[:j] + w ** power)
     return float(best[n])
 
@@ -301,17 +303,13 @@ def p_variation(rp: Level2RoughPath, p: float,
         raise ValueError("levels must be drawn from (1, 2)")
     schedule = schedule or PartitionSchedule()
     use_levels = [k for k in levels if k == 1 or p >= 2.0]
-    out = 0.0
     if schedule.family == "all_subsets_dp":
-        for k in use_levels:
-            s = _variation_dp(rp, k, p / k)
-            out = max(out, s ** (k / p))
-        return out
-    for idx in _partition_indices(rp.n_intervals, schedule.max_depth):
-        blocks = rp.over(idx[:-1], idx[1:])
-        for k in use_levels:
-            out = max(out, _partition_sum(blocks[k - 1], p / k) ** (k / p))
-    return out
+        sums = [_variation_dp(rp, k, p / k) for k in use_levels]
+    else:
+        lo, hi, starts = _dyadic_blocks(rp.n_intervals, schedule.max_depth)
+        blocks = rp.over(lo, hi)
+        sums = [_max_partition_sum(blocks[k - 1], starts, p / k) for k in use_levels]
+    return max((s ** (k / p) for k, s in zip(use_levels, sums)), default=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -325,14 +323,10 @@ def _dp_distance(fine_m: SamplePath, fine_m1: SamplePath, p: float) -> float:
     level-2 difference over the dyadic partition family of the common grid.
     """
     lvl1 = float(np.linalg.norm(fine_m.values - fine_m1.values, axis=1).max())
-    ra = lift_piecewise_linear(fine_m)
-    rb = lift_piecewise_linear(fine_m1)
-    n = ra.n_intervals
-    best = 0.0
-    for idx in _partition_indices(n, int(np.round(np.log2(n)))):
-        diff = ra.over(idx[:-1], idx[1:])[1] - rb.over(idx[:-1], idx[1:])[1]
-        best = max(best, _partition_sum(diff, p / 2.0) ** (2.0 / p))
-    return lvl1 + best
+    ra, rb = lift_piecewise_linear(fine_m), lift_piecewise_linear(fine_m1)
+    lo, hi, starts = _dyadic_blocks(ra.n_intervals, round(np.log2(ra.n_intervals)))
+    diff = ra.over(lo, hi)[1] - rb.over(lo, hi)[1]
+    return lvl1 + _max_partition_sum(diff, starts, p / 2.0) ** (2.0 / p)
 
 
 def cauchy_diagnostic(

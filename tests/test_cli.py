@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughmix
+from roughmix import cli
 from roughmix.cli import main
 from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample
 from roughmix.lift import lift_piecewise_linear
@@ -157,8 +158,14 @@ def test_bad_spec_exits_2(tmp_path):
     ('{"hursts": [0.5], "coeffs": [1.0], "dim": 1e400}', 64),
     ('{"hursts": [0.5], "coeffs": [1.0], "dim": 2.7}', 64),
     ('{"hursts": [0.5], "coeffs": [1.0], "dim": true}', 64),
+    ('{"hursts": [0.5], "coeffs": [true]}', 64),
+    ('{"hursts": [0.5], "coeffs": ["2"]}', 64),
+    ('{"hursts": ["0.5"], "coeffs": [1.0]}', 64),
+    ('{"hursts": [0.5], "coeffs": [1.0], "horizon": true}', 64),
+    ('{"hursts": [0.5], "coeffs": [1.0], "horizon": "2"}', 64),
 ], ids=["no-hursts", "nan-coeff", "zero-intervals", "inf-dim", "overflow-dim",
-        "fractional-dim", "bool-dim"])
+        "fractional-dim", "bool-dim", "bool-coeff", "string-coeff", "string-hurst",
+        "bool-horizon", "string-horizon"])
 def test_bad_spec_or_grid_exits_2_without_output(tmp_path, capsys, spec_text, n):
     spec = tmp_path / "spec.json"
     spec.write_text(spec_text)
@@ -167,6 +174,19 @@ def test_bad_spec_or_grid_exits_2_without_output(tmp_path, capsys, spec_text, n)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (out / "path.csv").exists()
+
+
+def test_failed_allocation_exits_2_without_output(tmp_path, spec_file, capsys,
+                                                  monkeypatch):
+    def sample(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "sample", sample)
+    out = tmp_path / "o"
+    assert run("sim", "--spec", spec_file, "--n", 64, "--seed", 1, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_indefinite_embedding_exits_3_without_output(tmp_path, spec_file, capsys,
@@ -404,7 +424,8 @@ level2_jsons = st.one_of(
                                             "inc2": [[x2]]}),
               numbers, numbers, numbers),
 )
-spec_items = st.sampled_from([0.3, 0.7, 0.0, 1.0, 1e308, float("nan"), "x", None])
+spec_items = st.sampled_from([0.3, 0.7, 0.0, 1.0, 1e308, float("nan"), "x", None,
+                              True, "0.5"])
 spec_jsons = st.one_of(
     st.text(max_size=20),
     st.builds(json.dumps, st.fixed_dictionaries({}, optional={

@@ -50,6 +50,13 @@ def test_spec_rejects_bad_parameters():
         GmfbmSpec(hursts=(0.5,), coeffs=(1.0,), horizon=0.0)
 
 
+def test_spec_takes_python_and_numpy_reals():
+    spec = GmfbmSpec(hursts=np.array([0.25, 0.75]), coeffs=(1, np.float32(2.0)),
+                     horizon=2)
+    assert spec.hursts == (0.25, 0.75) and spec.coeffs == (1.0, 2.0)
+    assert isinstance(spec.horizon, float) and spec.horizon == 2.0
+
+
 def test_spec_accepts_duplicate_hursts():
     spec = GmfbmSpec(hursts=(0.5, 0.5), coeffs=(1.0, 1.0))
     assert spec.n_components == 2

@@ -251,9 +251,60 @@ def test_dyadic_family_bounded_by_exact_dp(seed):
     rng = np.random.default_rng(seed)
     values = np.cumsum(rng.normal(size=(16, 1)), axis=0)
     rp = lift_piecewise_linear(values)
-    dyadic = p_variation(rp, 2.5, PartitionSchedule("dyadic", 6), levels=(1,))
-    exact = p_variation(rp, 2.5, PartitionSchedule("all_subsets_dp"), levels=(1,))
+    dyadic = p_variation(rp, 2.5, PartitionSchedule("dyadic", 6))
+    exact = p_variation(rp, 2.5, PartitionSchedule("all_subsets_dp"))
     assert dyadic <= exact + 1e-10
+
+
+def per_depth_max_sum(blocks_over, n, max_depth, power):
+    """Reference: one partition per depth q = 0..max_depth, into min(2^q, n)
+    blocks with nodes from ``linspace``; the largest sum of |block|^power."""
+    sums = []
+    for q in range(max_depth + 1):
+        idx = np.unique(np.round(np.linspace(0, n, min(2 ** q, n) + 1)).astype(int))
+        blocks = blocks_over(idx[:-1], idx[1:])
+        norms = np.linalg.norm(blocks.reshape(len(blocks), -1), axis=1)
+        sums.append(np.sum(norms ** power))
+    return max(sums)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 100, 1000, 4096])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [1.5, 2.5])
+def test_stacked_dyadic_sums_match_per_depth_reference(n, d, p):
+    rng = np.random.default_rng(1000 * n + 10 * d + int(p))
+    grid = TimeGrid.uniform(n)
+    a, b = (SamplePath(grid=grid, values=np.cumsum(rng.normal(size=(n + 1, d)), axis=0))
+            for _ in range(2))
+    ra, rb = lift_piecewise_linear(a), lift_piecewise_linear(b)
+    schedule = PartitionSchedule()
+    want = max(per_depth_max_sum(lambda i, j: ra.over(i, j)[k - 1], n,
+                                 schedule.max_depth, p / k) ** (k / p)
+               for k in (1, 2) if k == 1 or p >= 2)
+    assert p_variation(ra, p, schedule) == pytest.approx(want, rel=1e-12, abs=0.0)
+    level2_diff = lambda i, j: ra.over(i, j)[1] - rb.over(i, j)[1]  # noqa: E731
+    want = (np.linalg.norm(a.values - b.values, axis=1).max()
+            + per_depth_max_sum(level2_diff, n, int(np.round(np.log2(n))), p / 2)
+            ** (2 / p))
+    assert _dp_distance(a, b, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("max_depth", [-1, True, 2.5, "3", None])
+def test_partition_schedule_rejects_bad_depth(max_depth):
+    with pytest.raises(ValueError, match="max_depth"):
+        PartitionSchedule("dyadic", max_depth)
+
+
+def test_partition_schedule_depth_zero_is_the_trivial_partition():
+    rp = lift_piecewise_linear(np.array([[0.0], [2.0], [0.0], [3.0]]))
+    assert PartitionSchedule("dyadic", np.int64(3)).max_depth == 3
+    assert p_variation(rp, 1.0, PartitionSchedule("dyadic", 0), levels=(1,)) == 3.0
+
+
+def test_p_variation_rejects_zero_intervals():
+    rp = lift_piecewise_linear(np.cumsum(np.ones((5, 2)), axis=0))
+    with pytest.raises(ValueError, match="at least 1 interval"):
+        p_variation(rp.restricted(2, 2), 2.5)
 
 
 # --------------------------------------------------------------------------- #
