@@ -88,6 +88,9 @@ def cmd_sig(args) -> None:
 
 
 def _build_field(name: str, dim: int, e: int):
+    # the generator matrices below are e x e, so e is checked before they are built
+    if e < 1:
+        raise ConfigurationError(f"state dimension --e must be >= 1, got {e}")
     if name == "linear":
         return linear_field([np.eye(e) for _ in range(dim)])
     if name == "bilinear":

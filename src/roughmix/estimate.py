@@ -306,6 +306,8 @@ def fit_mixture(
     fewer than two distinct rows per component, or whose fit loses a
     component, are skipped.
     """
+    if not np.issubdtype(type(n_bootstrap), np.integer) or n_bootstrap < 0:
+        raise ValueError(f"n_bootstrap must be an int >= 0, got {n_bootstrap!r}")
     lags = default_lags(len(path.grid)) if lags is None else list(lags)
     dts, values = structure_function(path, lags)
     report = fit_mixture_from_table(dts, values, n_components)

@@ -15,7 +15,8 @@ Cholesky, whose matrix product blocks by rows drawn at once). The streams
 are independent, so they are drawn in parallel over the usable CPUs, each in
 chunks of at most ``CHUNK_ENTRIES`` normals; a draw whose streams each fit
 in one chunk runs on the calling thread. Each stream's draws stay in order,
-so the output does not depend on the number of workers.
+so the output does not depend on the number of workers. A seed is an int
+in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -297,8 +298,7 @@ def self_similarity_rescale(spec: GmfbmSpec, h: float) -> GmfbmSpec:
 
 def _stream(seed: int, component: int, coord: int) -> np.random.Generator:
     """Counter-based stream for one (component, coordinate) pair."""
-    ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF,
-                                spawn_key=(component, coord))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(component, coord))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -460,6 +460,8 @@ def _component_paths(
     """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
+    if not np.issubdtype(type(seed), np.integer) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an int in [0, 2^64), got {seed!r}")
     if grid.horizon > spec.horizon * (1 + 1e-12):
         raise ValueError("grid extends beyond the spec horizon")
     if method == "auto":

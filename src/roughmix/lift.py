@@ -31,7 +31,6 @@ __all__ = [
     "lift_piecewise_linear",
     "chen_compose",
     "cross_level2",
-    "subsampled_lift",
     "p_variation",
     "cauchy_diagnostic",
     "sharpness_probe",
@@ -162,10 +161,10 @@ class PartitionSchedule:
 
 
 def dyadic_approx(path: SamplePath, m: int) -> SamplePath:
-    """Piecewise-linear interpolation of the path at dyadic points k 2^-m T.
+    """Level-m dyadic approximation: the path's values at the points k 2^-m T.
 
-    The result is evaluated on the path's own grid; values at dyadic nodes
-    agree with the input, values in between are linear.
+    The result is on a grid of those 2^m + 1 nodes, so its polyline is the
+    piecewise-linear interpolation; every node must be on the path's grid.
     """
     if m < 0:
         raise ValueError("dyadic level m must be >= 0")
@@ -185,12 +184,8 @@ def dyadic_approx(path: SamplePath, m: int) -> SamplePath:
         raise ValueError(
             f"grid does not contain the dyadic points at level m={m}"
         )
-    values = np.empty_like(path.values)
-    for c in range(path.dim):
-        values[:, c] = np.interp(t, t[near], path.values[near, c])
-    # anchor rows exactly, interp may round
-    values[near] = path.values[near]
-    return SamplePath(grid=path.grid, values=values, spec=path.spec, seed=path.seed)
+    return SamplePath(grid=TimeGrid(t[near]), values=path.values[near],
+                      spec=path.spec, seed=path.seed)
 
 
 def lift_piecewise_linear(path_or_values, grid: TimeGrid | None = None) -> Level2RoughPath:
@@ -235,13 +230,6 @@ def cross_level2(x_values: np.ndarray, y_values: np.ndarray) -> np.ndarray:
     left = x[..., :-1, :] - x[..., :1, :]
     return (np.einsum("...ka,...kb->...ab", left, dy)
             + 0.5 * np.einsum("...ka,...kb->...ab", dx, dy))
-
-
-def subsampled_lift(path: SamplePath, stride: int) -> Level2RoughPath:
-    """Piecewise-linear lift of every ``stride``-th point of the path."""
-    return lift_piecewise_linear(
-        path.values[::stride], TimeGrid(path.grid.points[::stride])
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -316,14 +304,18 @@ def p_variation(rp: Level2RoughPath, p: float,
 # diagnostics shadowing the dyadic-lift convergence and sharpness results
 
 
-def _dp_distance(fine_m: SamplePath, fine_m1: SamplePath, p: float) -> float:
+def _dp_distance(coarse: SamplePath, fine: SamplePath, p: float) -> float:
     """Computable proxy for the p-variation distance between two dyadic lifts.
 
-    Sup-norm of the level-1 difference plus the (p/2)-variation of the
-    level-2 difference over the dyadic partition family of the common grid.
+    ``coarse`` is evaluated at ``fine``'s nodes; both polylines are linear on
+    its cells, so its grid serves both: sup-norm of the level-1 difference plus
+    the (p/2)-variation of the level-2 difference over its dyadic partitions.
     """
-    lvl1 = float(np.linalg.norm(fine_m.values - fine_m1.values, axis=1).max())
-    ra, rb = lift_piecewise_linear(fine_m), lift_piecewise_linear(fine_m1)
+    t = fine.grid.points
+    on_fine = np.column_stack([np.interp(t, coarse.grid.points, coarse.values[:, c])
+                               for c in range(coarse.dim)])
+    lvl1 = float(np.linalg.norm(on_fine - fine.values, axis=1).max())
+    ra, rb = lift_piecewise_linear(on_fine, fine.grid), lift_piecewise_linear(fine)
     lo, hi, starts = _dyadic_blocks(ra.n_intervals, round(np.log2(ra.n_intervals)))
     diff = ra.over(lo, hi)[1] - rb.over(lo, hi)[1]
     return lvl1 + _max_partition_sum(diff, starts, p / 2.0) ** (2.0 / p)
@@ -400,11 +392,10 @@ def sharpness_probe(
     spec = GmfbmSpec((h_small,), (1.0,), dim=2, horizon=1.0)
     grid = TimeGrid.dyadic(m_max, 1.0)
     areas = {m: [] for m in range(m_min, m_max + 1)}
-    n = len(grid) - 1
     for seed in seeds:
         path = sample(spec, grid, seed)
         for m in range(m_min, m_max + 1):
-            rp = subsampled_lift(path, n // (2 ** m))
+            rp = lift_piecewise_linear(dyadic_approx(path, m))
             areas[m].append(rp.levy_area()[0, 1])
     variances = {m: float(np.var(v, ddof=1)) for m, v in areas.items()}
     return {"hurst": h_small, "variances": variances, "areas": areas}

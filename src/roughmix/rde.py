@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as ta
 from .errors import NumericsError
 from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, format_csv, path_values, sample
-from .lift import Level2RoughPath, lift_piecewise_linear, subsampled_lift
+from .lift import Level2RoughPath, dyadic_approx, lift_piecewise_linear
 
 __all__ = [
     "VectorField",
@@ -101,8 +101,12 @@ def vector_field(f: Callable[[np.ndarray], np.ndarray]) -> VectorField:
 def linear_field(mats) -> VectorField:
     """f(y)[:, a] = A_a y for a list of e x e generator matrices, one per driver coordinate."""
     mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in mats]
-    e = mats[0].shape[0]
+    if not mats:
+        raise ValueError("linear_field needs at least one generator matrix")
     stacked = np.stack(mats, axis=0)  # (d, e, e)
+    if stacked.ndim != 3 or stacked.shape[1] != stacked.shape[2] or stacked.size == 0:
+        raise ValueError("generators must be non-empty square matrices, "
+                         f"got shape {stacked.shape[1:]}")
 
     def ev(y):
         return np.einsum("aij,j->ia", stacked, y)
@@ -130,6 +134,8 @@ def constant_field(c) -> VectorField:
 
 def sigmoid_field(scale: float = 1.0, e: int = 1, d: int = 1) -> VectorField:
     """Bounded smooth field f(y)_{ia} = scale * tanh(y_i + a); C_b^infinity."""
+    if e < 1 or d < 1:
+        raise ValueError(f"sigmoid_field needs e >= 1 and d >= 1, got e={e}, d={d}")
 
     def ev(y):
         return scale * np.tanh(y[:, None] + np.arange(d)[None, :])
@@ -286,9 +292,19 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
 # harnesses
 
 
+def _mesh_levels(mesh_levels) -> list[int]:
+    """Mesh levels m (meshes of 2^m intervals) in increasing order."""
+    mesh_levels = sorted(int(m) for m in mesh_levels)
+    if len(mesh_levels) < 3:
+        raise ValueError("need at least 3 mesh levels")
+    if mesh_levels[0] < 0:
+        raise ValueError(f"mesh levels must be >= 0, got {mesh_levels[0]}")
+    return mesh_levels
+
+
 def _subsampled_errors(path: SamplePath, m_ref: int, mesh_levels,
                        field: VectorField, y0) -> tuple[list, float]:
-    """Errors of the solves on the 2^m-interval subsampled lifts, and their rate.
+    """Errors of the solves on the level-m dyadic approximations, and their rate.
 
     ``path`` has 2^m_ref intervals. The reference is the solve on its full
     lift; each error is the max over the coarse grid points, and the rate
@@ -297,9 +313,8 @@ def _subsampled_errors(path: SamplePath, m_ref: int, mesh_levels,
     ref = solve(lift_piecewise_linear(path), field, y0)
     errors = []
     for m in mesh_levels:
-        stride = 2 ** (m_ref - m)
-        sol = solve(subsampled_lift(path, stride), field, y0)
-        errors.append(float(np.abs(sol.states - ref.states[::stride]).max()))
+        sol = solve(lift_piecewise_linear(dyadic_approx(path, m)), field, y0)
+        errors.append(float(np.abs(sol.states - ref.states[::2 ** (m_ref - m)]).max()))
     h = [2.0 ** -m for m in mesh_levels]
     return errors, float(np.polyfit(np.log(h), np.log(errors), 1)[0])
 
@@ -315,7 +330,7 @@ def convergence_rate(
     """Empirical Davie-scheme rate against a fine-mesh reference.
 
     The driver is sampled once per seed at ``ref_factor`` times the finest
-    mesh and coarsened by subsampling, keeping all meshes on one
+    mesh; each coarse driver is its ``dyadic_approx``, on the same
     realization. Errors are max over the coarse grid points; the log-log
     slope is reported per seed together with ``predicted`` = 3 min(H) - 1.
 
@@ -330,9 +345,7 @@ def convergence_rate(
     the Levy area of the path between grid points. The rate in that regime
     is measured here, not promised.
     """
-    mesh_levels = sorted(int(m) for m in mesh_levels)
-    if len(mesh_levels) < 3:
-        raise ValueError("need at least 3 mesh levels")
+    mesh_levels = _mesh_levels(mesh_levels)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least 1 seed")
@@ -359,7 +372,7 @@ def smooth_driver_rate(field: VectorField, y0, mesh_levels) -> dict:
     The reference mesh is 2^3 times the finest; the dyadic nodes of
     ``linspace`` are exact, so each coarse mesh is a subsample of it.
     """
-    mesh_levels = sorted(int(m) for m in mesh_levels)
+    mesh_levels = _mesh_levels(mesh_levels)
     m_ref = mesh_levels[-1] + 3
     t = np.linspace(0.0, 1.0, 2 ** m_ref + 1)
     path = SamplePath(grid=TimeGrid(t), values=np.column_stack([t, t ** 2]))
@@ -367,15 +380,15 @@ def smooth_driver_rate(field: VectorField, y0, mesh_levels) -> dict:
     return {"errors": errors, "slope": slope}
 
 
-def holder_estimate(values, dt: float = None) -> dict:
+def holder_estimate(values) -> dict:
     """Holder exponent estimate from max increment size across dyadic lags.
 
     ``values`` is (n + 1, d); a 1-d array is one coordinate. The lags are
     1, 2, 4, ... up to n/256 of the n increments, so the path needs at
     least 1025 points (n >= 1024) for three lags: a line through two lags
-    leaves no residual to estimate a stderr from. ``dt`` (default 1/n) is
-    the grid step. For each lag the maximum absolute increment is
-    normalized by the Gaussian-extremes factor
+    leaves no residual to estimate a stderr from. The result does not depend
+    on the grid step, which would shift every log-lag alike. For each lag the
+    maximum absolute increment is normalized by the Gaussian-extremes factor
     sqrt(2 log(#increments)) before the log-log regression; without it the
     slope is biased low by the slowly varying extreme-value correction.
     """
@@ -385,15 +398,13 @@ def holder_estimate(values, dt: float = None) -> dict:
         raise ValueError(f"need at least 1025 points for three lags, got {n + 1}")
     if np.ptp(values) == 0.0:
         raise ValueError("constant path has no Holder exponent")
-    if dt is None:
-        dt = 1.0 / n
     lags = [2 ** q for q in range((n // 256).bit_length())]
     stats = []
     for lag in lags:
         inc = np.linalg.norm(values[lag:] - values[:-lag], axis=1)
         correction = np.sqrt(2.0 * np.log(max(inc.size, 2)))
         stats.append(inc.max() / correction)
-    x = np.log(np.array(lags) * dt)
+    x = np.log(lags)
     y = np.log(stats)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -323,6 +323,7 @@ def test_bench_scaling_subcommand(tmp_path):
 
 
 SCALING = ["bench-scaling", "--hi", 0.5, "--hj", 0.75, "--seed", 1]
+RATE = ["bench-rate", "--spec", None, "--mesh-min", 2, "--mesh-max", 4, "--seeds", 1]
 
 
 @pytest.mark.filterwarnings("error")
@@ -336,13 +337,28 @@ SCALING = ["bench-scaling", "--hi", 0.5, "--hj", 0.75, "--seed", 1]
     ["bench-cauchy", "--spec", None, "--p", 2.1, "--m-max", 3, "--seeds", 0],
     ["bench-cauchy", "--spec", None, "--p", 2.1, "--m-max", 0, "--seeds", 2],
     ["bench-sharpness", "--hurst", 0.2, "--m-max", 0, "--seeds", 2],
+    [*RATE, "--e", 0],
+    [*RATE, "--e", -1],
+    [*RATE, "--e", 0, "--field", "bilinear"],
+    [*RATE, "--e", 0, "--field", "sigmoid"],
+    ["bench-rate", "--spec", None, "--mesh-min", -2, "--mesh-max", 1],
+    ["sim", "--spec", None, "--seed", -1],
+    ["sim", "--spec", None, "--seed", 2 ** 64],
+    [*SCALING[:-1], -1, "--n-paths", 4],
+    ["estimate", "--input", "path.csv", "--bootstrap", -1],
 ], ids=["scaling-1-path", "scaling-0-paths", "scaling-one-scale", "rate-0-seeds",
         "sharpness-1-seed", "sharpness-0-seeds", "cauchy-0-seeds",
-        "cauchy-0-levels", "sharpness-0-levels"])
+        "cauchy-0-levels", "sharpness-0-levels", "rate-e-0", "rate-e-negative",
+        "rate-bilinear-e-0", "rate-sigmoid-e-0", "rate-negative-mesh",
+        "sim-negative-seed", "sim-seed-2^64", "scaling-negative-seed",
+        "estimate-negative-bootstrap"])
 def test_degenerate_bench_inputs_exit_2_without_output(tmp_path, spec_file, capfd,
                                                        argv):
     out = tmp_path / "o"
-    argv = [spec_file if a is None else a for a in argv]
+    path = sample(GmfbmSpec(**SPEC), TimeGrid.uniform(512), seed=0)
+    (tmp_path / "path.csv").write_text(path.to_csv())
+    files = {None: spec_file, "path.csv": tmp_path / "path.csv"}
+    argv = [files.get(a, a) for a in argv]
     assert run(*argv, "-o", out) == 2
     # capfd, not capsys: LAPACK writes its complaints to the stdout descriptor
     captured = capfd.readouterr()
@@ -454,13 +470,52 @@ def _spec_case(tmp: Path, text):
     return ["sim", "--spec", tmp / "spec.json", "--n", 8, "--seed", 1]
 
 
+ODD_NUMBERS = ["0", "-1", "nan", "inf", "1e-300"]
+# each subcommand's numeric options with one cheap valid value: the valid sizes
+# (points, levels, seeds, paths) keep every draw small, and on the calling thread
+NUMERIC_OPTIONS = {
+    "sim": {"--n": "8", "--seed": "1"},
+    "sig": {"--level": "2"},
+    "solve": {"--y0": "1.0"},
+    "estimate": {"--components": "1", "--bootstrap": "2"},
+    "bench-cauchy": {"--p": "2.1", "--m-max": "2", "--seeds": "2"},
+    "bench-sharpness": {"--hurst": "0.2", "--m-max": "2", "--seeds": "2"},
+    "bench-rate": {"--e": "1", "--mesh-min": "1", "--mesh-max": "3", "--seeds": "1"},
+    "bench-scaling": {"--hi": "0.5", "--hj": "0.75", "--scales": "1",
+                      "--n-paths": "4", "--seed": "1"},
+}
+
+
+def _numeric_case(tmp: Path, command, values):
+    argv = [command]
+    if command in ("sig", "solve", "estimate"):
+        path = sample(GmfbmSpec(**SPEC), TimeGrid.uniform(256), seed=0)
+        (tmp / "in.csv").write_text(path.to_csv())
+        argv += ["--driver" if command == "solve" else "--input", tmp / "in.csv"]
+    elif command in ("sim", "bench-cauchy", "bench-rate"):
+        (tmp / "spec.json").write_text(json.dumps(SPEC))
+        argv += ["--spec", tmp / "spec.json"]
+    for option, value in values.items():
+        # bench-scaling needs three distinct scales: the drawn value is the third
+        argv += [option, f"0.25,0.5,{value}" if option == "--scales" else value]
+    return argv
+
+
+numeric_cases = st.sampled_from(sorted(NUMERIC_OPTIONS)).flatmap(
+    lambda command: st.tuples(
+        st.just(_numeric_case), st.just(command),
+        st.fixed_dictionaries({option: st.sampled_from([*ODD_NUMBERS, valid])
+                               for option, valid in NUMERIC_OPTIONS[command].items()})))
+
+
 @pytest.mark.filterwarnings("error::UserWarning")
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.one_of(
     st.tuples(st.just(_csv_case), st.sampled_from(CSV_COMMANDS), garbled_csvs),
     st.tuples(st.just(_csv_case), st.sampled_from(CSV_COMMANDS), timed_csvs),
     st.tuples(st.just(_level2_case), level2_jsons),
     st.tuples(st.just(_spec_case), spec_jsons),
+    numeric_cases,
 ))
 def test_malformed_inputs_keep_exit_contract(case):
     with tempfile.TemporaryDirectory() as tmp:

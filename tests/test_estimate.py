@@ -220,6 +220,16 @@ def test_bootstrap_refits_every_drawn_row(monkeypatch):
     assert any(np.unique(t).size < t.size for t in replicates)
 
 
+@pytest.mark.parametrize("n_bootstrap", [-1, 2.5, True])
+def test_bootstrap_count_checked_before_any_fit(monkeypatch, n_bootstrap):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before checking n_bootstrap")
+
+    monkeypatch.setattr(estimate, "fit_mixture_from_table", no_fit)
+    with pytest.raises(ValueError, match="n_bootstrap must be an int >= 0"):
+        fit_mixture(bench_path(5, n=2 ** 10), n_components=1, n_bootstrap=n_bootstrap)
+
+
 def test_consistency_trend_with_sample_size():
     # two-component error shrinks from n=2^10 to n=2^16 (median over seeds)
     def median_err(n, lags):

@@ -242,6 +242,28 @@ def test_cholesky_refused_above_cap(method, monkeypatch):
         sample(BROWNIAN, grid, seed=1, method=method)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, np.int64(-3), 1.0, True, "1", None])
+def test_seeds_outside_unsigned_64_bits_rejected(seed, monkeypatch):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factorised before checking the seed")
+
+    monkeypatch.setattr(gmfbm, "_cholesky_factor", no_factor)
+    spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
+    grid = TimeGrid(np.array([0.0, 0.25, 1.0]))
+    with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\^64\)"):
+        sample(spec, grid, seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        sample_batch(spec, TimeGrid.uniform(8), seed, n_paths=2)
+
+
+def test_largest_seeds_accepted():
+    spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
+    grid = TimeGrid.uniform(8)
+    top = sample(spec, grid, 2 ** 64 - 1).values
+    assert np.array_equal(sample(spec, grid, np.uint64(2 ** 64 - 1)).values, top)
+    assert not np.array_equal(sample(spec, grid, 0).values, top)
+
+
 def test_circulant_requires_uniform_grid():
     grid = TimeGrid(np.array([0.0, 0.1, 0.5, 1.0]))
     with pytest.raises(ValueError):

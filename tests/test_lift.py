@@ -16,7 +16,6 @@ from roughmix.lift import (
     lift_piecewise_linear,
     p_variation,
     sharpness_probe,
-    subsampled_lift,
 )
 
 
@@ -44,14 +43,30 @@ def parabola_path(m):
     return SamplePath(grid=TimeGrid(t), values=np.column_stack([t, t ** 2]))
 
 
+def fine_grid_approx(path, m):
+    """Reference: the level-m dyadic polyline interpolated onto the path's whole
+    grid, which must be dyadic, with the node rows copied exactly."""
+    t = path.grid.points
+    nodes = np.arange(0, t.size, (t.size - 1) // 2 ** m)
+    values = np.column_stack([np.interp(t, t[nodes], path.values[nodes, c])
+                              for c in range(path.dim)])
+    values[nodes] = path.values[nodes]
+    return SamplePath(grid=path.grid, values=values)
+
+
 def test_dyadic_approx_anchors_and_midpoints():
     path = parabola_path(6)
     approx = dyadic_approx(path, 3)
     anchors = np.arange(0, 65, 8)
-    assert np.array_equal(approx.values[anchors], path.values[anchors])
-    # midpoint of a dyadic cell is the average of the cell endpoints
-    mid = approx.values[4]
-    assert mid == pytest.approx(0.5 * (path.values[0] + path.values[8]))
+    assert np.array_equal(approx.grid.points, path.grid.points[anchors])
+    assert np.array_equal(approx.values, path.values[anchors])
+    assert approx.spec is path.spec and approx.seed == path.seed
+    # its polyline on the whole grid is the reference's; the midpoint of a
+    # dyadic cell is the average of the cell endpoints
+    on_grid = np.column_stack([np.interp(path.grid.points, approx.grid.points,
+                                         approx.values[:, c]) for c in range(2)])
+    assert np.array_equal(on_grid, fine_grid_approx(path, 3).values)
+    assert on_grid[4] == pytest.approx(0.5 * (path.values[0] + path.values[8]))
 
 
 def test_dyadic_approx_at_full_resolution_is_identity():
@@ -282,11 +297,33 @@ def test_stacked_dyadic_sums_match_per_depth_reference(n, d, p):
                                  schedule.max_depth, p / k) ** (k / p)
                for k in (1, 2) if k == 1 or p >= 2)
     assert p_variation(ra, p, schedule) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert _dp_distance(a, b, p) == pytest.approx(per_depth_distance(a, b, p),
+                                                  rel=1e-12, abs=0.0)
+
+
+def per_depth_distance(a, b, p):
+    """Reference Cauchy distance of two paths on one grid, partitions per depth."""
+    ra, rb = lift_piecewise_linear(a), lift_piecewise_linear(b)
+    n = ra.n_intervals
     level2_diff = lambda i, j: ra.over(i, j)[1] - rb.over(i, j)[1]  # noqa: E731
-    want = (np.linalg.norm(a.values - b.values, axis=1).max()
+    return (np.linalg.norm(a.values - b.values, axis=1).max()
             + per_depth_max_sum(level2_diff, n, int(np.round(np.log2(n))), p / 2)
             ** (2 / p))
-    assert _dp_distance(a, b, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [1.5, 2.1, 3.5])
+def test_dp_distance_on_nodes_matches_fine_grid_reference(m, d, p):
+    # the approximations at levels m and m + 1, lifted on their own nodes,
+    # against both interpolated onto and lifted on a 2^10-interval grid
+    rng = np.random.default_rng(100 * m + 10 * d + int(p))
+    path = SamplePath(grid=TimeGrid.dyadic(10),
+                      values=np.cumsum(rng.normal(size=(2 ** 10 + 1, d)), axis=0))
+    got = _dp_distance(dyadic_approx(path, m), dyadic_approx(path, m + 1), p)
+    want = per_depth_distance(fine_grid_approx(path, m),
+                              fine_grid_approx(path, m + 1), p)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("max_depth", [-1, True, 2.5, "3", None])
@@ -365,7 +402,7 @@ def test_levy_area_is_bilinear_form_of_increments():
         inc = np.diff(path.values[::step], axis=0)
         i = np.arange(2 ** m)
         s = 0.5 * np.sign(i[None, :] - i[:, None])
-        got = subsampled_lift(path, step).levy_area()[0, 1]
+        got = lift_piecewise_linear(dyadic_approx(path, m)).levy_area()[0, 1]
         assert got == pytest.approx(inc[:, 0] @ s @ inc[:, 1], rel=1e-13, abs=1e-15)
 
 

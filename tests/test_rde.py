@@ -257,9 +257,38 @@ def test_convergence_rate_high_hurst_linear():
     assert res["median_slope"] >= 0.9
 
 
+def test_rates_reject_negative_mesh_levels(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the mesh levels")
+
+    monkeypatch.setattr(rde, "sample", no_sampling)
+    spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
+    with pytest.raises(ValueError, match="mesh levels must be >= 0"):
+        convergence_rate(spec, SCALAR_LINEAR, [1.0], range(-2, 2), range(2))
+    with pytest.raises(ValueError, match="mesh levels must be >= 0"):
+        smooth_driver_rate(linear_field([[[1.0]], [[0.5]]]), [1.0], range(-1, 3))
+
+
+@pytest.mark.parametrize("mats,match", [
+    ([], "at least one generator"),
+    ([np.eye(0)], "non-empty square"),
+    ([np.ones((2, 3))], "non-empty square"),
+    ([np.ones((2, 2, 2))], "non-empty square"),
+])
+def test_linear_field_rejects_empty_or_non_square_generators(mats, match):
+    with pytest.raises(ValueError, match=match):
+        linear_field(mats)
+
+
+@pytest.mark.parametrize("e,d", [(0, 1), (-1, 1), (1, 0), (2, -3)])
+def test_sigmoid_field_rejects_empty_dimensions(e, d):
+    with pytest.raises(ValueError, match="e >= 1 and d >= 1"):
+        sigmoid_field(1.0, e, d)
+
+
 def test_holder_line():
     t = np.linspace(0.0, 1.0, 4097)
-    res = holder_estimate(t, dt=t[1])
+    res = holder_estimate(t)
     assert res["exponent"] == pytest.approx(1.0, abs=0.02)
 
 
@@ -268,7 +297,7 @@ def test_holder_known_hurst():
     est = []
     for seed in range(5):
         path = sample(spec, TimeGrid.uniform(2 ** 14), seed, method="circulant")
-        est.append(holder_estimate(path.values, dt=2.0 ** -14)["exponent"])
+        est.append(holder_estimate(path.values)["exponent"])
     assert 0.6 <= np.median(est) <= 0.8
 
 
@@ -277,7 +306,7 @@ def test_holder_mixture_tracks_minimum():
     est = []
     for seed in range(5):
         path = sample(spec, TimeGrid.uniform(2 ** 14), seed, method="circulant")
-        est.append(holder_estimate(path.values, dt=2.0 ** -14)["exponent"])
+        est.append(holder_estimate(path.values)["exponent"])
     med = np.median(est)
     assert 0.3 <= med <= 0.5
 
