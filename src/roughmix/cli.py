@@ -259,9 +259,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # overflow is reported by the exit code, through the finite checks
-        # of the writers, not by a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # overflow and division by zero are reported by the exit code,
+        # through the finite checks of the writers, not by a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             args.func(args)
     except SystemExit as err:
         return int(err.code or 0)

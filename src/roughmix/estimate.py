@@ -303,7 +303,7 @@ def fit_mixture(
     refits on bootstrap samples of the lag rows of the structure table: each
     replicate draws as many rows as the table has, with replacement, and
     refits all of them, so a row drawn twice counts twice. Replicates with
-    fewer than two distinct rows per component, or whose fit loses a
+    fewer than two distinct lags per component, or whose fit loses a
     component, are skipped.
     """
     if not np.issubdtype(type(n_bootstrap), np.integer) or n_bootstrap < 0:
@@ -317,7 +317,7 @@ def fit_mixture(
         n_comp_eff = report.hursts_hat.size
         for _ in range(n_bootstrap):
             pick = np.sort(rng.integers(0, dts.size, size=dts.size))
-            if np.unique(pick).size < 2 * n_comp_eff:
+            if np.unique(dts[pick]).size < 2 * n_comp_eff:
                 continue
             rep = fit_mixture_from_table(dts[pick], values[pick], n_comp_eff)
             if rep.hursts_hat.size == n_comp_eff:

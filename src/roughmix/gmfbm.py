@@ -13,8 +13,9 @@ coordinate)``, handed out path by path: path k of a batch does not depend on
 the batch size (bit for bit under circulant sampling, to rounding under
 Cholesky, whose matrix product blocks by rows drawn at once). The streams
 are independent, so they are drawn in parallel over the usable CPUs, each in
-chunks of at most ``CHUNK_ENTRIES`` normals; a draw whose streams each fit
-in one chunk runs on the calling thread. Each stream's draws stay in order,
+chunks of at most ``CHUNK_ENTRIES`` normals, on a thread pool that exists
+only for the duration of that one draw; a draw whose streams each fit in one
+chunk runs on the calling thread. Each stream's draws stay in order,
 so the output does not depend on the number of workers. A seed is an int
 in [0, 2^64).
 """
@@ -27,7 +28,6 @@ import itertools
 import json
 import numbers
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -245,13 +245,15 @@ def _check_times(*times: float) -> None:
             raise ValueError(f"time must be nonnegative, got {t}")
 
 
+def _power_sum(spec: GmfbmSpec, x: float) -> float:
+    """sum_k a_k^2 |x|^{2H_k}: the variance of an increment over a span |x|."""
+    return sum(a * a * abs(x) ** (2 * h) for h, a in zip(spec.hursts, spec.coeffs))
+
+
 def covariance(spec: GmfbmSpec, s: float, t: float) -> float:
     """E[M_s M_t] = (1/2) sum_k a_k^2 (t^{2H_k} + s^{2H_k} - |t-s|^{2H_k})."""
     _check_times(s, t)
-    total = 0.0
-    for h, a in zip(spec.hursts, spec.coeffs):
-        total += a * a * (t ** (2 * h) + s ** (2 * h) - abs(t - s) ** (2 * h))
-    return 0.5 * total
+    return 0.5 * (_power_sum(spec, t) + _power_sum(spec, s) - _power_sum(spec, t - s))
 
 
 def increment_variance(spec: GmfbmSpec, s: float, t: float) -> float:
@@ -259,7 +261,7 @@ def increment_variance(spec: GmfbmSpec, s: float, t: float) -> float:
     _check_times(s, t)
     if s > t:
         raise ValueError("requires s <= t")
-    return sum(a * a * (t - s) ** (2 * h) for h, a in zip(spec.hursts, spec.coeffs))
+    return _power_sum(spec, t - s)
 
 
 def increment_cross_covariance(
@@ -269,15 +271,8 @@ def increment_cross_covariance(
     _check_times(u, v, s, t)
     if not (u <= v <= s <= t):
         raise ValueError("requires 0 <= u <= v <= s <= t")
-    total = 0.0
-    for h, a in zip(spec.hursts, spec.coeffs):
-        total += a * a * (
-            abs(t - u) ** (2 * h)
-            + abs(s - v) ** (2 * h)
-            - abs(t - v) ** (2 * h)
-            - abs(s - u) ** (2 * h)
-        )
-    return 0.5 * total
+    return 0.5 * (_power_sum(spec, t - u) + _power_sum(spec, s - v)
+                  - _power_sum(spec, t - v) - _power_sum(spec, s - u))
 
 
 def self_similarity_rescale(spec: GmfbmSpec, h: float) -> GmfbmSpec:
@@ -419,34 +414,17 @@ def _fill_stream(fill, rng: np.random.Generator, out: np.ndarray, rows: int) -> 
 # fit in one chunk runs on the calling thread; larger ones fan out.
 CHUNK_ENTRIES = 2 ** 16
 
-_pool = None
-_pool_lock = threading.Lock()
 
+def _pool():
+    """A thread pool for one draw, one worker per usable CPU; leaving its
+    ``with`` block joins the threads."""
+    from concurrent.futures import ThreadPoolExecutor
 
-def _executor():
-    """The module's thread pool, created on first use, one worker per usable CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            if hasattr(os, "sched_getaffinity"):
-                workers = len(os.sched_getaffinity(0))
-            else:
-                workers = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="roughmix-sample")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="roughmix-sample")
 
 
 def _component_paths(
@@ -456,7 +434,8 @@ def _component_paths(
 
     Everything that can raise runs first, on the calling thread;
     then each (component, coordinate) stream fills its own slice of the
-    result, on the pool when some stream spans more than one chunk.
+    result. When some stream spans more than one chunk, the streams run on a
+    thread pool that exists only for this draw and is joined before it returns.
     """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
@@ -496,9 +475,9 @@ def _component_paths(
         for job in jobs:
             job()
     else:
-        futures = [_executor().submit(job) for job in jobs]
-        for future in futures:
-            future.result()
+        with _pool() as pool:
+            for future in [pool.submit(job) for job in jobs]:
+                future.result()
     return comps, method
 
 

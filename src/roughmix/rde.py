@@ -329,10 +329,11 @@ def convergence_rate(
 ) -> dict:
     """Empirical Davie-scheme rate against a fine-mesh reference.
 
-    The driver is sampled once per seed at ``ref_factor`` times the finest
-    mesh; each coarse driver is its ``dyadic_approx``, on the same
-    realization. Errors are max over the coarse grid points; the log-log
-    slope is reported per seed together with ``predicted`` = 3 min(H) - 1.
+    The driver is sampled once per seed at ``ref_factor`` (an int power of
+    two >= 2) times the finest mesh; each coarse driver is its
+    ``dyadic_approx``, on the same realization. Errors are max over the
+    coarse grid points; the log-log slope is reported per seed together
+    with ``predicted`` = 3 min(H) - 1.
 
     ``predicted`` is the worst-case exponent, not the rate on every field.
     Commutative fields exceed it: for dY = Y dM the per-step log-error is
@@ -349,7 +350,10 @@ def convergence_rate(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least 1 seed")
-    m_ref = mesh_levels[-1] + int(np.round(np.log2(ref_factor)))
+    if (not np.issubdtype(type(ref_factor), np.integer) or ref_factor < 2
+            or ref_factor & (ref_factor - 1)):
+        raise ValueError(f"ref_factor must be a power of two >= 2, got {ref_factor!r}")
+    m_ref = mesh_levels[-1] + int(ref_factor).bit_length() - 1
     grid = TimeGrid.dyadic(m_ref, spec.horizon)
     slopes = []
     rows = []  # (mesh, seed, error)

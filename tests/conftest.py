@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +10,16 @@ from roughmix import gmfbm
 # one commit agree; each test keeps its own max_examples.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture(autouse=True)
+def no_sampling_thread_left():
+    """Fail a test that leaves a sampling pool thread alive: each draw's pool
+    is joined before the draw returns."""
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t.name.startswith("roughmix-sample")]
+    assert not left, f"sampling threads outlive their draw: {left}"
 
 
 @pytest.fixture

@@ -367,6 +367,27 @@ def test_degenerate_bench_inputs_exit_2_without_output(tmp_path, spec_file, capf
     assert not out.exists()
 
 
+def test_bench_scaling_underflow_exits_3_with_one_error_line(tmp_path, capsys):
+    # the moments at t = 1e-300 underflow to 0, and their log to -inf: the
+    # writer refuses it, with no numpy warning before its message
+    out = tmp_path / "o"
+    assert run(*SCALING, "--n-paths", 20, "--scales", "0.25,0.5,1e-300",
+               "-o", out) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:")
+    assert not out.exists()
+
+
+def test_estimate_bootstrap_with_a_repeated_lag(tmp_path):
+    path = sample(GmfbmSpec(**SPEC), TimeGrid.uniform(1024), seed=4)
+    (tmp_path / "path.csv").write_text(path.to_csv())
+    out = tmp_path / "est"
+    assert run("estimate", "--input", tmp_path / "path.csv", "--components", 2,
+               "--lags", "1,1,1,2,4,8", "--bootstrap", 50, "-o", out) == 0
+    fit = json.loads((out / "fit.json").read_text())
+    assert len(fit["stderr_hursts"]) == len(fit["hursts_hat"])
+
+
 def _lifted(tmp_path):
     driver = tmp_path / "driver.csv"
     driver.write_text("t,x1,x2\n0,0,0\n0.5,1,-0.5\n1,0.5,0.25\n")

@@ -220,6 +220,18 @@ def test_bootstrap_refits_every_drawn_row(monkeypatch):
     assert any(np.unique(t).size < t.size for t in replicates)
 
 
+@pytest.mark.parametrize("bootstrap_seed", range(5))
+def test_bootstrap_with_a_repeated_lag(bootstrap_seed):
+    # rows of one lag count once toward the distinct lags a refit needs
+    path, lags = bench_path(5, n=2 ** 10), [1, 1, 1, 2, 4, 8]
+    point = fit_mixture(path, lags=lags, n_components=2)
+    rep = fit_mixture(path, lags=lags, n_components=2, n_bootstrap=50,
+                      bootstrap_seed=bootstrap_seed)
+    assert np.array_equal(rep.hursts_hat, point.hursts_hat)
+    assert rep.stderr_hursts is not None
+    assert np.all(np.isfinite(rep.stderr_hursts))
+
+
 @pytest.mark.parametrize("n_bootstrap", [-1, 2.5, True])
 def test_bootstrap_count_checked_before_any_fit(monkeypatch, n_bootstrap):
     def no_fit(*args, **kwargs):

@@ -376,6 +376,12 @@ CHUNK_ROWS_64 = gmfbm.CHUNK_ENTRIES // 128  # rows per chunk of a 64-step stream
 class _InlineExecutor:
     """Runs each job on the calling thread as it is submitted."""
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
     def submit(self, fn):
         future = Future()
         future.set_result(fn())
@@ -404,22 +410,18 @@ def test_output_does_not_depend_on_workers(monkeypatch):
     grid, odd = TimeGrid.uniform(64), TimeGrid(TimeGrid.uniform(64).points ** 1.5)
     size = 2 * CHUNK_ROWS_64 + 7
     real = [sample_batch(THREE_COMP, g, 8, size) for g in (grid, odd)]
-    one_worker = ThreadPoolExecutor(max_workers=1)
-    try:
-        for executor in (_InlineExecutor(), one_worker):
-            monkeypatch.setattr(gmfbm, "_executor", lambda: executor)
-            got = [sample_batch(THREE_COMP, g, 8, size) for g in (grid, odd)]
-            assert got[0].tobytes() == real[0].tobytes()
-            assert np.allclose(got[1], real[1], rtol=1e-12, atol=1e-12)
-    finally:
-        one_worker.shutdown()
+    for make in (_InlineExecutor, lambda: ThreadPoolExecutor(max_workers=1)):
+        monkeypatch.setattr(gmfbm, "_pool", make)
+        got = [sample_batch(THREE_COMP, g, 8, size) for g in (grid, odd)]
+        assert got[0].tobytes() == real[0].tobytes()
+        assert np.allclose(got[1], real[1], rtol=1e-12, atol=1e-12)
 
 
 def test_single_chunk_draws_stay_on_the_calling_thread(monkeypatch):
     def no_pool():
         raise AssertionError("pool used")
 
-    monkeypatch.setattr(gmfbm, "_executor", no_pool)
+    monkeypatch.setattr(gmfbm, "_pool", no_pool)
     sample_batch(THREE_COMP, TimeGrid.uniform(64), 1, CHUNK_ROWS_64)
     sample(TWO_COMP, TimeGrid.uniform(gmfbm.CHUNK_ENTRIES // 2), 1)
     with pytest.raises(AssertionError, match="pool used"):
@@ -433,7 +435,7 @@ def _send_batch(conn):
 
 
 def test_forked_child_samples_on_a_pool_of_its_own():
-    # the child inherits the parent's pool object but none of its threads
+    # the child inherits none of the parent's threads; its draw makes a pool
     want = sample_batch(THREE_COMP, TimeGrid.uniform(64), 2, 2 * CHUNK_ROWS_64)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)

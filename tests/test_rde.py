@@ -269,6 +269,35 @@ def test_rates_reject_negative_mesh_levels(monkeypatch):
         smooth_driver_rate(linear_field([[[1.0]], [[0.5]]]), [1.0], range(-1, 3))
 
 
+@pytest.mark.parametrize("ref_factor", [3, 5, 6, 2.5, 1, 0, True, 4.0])
+def test_convergence_rate_rejects_non_power_of_two_ref_factor(monkeypatch,
+                                                             ref_factor):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking ref_factor")
+
+    monkeypatch.setattr(rde, "sample", no_sampling)
+    spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
+    with pytest.raises(ValueError, match="ref_factor must be a power of two >= 2"):
+        convergence_rate(spec, SCALAR_LINEAR, [1.0], range(2, 5), range(2),
+                         ref_factor=ref_factor)
+
+
+@pytest.mark.parametrize("ref_factor,m_ref", [(2, 5), (4, 6), (np.int64(8), 7)])
+def test_convergence_rate_reference_mesh_from_ref_factor(monkeypatch, ref_factor,
+                                                         m_ref):
+    grids = []
+
+    def recording(spec, grid, seed):
+        grids.append(len(grid) - 1)
+        return sample(spec, grid, seed)
+
+    monkeypatch.setattr(rde, "sample", recording)
+    spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
+    convergence_rate(spec, SCALAR_LINEAR, [1.0], range(2, 5), range(1),
+                     ref_factor=ref_factor)
+    assert grids == [2 ** m_ref]
+
+
 @pytest.mark.parametrize("mats,match", [
     ([], "at least one generator"),
     ([np.eye(0)], "non-empty square"),
