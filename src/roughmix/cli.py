@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CompositionError, ConfigurationError, NumericsError
+from .errors import ConfigurationError, NumericsError
 from .estimate import default_lags, fit_mixture
 from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, dumps, format_csv, sample
 from .lift import (
@@ -102,7 +102,7 @@ def _build_field(name: str, dim: int, e: int):
             mats.append(m)
         return linear_field(mats)
     if name == "sigmoid":
-        return sigmoid_field(1.0, e, dim)
+        return sigmoid_field(1.0, dim)
     raise ConfigurationError(f"unknown vector field {name!r}")
 
 
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
             args.func(args)
     except SystemExit as err:
         return int(err.code or 0)
-    except (ConfigurationError, CompositionError, ValueError, OSError, MemoryError) as err:
+    except (ConfigurationError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except NumericsError as err:

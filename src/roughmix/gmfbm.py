@@ -196,18 +196,16 @@ def path_values(values) -> np.ndarray:
 
 @dataclass
 class SamplePath:
-    """A d-dimensional path on a time grid, with sampling provenance.
+    """A d-dimensional path on a time grid, with how it was sampled.
 
     ``components[k]`` holds the k-th fBm component path (same shape as
-    ``values``), retained so that cross-term experiments can decompose the
+    ``values``) of a sampled path, so that a caller can decompose the
     mixture. ``method`` is the sampling method used; ``used_fallback`` is
     always False (circulant sampling has no fallback), kept for its readers.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    spec: GmfbmSpec | None = None
-    seed: int | None = None
     components: np.ndarray | None = field(default=None, repr=False)
     method: str | None = None
     used_fallback: bool = False
@@ -504,8 +502,6 @@ def sample(
     return SamplePath(
         grid=grid,
         values=_mix(spec.coeffs, comps),
-        spec=spec,
-        seed=seed,
         components=comps,
         method=method,
     )

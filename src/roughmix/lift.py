@@ -164,28 +164,22 @@ def dyadic_approx(path: SamplePath, m: int) -> SamplePath:
     """Level-m dyadic approximation: the path's values at the points k 2^-m T.
 
     The result is on a grid of those 2^m + 1 nodes, so its polyline is the
-    piecewise-linear interpolation; every node must be on the path's grid.
+    piecewise-linear interpolation. Each node is the first grid point at or
+    above its dyadic point less ``tol``, and must lie within ``tol`` of it.
     """
     if m < 0:
         raise ValueError("dyadic level m must be >= 0")
     t = path.grid.points
     horizon = t[-1]
     anchors = np.linspace(0.0, horizon, 2 ** m + 1)
-    # every dyadic point must be on the sample grid
-    idx = np.searchsorted(t, anchors)
-    idx = np.clip(idx, 0, t.size - 1)
-    near = np.where(
-        np.abs(t[np.maximum(idx - 1, 0)] - anchors)
-        < np.abs(t[idx] - anchors),
-        np.maximum(idx - 1, 0),
-        idx,
-    )
-    if not np.allclose(t[near], anchors, rtol=1e-9, atol=1e-12 * max(horizon, 1.0)):
+    tol = 1e-9 * anchors + 1e-12 * max(horizon, 1.0)
+    # searching t[:-1] keeps every index on the grid, even for a NaN anchor
+    near = np.searchsorted(t[:-1], anchors - tol)
+    if not (np.abs(t[near] - anchors) <= tol).all():
         raise ValueError(
             f"grid does not contain the dyadic points at level m={m}"
         )
-    return SamplePath(grid=TimeGrid(t[near]), values=path.values[near],
-                      spec=path.spec, seed=path.seed)
+    return SamplePath(grid=TimeGrid(t[near]), values=path.values[near])
 
 
 def lift_piecewise_linear(path_or_values, grid: TimeGrid | None = None) -> Level2RoughPath:
@@ -222,14 +216,14 @@ def cross_level2(x_values: np.ndarray, y_values: np.ndarray) -> np.ndarray:
     """Exact int (X_u - X_0) (x) dY_u for two polylines on a common grid.
 
     Values are (..., n_points, d) with any leading batch axes; a 1-d input
-    is one coordinate, (n_points, 1). Returns (..., d_x, d_y).
+    is one coordinate, (n_points, 1). Returns (..., d_x, d_y): the sum over
+    segments k of ((X_k + X_{k+1}) / 2 - X_0) (x) (Y_{k+1} - Y_k).
     """
     x, y = path_values(x_values), path_values(y_values)
-    dx = np.diff(x, axis=-2)
-    dy = np.diff(y, axis=-2)
-    left = x[..., :-1, :] - x[..., :1, :]
-    return (np.einsum("...ka,...kb->...ab", left, dy)
-            + 0.5 * np.einsum("...ka,...kb->...ab", dx, dy))
+    mid = x[..., :-1, :] + x[..., 1:, :]
+    mid *= 0.5
+    mid -= x[..., :1, :]
+    return np.einsum("...ka,...kb->...ab", mid, np.diff(y, axis=-2))
 
 
 # --------------------------------------------------------------------------- #

@@ -132,10 +132,10 @@ def constant_field(c) -> VectorField:
     return VectorField(eval=ev, jacobian_apply=jac_apply)
 
 
-def sigmoid_field(scale: float = 1.0, e: int = 1, d: int = 1) -> VectorField:
-    """Bounded smooth field f(y)_{ia} = scale * tanh(y_i + a); C_b^infinity."""
-    if e < 1 or d < 1:
-        raise ValueError(f"sigmoid_field needs e >= 1 and d >= 1, got e={e}, d={d}")
+def sigmoid_field(scale: float = 1.0, d: int = 1) -> VectorField:
+    """Bounded smooth field f(y)_{ia} = scale * tanh(y_i + a), e = y.size; C_b^infinity."""
+    if d < 1:
+        raise ValueError(f"sigmoid_field needs d >= 1, got d={d}")
 
     def ev(y):
         return scale * np.tanh(y[:, None] + np.arange(d)[None, :])
@@ -173,6 +173,8 @@ def davie_step(y: np.ndarray, inc1: np.ndarray, inc2: np.ndarray,
     """One Davie update y + f(y) X^1 + Df(y)f(y) : X^2 (no remainder term)."""
     y = np.asarray(y, dtype=float).ravel()
     out = y + field.eval(y) @ inc1 + field.jacobian_apply(y, inc2)
+    if out.shape != y.shape:
+        raise ValueError(f"field maps a state of shape {y.shape} to {out.shape}")
     if not np.all(np.isfinite(out)):
         raise NumericsError(f"Davie step produced non-finite state from y={y}")
     return out
@@ -220,6 +222,8 @@ def _propagate(rp: Level2RoughPath, props: np.ndarray, y0) -> RdeSolution:
     states are bit-identical. Larger states loop sequentially.
     """
     y = _initial_state(y0)
+    if y.size != props.shape[-1]:
+        raise ValueError(f"y0 has {y.size} entries, the field acts on {props.shape[-1]}")
     states = np.empty((len(props) + 1, y.size))
     states[0] = y
     # a non-finite state stays non-finite under y <- P_k y, so the first
@@ -387,19 +391,22 @@ def smooth_driver_rate(field: VectorField, y0, mesh_levels) -> dict:
 def holder_estimate(values) -> dict:
     """Holder exponent estimate from max increment size across dyadic lags.
 
-    ``values`` is (n + 1, d); a 1-d array is one coordinate. The lags are
-    1, 2, 4, ... up to n/256 of the n increments, so the path needs at
-    least 1025 points (n >= 1024) for three lags: a line through two lags
+    ``values`` is (n + 1, d) and finite; a 1-d array is one coordinate. The
+    lags are 1, 2, 4, ... up to n/256 of the n increments, so the path needs
+    at least 1025 points (n >= 1024) for three lags: a line through two lags
     leaves no residual to estimate a stderr from. The result does not depend
     on the grid step, which would shift every log-lag alike. For each lag the
     maximum absolute increment is normalized by the Gaussian-extremes factor
     sqrt(2 log(#increments)) before the log-log regression; without it the
-    slope is biased low by the slowly varying extreme-value correction.
+    slope is biased low by the slowly varying extreme-value correction. The
+    slope and its stderr come from ``np.polyfit(..., cov=True)``.
     """
     values = path_values(values)
     n = values.shape[0] - 1
     if n < 1024:
         raise ValueError(f"need at least 1025 points for three lags, got {n + 1}")
+    if not np.isfinite(values).all():
+        raise ValueError("path values must be finite")
     if np.ptp(values) == 0.0:
         raise ValueError("constant path has no Holder exponent")
     lags = [2 ** q for q in range((n // 256).bit_length())]
@@ -408,13 +415,8 @@ def holder_estimate(values) -> dict:
         inc = np.linalg.norm(values[lag:] - values[:-lag], axis=1)
         correction = np.sqrt(2.0 * np.log(max(inc.size, 2)))
         stats.append(inc.max() / correction)
-    x = np.log(lags)
-    y = np.log(stats)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    se = float(
-        np.sqrt(np.sum(resid ** 2) / (len(x) - 2) / np.sum((x - x.mean()) ** 2))
-    )
+    (slope, _), cov = np.polyfit(np.log(lags), np.log(stats), 1, cov=True)
+    se = float(np.sqrt(cov[0, 0]))
     return {
         "exponent": float(slope),
         "stderr": se,

@@ -127,9 +127,6 @@ class TruncatedTensor:
             [a + b for a, b in zip(self.levels, other.levels)],
         )
 
-    def __matmul__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        return mul(self, other)
-
     def allclose(self, other: "TruncatedTensor",
                  rtol: float = 1e-12, atol: float = 1e-12) -> bool:
         self._compatible(other)
@@ -249,13 +246,6 @@ def log(x: TruncatedTensor) -> TruncatedTensor:
     if abs(x.scalar - 1.0) > 1e-12:
         raise ValueError("log requires scalar part 1")
     return TruncatedTensor(x.dim, x.level, _log(x.levels))
-
-
-def exp_of_increment(delta, level: int) -> TruncatedTensor:
-    """exp(from_level1(delta)): level n is delta^{(x) n} / n!, computed directly."""
-    delta = np.asarray(delta, dtype=float).ravel()
-    _check_size(delta.size, level)
-    return TruncatedTensor(delta.size, level, _exp_of_increment(delta, level))
 
 
 # --------------------------------------------------------------------------- #

@@ -108,7 +108,7 @@ def test_criterion_04_signature_closed_forms():
     delta = np.array([0.8, -0.5])
     line_err = max(
         signature(np.vstack([np.zeros(2), delta]), lvl).max_diff(
-            ta.exp_of_increment(delta, lvl)
+            ta.exp(ta.from_level1(delta, lvl))
         )
         for lvl in range(1, 7)
     )

@@ -263,6 +263,17 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_readme_quick_start_runs():
+    # the README's python block, as written, with numerical warnings as errors
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(roughmix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_numerical_blowup_exits_3(tmp_path):
     # a driver with an astronomically large jump overflows the linear solver
     t = np.array([0.0, 0.5, 1.0])

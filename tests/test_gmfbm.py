@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughmix import gmfbm
-from roughmix.errors import ConfigurationError, NumericsError
+from roughmix.errors import ConfigurationError, NonPositiveDefiniteError, NumericsError
 from roughmix.gmfbm import (
     MAX_CHOLESKY_POINTS,
     GmfbmSpec,
@@ -225,6 +225,20 @@ def test_sample_components_retained_and_mix():
     mixed = 1.0 * c[0] + -0.5 * c[1] + 2.0 * c[2]
     assert np.array_equal(mixed, sample(THREE_COMP, grid, seed=2).values)
     assert np.array_equal(mixed[None], sample_batch(THREE_COMP, grid, 2, 1))
+
+
+def test_cholesky_retries_a_singular_covariance_with_jitter():
+    cov = np.ones((3, 3))  # positive semidefinite, so the first factorization fails
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    low = gmfbm._cholesky_factor(cov)
+    assert np.abs(low @ low.T - cov).max() <= 1e-11
+
+
+def test_cholesky_of_an_indefinite_covariance_raises():
+    with pytest.raises(NonPositiveDefiniteError, match="even with jitter") as err:
+        gmfbm._cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert isinstance(err.value, NumericsError)
 
 
 @pytest.mark.parametrize("method", ["auto", "cholesky"])

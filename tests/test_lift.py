@@ -60,7 +60,6 @@ def test_dyadic_approx_anchors_and_midpoints():
     anchors = np.arange(0, 65, 8)
     assert np.array_equal(approx.grid.points, path.grid.points[anchors])
     assert np.array_equal(approx.values, path.values[anchors])
-    assert approx.spec is path.spec and approx.seed == path.seed
     # its polyline on the whole grid is the reference's; the midpoint of a
     # dyadic cell is the average of the cell endpoints
     on_grid = np.column_stack([np.interp(path.grid.points, approx.grid.points,

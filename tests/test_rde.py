@@ -9,6 +9,7 @@ from roughmix.errors import NumericsError
 from roughmix.gmfbm import GmfbmSpec, TimeGrid, sample
 from roughmix.lift import Level2RoughPath, lift_piecewise_linear
 from roughmix.rde import (
+    VectorField,
     constant_field,
     convergence_rate,
     davie_step,
@@ -23,6 +24,7 @@ from roughmix.rde import (
 )
 
 SCALAR_LINEAR = linear_field([[[1.0]]])
+SWAP = [np.eye(2), [[0.0, 1.0], [1.0, 0.0]]]  # generators of a 2-d linear field
 
 
 def brownian_lift(seed, m=8, hurst=0.5):
@@ -31,16 +33,30 @@ def brownian_lift(seed, m=8, hurst=0.5):
     return path, lift_piecewise_linear(path)
 
 
+def random_walk_lift(seed):
+    """Lift of a 2-d Gaussian random walk of 16 steps."""
+    values = np.cumsum(np.random.default_rng(seed).normal(size=(17, 2)), axis=0)
+    return lift_piecewise_linear(values)
+
+
 # --------------------------------------------------------------------------- #
 # vector fields
 
 
 def test_field_consistency_probes():
     y = np.array([0.7, -0.4])
-    linear_field([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]]).check_consistency(y)
-    sigmoid_field(1.3, e=2, d=3).check_consistency(y)
+    linear_field(SWAP).check_consistency(y)
+    sigmoid_field(1.3, d=3).check_consistency(y)
     wrapped = vector_field(lambda y: np.outer(np.sin(y), [1.0, 2.0]))
     wrapped.check_consistency(y, tol=1e-4)
+
+
+def test_consistency_probe_flags_a_wrong_jacobian_term():
+    field = linear_field(SWAP)
+    skewed = VectorField(eval=field.eval,
+                         jacobian_apply=lambda y, g: 1.1 * field.jacobian_apply(y, g))
+    with pytest.raises(AssertionError, match="deviates from finite differences"):
+        skewed.check_consistency(np.array([0.7, -0.4]))
 
 
 def test_davie_step_scalar_linear():
@@ -51,7 +67,7 @@ def test_davie_step_scalar_linear():
 
 def test_davie_step_zero_increments():
     y = np.array([2.0, -1.0])
-    field = sigmoid_field(1.0, e=2, d=2)
+    field = sigmoid_field(1.0, d=2)
     got = davie_step(y, np.zeros(2), np.zeros((2, 2)), field)
     assert np.array_equal(got, y)
 
@@ -61,6 +77,13 @@ def test_davie_step_constant_field_is_additive():
     inc1 = np.array([0.3, 0.4])
     got = davie_step(np.zeros(2), inc1, np.ones((2, 2)), constant_field(c))
     assert np.allclose(got, c @ inc1)
+
+
+def test_davie_step_rejects_a_field_of_another_state_size():
+    # the 2 x 2 generators broadcast against a 1-entry state into a 2-vector
+    with pytest.raises(ValueError, match=r"state of shape \(1,\) to \(2,\)"):
+        davie_step(np.array([1.0]), np.array([0.1, 0.2]), np.zeros((2, 2)),
+                   linear_field(SWAP))
 
 
 def test_davie_step_flags_blow_up():
@@ -183,6 +206,12 @@ def test_solve_rejects_non_finite_initial_state():
             solve(rp, field, [np.nan])
 
 
+def test_solve_rejects_initial_state_of_another_size():
+    # the scalar running product read P_k[0, 0] alone of the 2 x 2 propagators
+    with pytest.raises(ValueError, match="y0 has 1 entries, the field acts on 2"):
+        solve(random_walk_lift(0), linear_field(SWAP), y0=[1.0])
+
+
 def test_solution_csv_header():
     _, rp = brownian_lift(2, m=3)
     text = solve(rp, SCALAR_LINEAR, [1.0]).to_csv()
@@ -206,6 +235,16 @@ def test_linear_exact_scalar_matches_davie():
     a = solve(rp, SCALAR_LINEAR, [1.0]).final
     b = linear_exact(rp, [[[1.0]]], [1.0]).final
     assert abs(a[0] - b[0]) < 1e-2 * max(1.0, abs(b[0]))
+
+
+def test_linear_exact_rejects_initial_state_of_another_size():
+    with pytest.raises(ValueError, match="y0 has 1 entries, the field acts on 2"):
+        linear_exact(random_walk_lift(1), [np.eye(2)] * 2, [1.0])
+
+
+def test_linear_exact_needs_one_generator_per_driver_coordinate():
+    with pytest.raises(ValueError, match="one generator matrix per driver coordinate"):
+        linear_exact(random_walk_lift(2), [np.eye(2)], [1.0, 1.0])
 
 
 def test_linear_exact_zero_generator():
@@ -309,10 +348,10 @@ def test_linear_field_rejects_empty_or_non_square_generators(mats, match):
         linear_field(mats)
 
 
-@pytest.mark.parametrize("e,d", [(0, 1), (-1, 1), (1, 0), (2, -3)])
-def test_sigmoid_field_rejects_empty_dimensions(e, d):
-    with pytest.raises(ValueError, match="e >= 1 and d >= 1"):
-        sigmoid_field(1.0, e, d)
+@pytest.mark.parametrize("d", [0, -3])
+def test_sigmoid_field_rejects_empty_dimensions(d):
+    with pytest.raises(ValueError, match="d >= 1"):
+        sigmoid_field(1.0, d)
 
 
 def test_holder_line():
@@ -343,6 +382,13 @@ def test_holder_mixture_tracks_minimum():
 def test_holder_rejects_constant_path():
     with pytest.raises(ValueError, match="constant"):
         holder_estimate(np.zeros(1025))
+
+
+def test_holder_rejects_non_finite_values():
+    values = np.linspace(0.0, 1.0, 1025)
+    values[500] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        holder_estimate(values)
 
 
 @pytest.mark.parametrize("n_points", [64, 100, 511, 513, 600, 1024])

@@ -51,7 +51,7 @@ def test_straight_line_signature_is_exponential():
     delta = np.array([0.8, -0.5])
     for level in range(1, 7):
         sig = signature(np.vstack([np.zeros(2), delta]), level)
-        want = ta.exp_of_increment(delta, level)
+        want = ta.exp(ta.from_level1(delta, level))
         assert sig.max_diff(want) < 1e-12
 
 
@@ -132,7 +132,7 @@ def sequential_signature(values, level):
     """Oracle: left fold of Chen's identity, one segment at a time."""
     acc = ta.unit(values.shape[1], level)
     for delta in np.diff(values, axis=0):
-        acc = ta.mul(acc, ta.exp_of_increment(delta, level))
+        acc = ta.mul(acc, ta.exp(ta.from_level1(delta, level)))
     return acc
 
 

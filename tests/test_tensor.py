@@ -157,7 +157,7 @@ def test_commuting_exponentials_add():
 
 def test_exp_of_increment_matches_exp():
     delta = np.array([0.4, -1.1, 0.2])
-    a = ta.exp_of_increment(delta, 4)
+    a = TruncatedTensor(3, 4, ta._exp_of_increment(delta, 4))
     b = ta.exp(ta.from_level1(delta, 4))
     assert a.max_diff(b) < 1e-14
 
@@ -265,7 +265,7 @@ def test_factorial_decay_for_straight_lines():
     # signature of a line with increment delta has level n equal to
     # delta^{(x)n}/n!, so its max-norm is exactly |delta|_inf^n / n!
     delta = np.array([0.9, -0.4])
-    sig = ta.exp_of_increment(delta, 6)
+    sig = ta.exp(ta.from_level1(delta, 6))
     var1 = np.abs(delta).max()
     for n in range(1, 7):
         assert sig.norm_level(n) <= var1 ** n / math.factorial(n) + 1e-15
