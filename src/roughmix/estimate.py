@@ -8,10 +8,17 @@ closed-form nonnegative least-squares fit, so only the exponents are
 searched. The best k-subset of a grid of exponents starts a joint Newton
 polish of the projected residual on [0.01, 0.99]. numpy is the only
 dependency.
+
+A bootstrap replicate is the same table with integer row counts, a row
+drawn twice weighing twice, so the kernels take a leading replicate axis:
+every replicate scores the grid from its own Gram matrix, and one lockstep
+polish runs them all, each with its own steps and stop test. A single fit
+is the case of one replicate with every count 1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +45,10 @@ _H_LO, _H_HI, _H_GAP = 0.01, 0.99, 0.02
 _FD_STEP, _H_TOL, _NEWTON_MAXITER = 1e-5, 1e-9, 100
 # smallest |curvature| a Newton step divides by, relative to the largest
 _CURV_FLOOR = 1e-6
+# the grid start scores about _START_ENTRIES (replicate, grid subset) pairs
+# at once, and a bootstrap draws and fits _BLOCK replicates at once, so that
+# neither one's memory grows with the number of replicates
+_START_ENTRIES, _BLOCK = 2 ** 13, 64
 
 
 @dataclass
@@ -134,25 +145,29 @@ def fit_single(path: SamplePath, lags=None) -> tuple[float, float]:
 # mixtures
 
 
-def _weighted(dts: np.ndarray, values: np.ndarray, hursts: np.ndarray):
-    """Row-weighted columns dts^{2H} of a (..., k) exponent batch, and the target.
+def _weighted(dts, values, counts, hursts):
+    """Row-weighted columns dts^{2H} of a batch of exponents, and the targets.
 
-    Returns the columns, shape (..., n, k), and the weighted values, shape (n,).
+    Row j of counts (B, n) holds the row counts of the table that batch
+    member j fits: a row counted c times weighs sqrt(c), as c copies of it
+    would. Takes exponents (B, k), or (k,) for all members alike, and
+    returns the columns, shape (B, n, k), and the weighted values (B, n).
     """
     # relative error per lag, downweighted by the sqrt(lag) growth of the
     # structure-function sampling error (fewer effective blocks per lag)
-    weights = 1.0 / (values * np.sqrt(dts))
-    cols = weights[:, None] * dts[:, None] ** (2.0 * hursts[..., None, :])
+    weights = np.sqrt(counts) / (values * np.sqrt(dts))
+    cols = weights[..., None] * dts[:, None] ** (2.0 * hursts[..., None, :])
     return cols, values * weights
 
 
-def _nnls(diag, cross, corr, bb: float):
-    """Exact min ||X w - b|| over w >= 0 on k <= 2 columns x_j, for a batch of B.
+def _nnls(diag, cross, corr, bb):
+    """Exact min ||X w - b|| over w >= 0 on k <= 2 columns x_j, for a batch.
 
-    Takes diag = x_j.x_j and corr = x_j.b (k, B), all positive here, cross =
-    x_0.x_1 (B,) and bb = b.b. The optimum is the least-squares fit on the
-    best support with nonnegative weights: one column or, for k = 2, both.
-    Returns the weights (k, B) and the squared residuals (B,).
+    Takes diag = x_j.x_j and corr = x_j.b (k, ...), all positive here, cross
+    = x_0.x_1 (...) and bb = b.b, which is per replicate and broadcasts
+    against the batch shape (...). The optimum is the least-squares fit on
+    the best support with nonnegative weights: one column or, for k = 2,
+    both. Returns the weights (k, ...) and the squared residuals (...).
     """
     single = corr / diag
     gain = single * corr  # how far each one-column fit lowers bb
@@ -171,80 +186,184 @@ def _nnls(diag, cross, corr, bb: float):
     return np.where(both, pair, w), bb - np.where(both, pair_gain, gain)
 
 
-def _project(dts, values, hursts):
-    """NNLS weights (k, B) and residual norms (B,) for a (B, k) exponent batch."""
-    cols, b = _weighted(dts, values, hursts)
+def _project(dts, values, counts, hursts):
+    """NNLS weights (k, B) and residual norms (B,) for a (B, k) exponent batch.
+
+    Member j fits the table with row counts counts[j], shape (B, n).
+    """
+    cols, b = _weighted(dts, values, counts, hursts)
     w, _ = _nnls(np.einsum("bik,bik->kb", cols, cols),
                  np.einsum("bi,bi->b", cols[..., 0], cols[..., -1]),
-                 np.einsum("bik,i->kb", cols, b), float(b @ b))
+                 np.einsum("bik,bi->kb", cols, b), np.einsum("bi,bi->b", b, b))
     # the residual from its vector: bb - w.c cancels to a few digits of it
     r = b - np.einsum("bik,kb->bi", cols, w)
     return w, np.sqrt(np.einsum("bi,bi->b", r, r))
 
 
+# the exponent subsets that the grid start scores, per number of components:
+# each grid point, or each pair two grid steps (0.025 >= _H_GAP) apart or more
+_SUBSETS = {1: np.arange(_H_GRID.size)[None],
+            2: np.array(np.triu_indices(_H_GRID.size, 2))}
+
+
+def _grid_start(dts, values, counts, k: int) -> np.ndarray:
+    """Each replicate's best grid subset, from its own Gram matrix of the grid's columns.
+
+    Row r of counts (R, n) is replicate r's row counts. Scores about
+    _START_ENTRIES (replicate, subset) pairs at a time. Returns (R, k).
+    """
+    subsets = _SUBSETS[k]
+    cross_at = subsets[0] * _H_GRID.size + subsets[-1]  # in a flattened Gram matrix
+    block = max(1, _START_ENTRIES // subsets.shape[1])
+    best = []
+    for lo in range(0, len(counts), block):
+        cols, b = _weighted(dts, values, counts[lo:lo + block], _H_GRID)
+        gram = (cols.transpose(0, 2, 1) @ cols).reshape(len(cols), -1).T
+        _, res = _nnls(np.einsum("rik,rik->kr", cols, cols).take(subsets, axis=0),
+                       gram.take(cross_at, axis=0),
+                       np.einsum("rik,ri->kr", cols, b).take(subsets, axis=0),
+                       np.einsum("ri,ri->r", b, b))
+        best.append(np.argmin(res, axis=0))
+    return _H_GRID[subsets[:, np.concatenate(best)]].T
+
+
 def _feasible(hursts: np.ndarray) -> np.ndarray:
-    """Nearest sorted exponents in [_H_LO, _H_HI], adjacent ones _H_GAP apart."""
-    h = np.clip(np.sort(hursts), _H_LO, _H_HI)
-    if h.size == 2 and h[1] - h[0] < _H_GAP:
-        mid = np.clip(h.mean(), _H_LO + _H_GAP / 2, _H_HI - _H_GAP / 2)
-        h = np.array([mid - _H_GAP / 2, mid + _H_GAP / 2])
+    """Nearest sorted exponents (R, k) in [_H_LO, _H_HI], adjacent ones _H_GAP apart."""
+    h = np.clip(np.sort(hursts, axis=1), _H_LO, _H_HI)
+    if h.shape[1] == 2:
+        close = h[:, 1] - h[:, 0] < _H_GAP
+        if close.any():
+            mid = np.clip(h[close].mean(axis=1), _H_LO + _H_GAP / 2, _H_HI - _H_GAP / 2)
+            h[close] = mid[:, None] + [-_H_GAP / 2, _H_GAP / 2]
     return h
 
 
+# the polish's constraints h @ A >= l for k = 1 and 2, as (A, l), one column
+# of A per constraint: h_1 >= lo, h_k <= hi and h_2 - h_1 >= gap
+_CONSTRAINTS = {
+    1: (np.array([[1.0, -1.0]]), np.array([_H_LO, -_H_HI])),
+    2: (np.array([[1.0, 0.0, -1.0], [0.0, -1.0, 1.0]]),
+        np.array([_H_LO, -_H_HI, _H_GAP])),
+}
+# for k = 2, the direction that each constraint leaves free when it alone blocks
+_LINES = np.array([[0.0, 1.0], [1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
+
+
 def _newton_step(f: np.ndarray, hursts: np.ndarray) -> np.ndarray:
-    """Projected Newton step from squared residuals f on the 3^k stencil.
+    """Projected Newton steps (R, k) from squared residuals f (R, 3^k) on stencils.
 
     Central differences give the gradient and the Hessian. The step keeps
     the constraints that hold with equality and that the gradient pushes
     against; each eigen-direction of the Hessian on the rest takes
-    |curvature|, so the step descends where it is not positive definite.
+    |curvature|, floored at _CURV_FLOOR of the largest, so the step descends
+    where it is not positive definite. A direction with no curvature at all
+    is one the residual ignores (a component of weight 0): the step leaves
+    it. For k <= 2 the rest is the whole plane (a 2x2 eigen-split), one
+    line (the curvature u.Hu along it) or a point (no step).
     """
-    k, h, c = hursts.size, _FD_STEP, f.size // 2
-    place = 3 ** np.arange(k)[::-1]  # index distance of a unit move per axis
-    up, down = f[c + place], f[c - place]
-    grad = (up - down) / (2 * h)
-    hess = np.diag((up - 2 * f[c] + down) / h ** 2)
-    if k == 2:  # f[8], f[6], f[2], f[0] at offsets (+, +), (+, -), (-, +), (-, -)
-        hess[0, 1] = hess[1, 0] = (f[8] - f[6] - f[2] + f[0]) / (4 * h ** 2)
-    # constraints a.h >= l: h_1 >= lo, h_k <= hi, h_2 - h_1 >= gap
-    eye = np.eye(k)
-    rows = np.vstack([eye[:1], -eye[-1:], np.diff(eye, axis=0)])
-    bounds = np.array([_H_LO, -_H_HI, _H_GAP][:k + 1])
-    blocking = rows[(rows @ hursts - bounds < 1e-12) & (rows @ grad > 0)]
-    # an orthonormal basis of the directions that keep them
-    free = np.linalg.svd(blocking)[2][len(blocking):].T if len(blocking) else eye
-    lam, vec = np.linalg.eigh(free.T @ hess @ free)
-    lam = np.abs(lam)
-    lam = np.maximum(lam, _CURV_FLOOR * lam.max(initial=0.0))
-    # a direction with no curvature at all is one the residual ignores (a
-    # component of weight 0): the step leaves it
-    along = np.divide(vec.T @ (free.T @ grad), lam,
-                      out=np.zeros(lam.size), where=lam > 0)
-    return -free @ (vec @ along)
+    h = _FD_STEP
+    rows, bounds = _CONSTRAINTS[hursts.shape[1]]
+    tight = hursts @ rows - bounds < 1e-12
+    if hursts.shape[1] == 1:  # f[:, 2], f[:, 1], f[:, 0] at offsets +, 0, -
+        grad = (f[:, 2:] - f[:, :1]) / (2 * h)
+        lam = np.abs((f[:, 2:] - 2 * f[:, 1:2] + f[:, :1]) / h ** 2)
+        free = (lam > 0) & ~(tight & (grad @ rows > 0)).any(axis=1, keepdims=True)
+        return -np.divide(grad, lam, out=np.zeros_like(lam), where=free)
+    # f[:, 3 i + j] at offsets (i - 1, j - 1) steps of h
+    g0, g1 = (f[:, 7] - f[:, 1]) / (2 * h), (f[:, 5] - f[:, 3]) / (2 * h)
+    a = (f[:, 7] - 2 * f[:, 4] + f[:, 1]) / h ** 2
+    d = (f[:, 5] - 2 * f[:, 4] + f[:, 3]) / h ** 2
+    b = (f[:, 8] - f[:, 6] - f[:, 2] + f[:, 0]) / (4 * h ** 2)
+    # [[a, b], [b, d]] has eigenvalues m + r and m - r, with eigenvectors
+    # (cos, sin) and (-sin, cos) at half the angle of (a - d, 2b)
+    m, t = (a + d) / 2, (a - d) / 2
+    r = np.hypot(t, b)
+    angle = np.arctan2(b, t) / 2
+    cos, sin = np.cos(angle), np.sin(angle)
+    lam = np.abs(m + _PLUS_MINUS * r)
+    lam = np.maximum(lam, _CURV_FLOOR * (np.abs(m) + r))  # |m| + r is the largest
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0)
+    p, q = (cos * g0 + sin * g1) * inv[0], (cos * g1 - sin * g0) * inv[1]
+    step = np.array([sin * q - cos * p, -sin * p - cos * q]).T
+    if tight.any():
+        blocked = tight & (np.column_stack([g0, g1]) @ rows > 0)
+        n_blocked = blocked.sum(axis=1)
+        step[n_blocked > 1] = 0.0  # two constraints leave a point
+        line = n_blocked == 1
+        u = _LINES[blocked[line].argmax(axis=1)]
+        u0, u1 = u.T
+        lam = np.abs(u0 * u0 * a[line] + 2 * u0 * u1 * b[line] + u1 * u1 * d[line])
+        along = np.divide(u0 * g0[line] + u1 * g1[line], lam,
+                          out=np.zeros_like(lam), where=lam > 0)
+        step[line] = -u * along[:, None]
+    return step
 
 
-def _polish(dts, values, hursts: np.ndarray) -> np.ndarray:
-    """Joint Newton descent of the projected residual from feasible exponents.
+def _polish(dts, values, counts, hursts: np.ndarray):
+    """Joint Newton descent of each replicate's projected residual, in lockstep.
 
-    Each trial point's 3^k stencil is one batched call; its centre accepts
-    the trial if the residual drops, or else the step is halved.
+    Row r of counts (R, n) and of hursts (R, k) are replicate r's row counts
+    and feasible start. Each round projects the 3^k stencils at every live
+    replicate's trial point in one batched call. A replicate accepts its
+    trial if the residual at its centre drops, or else halves its step; it
+    stops when its step is below _H_TOL or after _NEWTON_MAXITER accepted
+    steps. So each replicate follows the iterates it would follow alone.
+    Returns the exponents (R, k), their NNLS weights (R, k) and the
+    residual norms (R,).
     """
-    k = hursts.size
+    k, n = hursts.shape[1], counts.shape[1]
     offsets = _FD_STEP * (np.indices((3,) * k).reshape(k, -1).T - 1)
-    centre = offsets.shape[0] // 2
-    f = _project(dts, values, hursts + offsets)[1] ** 2
-    for _ in range(_NEWTON_MAXITER):
-        step = _newton_step(f, hursts)
-        while True:
-            if np.abs(step).max() < _H_TOL:
-                return hursts
-            trial = _feasible(hursts + step)
-            ft = _project(dts, values, trial + offsets)[1] ** 2
-            if ft[centre] < f[centre]:
-                break
-            step /= 2
-        hursts, f = trial, ft
-    return hursts
+    size = len(offsets)
+    centre = size // 2
+    counts = np.repeat(counts, size, axis=0)  # one row per stencil point
+
+    def stencils(counts, centres):
+        """Weights (R, k) at the centres and squared residuals (R, 3^k) around them."""
+        w, rnorm = _project(dts, values, counts, (centres[:, None] + offsets).reshape(-1, k))
+        return w[:, centre::size].T, rnorm.reshape(-1, size) ** 2
+
+    rows = np.arange(len(hursts))
+    out_h, out_w, out_f = np.empty_like(hursts), np.empty_like(hursts), np.empty(len(hursts))
+    w, f = stencils(counts, hursts)
+    step = _newton_step(f, hursts)
+    # each live replicate takes one trial per round, so it has accepted
+    # rounds - rejected steps, and none can have accepted _NEWTON_MAXITER
+    # in fewer rounds
+    rejected = np.zeros(len(hursts), dtype=int)
+    for rounds in itertools.count():
+        live = np.abs(step).max(axis=1) >= _H_TOL
+        if rounds >= _NEWTON_MAXITER:
+            live &= rounds - rejected < _NEWTON_MAXITER
+        if not live.all():  # the finished leave the lockstep
+            done = rows[~live]
+            out_h[done], out_w[done], out_f[done] = hursts[~live], w[~live], f[~live, centre]
+            rows, hursts, step, w, f, rejected = (
+                x[live] for x in (rows, hursts, step, w, f, rejected))
+            counts = counts[live.repeat(size)]
+            if not rows.size:
+                return out_h, out_w, np.sqrt(out_f)
+        trial = _feasible(hursts + step)
+        wt, ft = stencils(counts, trial)
+        better = ft[:, centre] < f[:, centre]
+        if better.all():
+            hursts, w, f, step = trial, wt, ft, _newton_step(ft, trial)
+            continue
+        worse = ~better
+        step[worse] /= 2
+        rejected += worse
+        if better.any():
+            hursts[better], w[better], f[better] = trial[better], wt[better], ft[better]
+            step[better] = _newton_step(f[better], hursts[better])
+
+
+def _fit(dts, values, counts, k: int):
+    """Fit k exponents to each replicate, row r of the row counts (R, n).
+
+    Returns the sorted exponents (R, k), their NNLS weights (R, k) and the
+    residual norms (R,).
+    """
+    return _polish(dts, values, counts, _grid_start(dts, values, counts, k))
 
 
 def fit_mixture_from_table(dts, values, n_components: int) -> FitReport:
@@ -267,27 +386,57 @@ def fit_mixture_from_table(dts, values, n_components: int) -> FitReport:
     if np.any(values <= 0):
         raise ValueError("structure values must be positive to fit")
 
-    # start: the best grid point or grid pair two steps (0.025 >= _H_GAP)
-    # apart or more, from one Gram matrix of the grid's columns
-    cols, b = _weighted(dts, values, _H_GRID)
-    gram, corr = cols.T @ cols, cols.T @ b
-    n = _H_GRID.size
-    subsets = (np.arange(n)[None] if n_components == 1
-               else np.array(np.triu_indices(n, 2)))
-    _, res = _nnls(np.diagonal(gram)[subsets], gram[subsets[0], subsets[-1]],
-                   corr[subsets], float(b @ b))
-    hursts = _polish(dts, values, _H_GRID[subsets[:, np.argmin(res)]])
-
-    weights, rnorm = _project(dts, values, hursts[None])
-    keep = weights[:, 0] > 0
+    (hursts,), (weights,), (rnorm,) = _fit(dts, values, np.ones((1, dts.size)),
+                                           n_components)
+    keep = weights > 0
     merged = ["non-identifiable: duplicate Hurst components merged"]
     return FitReport(
         hursts_hat=hursts[keep],
-        coeffs_sq_hat=weights[keep, 0],
-        residual=float(rnorm[0]),
+        coeffs_sq_hat=weights[keep],
+        residual=float(rnorm),
         dts=dts,
         flags=[] if keep.all() else merged,
     )
+
+
+def _draw_counts(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """Row counts (size, n) of replicates that each draw n of n rows with replacement.
+
+    The rows are those of ``size`` calls of ``rng.integers(0, n, size=n)``.
+    """
+    picks = rng.integers(0, n, size=(size, n)) + n * np.arange(size)[:, None]
+    return np.bincount(picks.ravel(), minlength=size * n).reshape(size, n)
+
+
+# why _bootstrap skips a replicate
+_KEPT, _FEW_LAGS, _LOST = 0, 1, 2
+
+
+def _bootstrap(dts, values, k: int, n_bootstrap: int, seed: int):
+    """Refit k components to n_bootstrap replicates of the table's rows.
+
+    Replicates are drawn by ``_draw_counts`` from ``default_rng(seed)`` and
+    drawn and fit _BLOCK at a time, each block in one lockstep fit. Returns
+    each replicate's exponents and weights (R, k), its residual norm (R,)
+    and why it is skipped (R,): _KEPT, _FEW_LAGS (fewer than 2k distinct
+    lags; its rows stay NaN) or _LOST (its fit gives a component weight 0).
+    """
+    rng = np.random.default_rng(seed)
+    lag = np.unique(dts, return_inverse=True)[1]
+    rows_of_lag = lag[:, None] == np.arange(lag.max() + 1)
+    hursts = np.full((n_bootstrap, k), np.nan)
+    weights = np.full((n_bootstrap, k), np.nan)
+    rnorm = np.full(n_bootstrap, np.nan)
+    skip = np.full(n_bootstrap, _FEW_LAGS)
+    for lo in range(0, n_bootstrap, _BLOCK):
+        counts = _draw_counts(rng, min(_BLOCK, n_bootstrap - lo), dts.size)
+        enough = np.count_nonzero(counts @ rows_of_lag, axis=1) >= 2 * k
+        if not enough.any():
+            continue
+        at = lo + np.flatnonzero(enough)
+        hursts[at], weights[at], rnorm[at] = _fit(dts, values, counts[enough], k)
+        skip[at] = np.where((weights[at] > 0).all(axis=1), _KEPT, _LOST)
+    return hursts, weights, rnorm, skip
 
 
 def fit_mixture(
@@ -301,10 +450,15 @@ def fit_mixture(
 
     With ``n_bootstrap`` > 0, per-parameter standard errors are the spread of
     refits on bootstrap samples of the lag rows of the structure table: each
-    replicate draws as many rows as the table has, with replacement, and
-    refits all of them, so a row drawn twice counts twice. Replicates with
-    fewer than two distinct lags per component, or whose fit loses a
-    component, are skipped.
+    replicate draws as many rows as the table has, with replacement, and is
+    refit as the table with those row counts, so a row drawn twice weighs
+    twice. All replicates are fit together, in blocks of a fixed size.
+    Since 0.4.0 the weights sum the terms of 0.3.0's repeated rows in
+    another order, so standard errors differ from 0.3.0's at rounding
+    level, as the point estimates do. Replicates with fewer than two distinct lags per component, or
+    whose fit loses a component, are skipped, and a flag counts them; a
+    flag also says when fewer than two replicates are left, so that the
+    standard errors stay None.
     """
     if not np.issubdtype(type(n_bootstrap), np.integer) or n_bootstrap < 0:
         raise ValueError(f"n_bootstrap must be an int >= 0, got {n_bootstrap!r}")
@@ -312,18 +466,21 @@ def fit_mixture(
     dts, values = structure_function(path, lags)
     report = fit_mixture_from_table(dts, values, n_components)
     if n_bootstrap > 0:
-        rng = np.random.default_rng(bootstrap_seed)
-        hs, ws = [], []
-        n_comp_eff = report.hursts_hat.size
-        for _ in range(n_bootstrap):
-            pick = np.sort(rng.integers(0, dts.size, size=dts.size))
-            if np.unique(dts[pick]).size < 2 * n_comp_eff:
-                continue
-            rep = fit_mixture_from_table(dts[pick], values[pick], n_comp_eff)
-            if rep.hursts_hat.size == n_comp_eff:
-                hs.append(rep.hursts_hat)
-                ws.append(rep.coeffs_sq_hat)
-        if len(hs) >= 2:
-            report.stderr_hursts = np.std(hs, axis=0, ddof=1)
-            report.stderr_coeffs_sq = np.std(ws, axis=0, ddof=1)
+        hursts, weights, _, skip = _bootstrap(dts, values, report.hursts_hat.size,
+                                              n_bootstrap, bootstrap_seed)
+        few, lost = np.count_nonzero(skip == _FEW_LAGS), np.count_nonzero(skip == _LOST)
+        if few + lost:
+            report.flags.append(
+                f"bootstrap: {few + lost} of {n_bootstrap} replicates skipped "
+                f"({few} with too few distinct lags, {lost} that lost a component)"
+            )
+        kept = skip == _KEPT
+        if kept.sum() >= 2:
+            report.stderr_hursts = np.std(hursts[kept], axis=0, ddof=1)
+            report.stderr_coeffs_sq = np.std(weights[kept], axis=0, ddof=1)
+        else:
+            report.flags.append(
+                f"bootstrap: {kept.sum()} of {n_bootstrap} replicates kept, fewer "
+                "than the 2 a standard error needs, so stderr_* are null"
+            )
     return report

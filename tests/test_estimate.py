@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,19 +206,116 @@ def test_bootstrap_standard_errors():
     assert rep.stderr_coeffs_sq.shape == rep.coeffs_sq_hat.shape
 
 
-def test_bootstrap_refits_every_drawn_row(monkeypatch):
-    tables = []
+def _sequential_picks(n_rows, n_bootstrap, seed):
+    """The rows each replicate draws, one ``integers`` call per replicate."""
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.integers(0, n_rows, size=n_rows)) for _ in range(n_bootstrap)]
 
-    def recording(dts, values, n_components):
-        tables.append(np.asarray(dts))
-        return fit_mixture_from_table(dts, values, n_components)
 
-    monkeypatch.setattr(estimate, "fit_mixture_from_table", recording)
-    fit_mixture(bench_path(5, n=2 ** 14), lags=BENCH_LAGS, n_components=2,
-                n_bootstrap=10)
-    replicates = tables[1:]
-    assert replicates and all(t.size == len(BENCH_LAGS) for t in replicates)
-    assert any(np.unique(t).size < t.size for t in replicates)
+def _sequential_bootstrap(dts, values, k, n_bootstrap, seed):
+    """The bootstrap as a loop over replicates, the oracle of the batched one.
+
+    Each replicate draws its rows, is skipped with fewer than 2k distinct
+    lags (None), and is otherwise refit alone on its drawn rows, a row
+    drawn twice appearing twice.
+    """
+    fits = []
+    for pick in _sequential_picks(dts.size, n_bootstrap, seed):
+        if np.unique(dts[pick]).size < 2 * k:
+            fits.append(None)
+        else:
+            fits.append(fit_mixture_from_table(dts[pick], values[pick], k))
+    return fits
+
+
+def _skip_reason(fit, k):
+    if fit is None:
+        return estimate._FEW_LAGS
+    return estimate._LOST if fit.hursts_hat.size < k else estimate._KEPT
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("k, n, lags", [(2, 2 ** 14, BENCH_LAGS),
+                                        (1, 2 ** 14, BENCH_LAGS),
+                                        (2, 2 ** 10, [1, 1, 1, 2, 4, 8])])
+def test_bootstrap_matches_sequential_refits(seed, k, n, lags):
+    # weights in place of repeated rows sum the same terms in another order
+    dts, values = structure_function(bench_path(seed, n=n), lags)
+    hursts, weights, rnorm, skip = estimate._bootstrap(dts, values, k, 50, seed)
+    fits = _sequential_bootstrap(dts, values, k, 50, seed)
+    assert [_skip_reason(fit, k) for fit in fits] == skip.tolist()
+    for r in np.flatnonzero(skip == estimate._KEPT):
+        assert np.abs(hursts[r] - fits[r].hursts_hat).max() <= 1e-7
+        # a replicate with exactly 2k distinct lags is fit exactly, and its
+        # residual is rounding (1e-8 here), hence the absolute term
+        assert abs(rnorm[r] - fits[r].residual) <= 1e-9 * fits[r].residual + 1e-11
+
+
+def test_bootstrap_draws_the_rows_of_the_sequential_loop(monkeypatch):
+    drawn, draw = [], estimate._draw_counts
+
+    def recording(rng, size, n):
+        drawn.append(draw(rng, size, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(estimate, "_draw_counts", recording)
+    n_bootstrap = 2 * estimate._BLOCK + 3  # three blocks
+    path = bench_path(5, n=2 ** 14)
+    rep = fit_mixture(path, lags=BENCH_LAGS, n_components=2,
+                      n_bootstrap=n_bootstrap, bootstrap_seed=3)
+    picks = _sequential_picks(len(BENCH_LAGS), n_bootstrap, 3)
+    assert np.array_equal(np.concatenate(drawn),
+                          [np.bincount(p, minlength=len(BENCH_LAGS)) for p in picks])
+    # and its standard errors are those of the refits, to rounding
+    fits = _sequential_bootstrap(*structure_function(path, BENCH_LAGS), 2,
+                                 n_bootstrap, 3)
+    kept = [fit for fit in fits if _skip_reason(fit, 2) == estimate._KEPT]
+    assert np.allclose(rep.stderr_hursts,
+                       np.std([f.hursts_hat for f in kept], axis=0, ddof=1), rtol=1e-5)
+    assert np.allclose(rep.stderr_coeffs_sq,
+                       np.std([f.coeffs_sq_hat for f in kept], axis=0, ddof=1), rtol=1e-5)
+
+
+def test_bootstrap_flags_skipped_replicates():
+    path, lags = bench_path(5, n=2 ** 10), [1, 1, 1, 2, 4, 8]
+    rep = fit_mixture(path, lags=lags, n_components=2, n_bootstrap=50,
+                      bootstrap_seed=1)
+    reasons = [_skip_reason(fit, 2) for fit in
+               _sequential_bootstrap(*structure_function(path, lags), 2, 50, 1)]
+    few, lost = reasons.count(estimate._FEW_LAGS), reasons.count(estimate._LOST)
+    assert few > 0
+    assert rep.flags == [f"bootstrap: {few + lost} of 50 replicates skipped "
+                         f"({few} with too few distinct lags, {lost} that lost "
+                         "a component)"]
+    assert rep.stderr_hursts is not None
+
+
+def test_bootstrap_flags_standard_errors_it_cannot_give():
+    path = bench_path(5, n=2 ** 14)
+    assert not fit_mixture(path, lags=BENCH_LAGS, n_components=2,
+                           n_bootstrap=2).flags
+    rep = fit_mixture(path, lags=BENCH_LAGS, n_components=2, n_bootstrap=1)
+    assert rep.stderr_hursts is None and rep.stderr_coeffs_sq is None
+    assert rep.flags == ["bootstrap: 1 of 1 replicates kept, fewer than the 2 "
+                         "a standard error needs, so stderr_* are null"]
+    # perfbench counts merged components by the word "merged" in a flag
+    assert not any("merged" in flag for flag in rep.flags)
+
+
+def test_bootstrap_memory_does_not_grow_with_replicates():
+    # the ensemble benchmark's table; the grid start and the polish work on
+    # blocks of a fixed size
+    path = bench_path(5, n=2 ** 14)
+    fit_mixture(path, lags=BENCH_LAGS, n_components=2, n_bootstrap=2)
+    for n_bootstrap in (50, 500):
+        tracemalloc.start()
+        try:
+            fit_mixture(path, lags=BENCH_LAGS, n_components=2,
+                        n_bootstrap=n_bootstrap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20, (n_bootstrap, peak)
 
 
 @pytest.mark.parametrize("bootstrap_seed", range(5))
@@ -237,7 +335,8 @@ def test_bootstrap_count_checked_before_any_fit(monkeypatch, n_bootstrap):
     def no_fit(*args, **kwargs):
         raise AssertionError("fitted before checking n_bootstrap")
 
-    monkeypatch.setattr(estimate, "fit_mixture_from_table", no_fit)
+    # every fit, of the table and of each bootstrap block, goes through _fit
+    monkeypatch.setattr(estimate, "_fit", no_fit)
     with pytest.raises(ValueError, match="n_bootstrap must be an int >= 0"):
         fit_mixture(bench_path(5, n=2 ** 10), n_components=1, n_bootstrap=n_bootstrap)
 
@@ -278,6 +377,143 @@ def test_refit_residual_self_consistent():
         refit.append(rep2.residual)
     assert np.median(refit) <= 2.0 * np.median(orig)
     assert np.median(orig) <= 2.0 * np.median(refit)
+
+
+# --------------------------------------------------------------------------- #
+# the closed-form Newton step against an svd/eigh one
+
+
+def _newton_step_oracle(f, hursts):
+    """The projected Newton step from one stencil f (3^k,), by svd and eigh."""
+    k, h, c = hursts.size, estimate._FD_STEP, f.size // 2
+    place = 3 ** np.arange(k)[::-1]
+    up, down = f[c + place], f[c - place]
+    grad = (up - down) / (2 * h)
+    hess = np.diag((up - 2 * f[c] + down) / h ** 2)
+    if k == 2:
+        hess[0, 1] = hess[1, 0] = (f[8] - f[6] - f[2] + f[0]) / (4 * h ** 2)
+    eye = np.eye(k)
+    rows = np.vstack([eye[:1], -eye[-1:], np.diff(eye, axis=0)])
+    bounds = np.array([estimate._H_LO, -estimate._H_HI, estimate._H_GAP][:k + 1])
+    blocking = rows[(rows @ hursts - bounds < 1e-12) & (rows @ grad > 0)]
+    free = np.linalg.svd(blocking)[2][len(blocking):].T if len(blocking) else eye
+    lam, vec = np.linalg.eigh(free.T @ hess @ free)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, estimate._CURV_FLOOR * lam.max(initial=0.0))
+    along = np.divide(vec.T @ (free.T @ grad), lam,
+                      out=np.zeros(lam.size), where=lam > 0)
+    return -free @ (vec @ along)
+
+
+def _quadratic_stencil(grad, hess):
+    """1 + g.x + x.Hx / 2 on the stencil points x, offsets of _FD_STEP."""
+    k = len(grad)
+    x = estimate._FD_STEP * (np.indices((3,) * k).reshape(k, -1).T - 1)
+    return 1.0 + x @ grad + 0.5 * np.einsum("si,ij,sj->s", x, np.asarray(hess), x)
+
+
+def _assert_steps_agree(stencils, hursts):
+    steps = estimate._newton_step(np.array(stencils), np.array(hursts))
+    for f, h, step in zip(stencils, hursts, steps):
+        want = _newton_step_oracle(np.asarray(f), np.asarray(h))
+        assert np.abs(step - want).max() <= 1e-12 * np.abs(want).max(), (f, h)
+
+
+def test_newton_step_matches_oracle_on_random_stencils():
+    rng = np.random.default_rng(0)
+    for k in (1, 2):
+        hursts = np.sort(rng.uniform(0.1, 0.9, (200, k)), axis=1)
+        hursts[:, -1] += 0.05
+        _assert_steps_agree(rng.random((200, 3 ** k)), hursts)
+
+
+# exponents with each set of active constraints, and a gradient that pushes
+# on each active one: h_1 >= 0.01, h_2 <= 0.99, h_2 - h_1 >= 0.02
+ACTIVE_SETS = {
+    "none": ([0.3, 0.6], [0.7, -0.4]),
+    "h1 = 0.01": ([0.01, 0.5], [1.0, -0.4]),
+    "h2 = 0.99": ([0.5, 0.99], [0.3, -1.0]),
+    "gap = 0.02": ([0.4, 0.42], [-1.0, 0.5]),
+    "h1 = 0.01 and gap": ([0.01, 0.03], [1.0, 3.0]),
+    "h1 = 0.01 and h2 = 0.99": ([0.01, 0.99], [1.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("active", ACTIVE_SETS)
+def test_newton_step_matches_oracle_on_each_active_set(active):
+    hursts, grad = ACTIVE_SETS[active]
+    rng = np.random.default_rng(1)
+    hessians = [rng.normal(size=(2, 2)) for _ in range(50)]
+    hessians = [h + h.T for h in hessians]  # definite and indefinite
+    hessians += [[[1.0, 2.0], [2.0, -1.0]],  # indefinite
+                 [[2.0, 0.0], [0.0, 0.0]],  # no curvature along h_2
+                 [[0.0, 0.0], [0.0, 0.0]]]  # none at all
+    stencils = [_quadratic_stencil(grad, 1e3 * np.asarray(h)) for h in hessians]
+    _assert_steps_agree(stencils, [hursts] * len(stencils))
+    steps = estimate._newton_step(np.array(stencils), np.array([hursts] * len(stencils)))
+    if active.count("=") == 2:  # two constraints leave a point
+        assert not steps.any()
+    elif active == "h1 = 0.01":
+        assert not steps[:, 0].any()
+    elif active == "h2 = 0.99":
+        assert not steps[:, 1].any()
+    elif active == "gap = 0.02":
+        assert np.allclose(steps[:, 0], steps[:, 1], rtol=1e-12, atol=0)
+
+
+def test_newton_step_leaves_directions_without_curvature():
+    # f varies with h_1 alone: no gradient or curvature along h_2
+    f = _quadratic_stencil([1.0, 0.0], [[2.0, 0.0], [0.0, 0.0]])
+    step = estimate._newton_step(f[None], np.array([[0.3, 0.6]]))[0]
+    assert step[1] == 0.0 and step[0] < 0.0
+    flat = estimate._newton_step(np.ones((1, 9)), np.array([[0.3, 0.6]]))
+    assert not flat.any()
+
+
+@pytest.mark.parametrize("hursts, grad", [([0.5], [1.0]), ([0.01], [1.0]),
+                                          ([0.01], [-1.0]), ([0.99], [-1.0])])
+def test_newton_step_matches_oracle_in_one_dimension(hursts, grad):
+    stencils = [_quadratic_stencil(grad, [[c]]) for c in (2.0, -3.0, 0.0)]
+    _assert_steps_agree(stencils, [hursts] * 3)
+
+
+def _polish_oracle(dts, values, counts, hursts):
+    """One replicate's polish as a plain loop, one trial at a time."""
+    k = hursts.size
+    offsets = estimate._FD_STEP * (np.indices((3,) * k).reshape(k, -1).T - 1)
+    centre = len(offsets) // 2
+
+    def stencil(h):
+        rows = np.repeat(counts[None], len(offsets), axis=0)
+        return estimate._project(dts, values, rows, h + offsets)[1] ** 2
+
+    f = stencil(hursts)
+    for _ in range(estimate._NEWTON_MAXITER):
+        step = estimate._newton_step(f[None], hursts[None])[0]
+        while True:
+            if np.abs(step).max() < estimate._H_TOL:
+                return hursts
+            trial = estimate._feasible(hursts[None] + step)[0]
+            ft = stencil(trial)
+            if ft[centre] < f[centre]:
+                break
+            step /= 2
+        hursts, f = trial, ft
+    return hursts
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 3, 100])
+def test_lockstep_polish_follows_each_replicates_own_iterates(monkeypatch, maxiter):
+    # replicates accept and halve in different rounds; each stops after its
+    # own maxiter accepted steps
+    monkeypatch.setattr(estimate, "_NEWTON_MAXITER", maxiter)
+    dts, values = structure_function(bench_path(2, n=2 ** 14), BENCH_LAGS)
+    counts = estimate._draw_counts(np.random.default_rng(0), 30, dts.size)
+    counts = counts[np.count_nonzero(counts, axis=1) >= 4]
+    start = estimate._grid_start(dts, values, counts, 2)
+    got = estimate._polish(dts, values, counts, start.copy())[0]
+    for c, s, h in zip(counts, start, got):
+        assert np.array_equal(h, _polish_oracle(dts, values, c, s))
 
 
 # --------------------------------------------------------------------------- #
