@@ -15,7 +15,7 @@ Core objects:
 - :mod:`roughmix.estimate` — Hurst and mixing-coefficient estimation.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     CompositionError,

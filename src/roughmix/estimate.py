@@ -11,9 +11,10 @@ dependency.
 
 A bootstrap replicate is the same table with integer row counts, a row
 drawn twice weighing twice, so the kernels take a leading replicate axis:
-every replicate scores the grid from its own Gram matrix, and one lockstep
-polish runs them all, each with its own steps and stop test. A single fit
-is the case of one replicate with every count 1.
+every replicate scores the grid by its row counts times per-row products
+of the table, and one lockstep polish runs them all, each with its own
+steps and stop test. A single fit is the case of one replicate with every
+count 1.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ _H_LO, _H_HI, _H_GAP = 0.01, 0.99, 0.02
 _FD_STEP, _H_TOL, _NEWTON_MAXITER = 1e-5, 1e-9, 100
 # smallest |curvature| a Newton step divides by, relative to the largest
 _CURV_FLOOR = 1e-6
-# the grid start scores about _START_ENTRIES (replicate, grid subset) pairs
-# at once, and a bootstrap draws and fits _BLOCK replicates at once, so that
-# neither one's memory grows with the number of replicates
-_START_ENTRIES, _BLOCK = 2 ** 13, 64
+# the grid start scores a slice of the grid pairs in about _START_ENTRIES
+# float64 entries, n row products per pair and about 16 temporaries per
+# (pair, replicate), and a bootstrap draws and fits _BLOCK replicates at
+# once, so that neither one's memory grows with the number of replicates
+# (nor the start's with the number of lags)
+_START_ENTRIES, _BLOCK = 2 ** 17, 64
 
 
 @dataclass
@@ -160,30 +163,37 @@ def _weighted(dts, values, counts, hursts):
     return cols, values * weights
 
 
-def _nnls(diag, cross, corr, bb):
-    """Exact min ||X w - b|| over w >= 0 on k <= 2 columns x_j, for a batch.
+def _pair(diag, cross, corr, one):
+    """Least-squares weights (w0, w1) on both columns, how far they lower b.b,
+    and where they are the nonnegative optimum.
 
-    Takes diag = x_j.x_j and corr = x_j.b (k, ...), all positive here, cross
-    = x_0.x_1 (...) and bb = b.b, which is per replicate and broadcasts
-    against the batch shape (...). The optimum is the least-squares fit on
-    the best support with nonnegative weights: one column or, for k = 2,
-    both. Returns the weights (k, ...) and the squared residuals (...).
+    Takes diag = x_j.x_j and corr = x_j.b (2, ...), cross = x_0.x_1 (...)
+    and ``one``, the most that a single column lowers b.b (...).
     """
-    single = corr / diag
-    gain = single * corr  # how far each one-column fit lowers bb
-    if len(corr) == 1:
-        return single, bb - gain[0]
-    second = gain[1] > gain[0]
-    w = single * np.array([~second, second])
     (d0, d1), (c0, c1) = diag, corr
-    pair = np.array([d1 * c0 - cross * c1, d0 * c1 - cross * c0])
-    pair /= d0 * d1 - cross * cross
-    pair_gain = pair[0] * c0 + pair[1] * c1
+    det = d0 * d1 - cross * cross
+    w0, w1 = (d1 * c0 - cross * c1) / det, (d0 * c1 - cross * c0) / det
+    gain = w0 * c0 + w1 * c1
     # both columns where that is feasible and strictly better, so that a
     # rounding-level gain keeps a weight at 0
-    gain = np.maximum(gain[0], gain[1])
-    both = (pair[0] >= 0) & (pair[1] >= 0) & (pair_gain > gain)
-    return np.where(both, pair, w), bb - np.where(both, pair_gain, gain)
+    return (w0, w1), gain, (w0 >= 0) & (w1 >= 0) & (gain > one)
+
+
+def _nnls(diag, cross, corr):
+    """Exact argmin ||X w - b|| over w >= 0 on k <= 2 columns x_j, for a batch.
+
+    Takes diag = x_j.x_j and corr = x_j.b (k, ...), all positive here, and
+    cross = x_0.x_1 (...). The optimum is the least-squares fit on the best
+    support with nonnegative weights: one column or, for k = 2, both.
+    Returns the weights (k, ...).
+    """
+    single = corr / diag
+    gain = single * corr  # how far each one-column fit lowers b.b
+    if len(corr) == 1:
+        return single
+    second = gain[1] > gain[0]
+    pair, _, both = _pair(diag, cross, corr, np.maximum(gain[0], gain[1]))
+    return np.where(both, pair, single * np.array([~second, second]))
 
 
 def _project(dts, values, counts, hursts):
@@ -192,39 +202,50 @@ def _project(dts, values, counts, hursts):
     Member j fits the table with row counts counts[j], shape (B, n).
     """
     cols, b = _weighted(dts, values, counts, hursts)
-    w, _ = _nnls(np.einsum("bik,bik->kb", cols, cols),
-                 np.einsum("bi,bi->b", cols[..., 0], cols[..., -1]),
-                 np.einsum("bik,bi->kb", cols, b), np.einsum("bi,bi->b", b, b))
-    # the residual from its vector: bb - w.c cancels to a few digits of it
+    w = _nnls(np.einsum("bik,bik->kb", cols, cols),
+              np.einsum("bi,bi->b", cols[..., 0], cols[..., -1]),
+              np.einsum("bik,bi->kb", cols, b))
+    # the residual from its vector: b.b - w.c cancels to a few digits of it
     r = b - np.einsum("bik,kb->bi", cols, w)
     return w, np.sqrt(np.einsum("bi,bi->b", r, r))
 
 
-# the exponent subsets that the grid start scores, per number of components:
-# each grid point, or each pair two grid steps (0.025 >= _H_GAP) apart or more
-_SUBSETS = {1: np.arange(_H_GRID.size)[None],
-            2: np.array(np.triu_indices(_H_GRID.size, 2))}
+# the exponent pairs that the grid start scores: two grid steps (0.025 >=
+# _H_GAP) apart or more
+_PAIRS = np.array(np.triu_indices(_H_GRID.size, 2))
 
 
 def _grid_start(dts, values, counts, k: int) -> np.ndarray:
-    """Each replicate's best grid subset, from its own Gram matrix of the grid's columns.
+    """Each replicate's best grid subset: the least NNLS residual b.b - gain.
 
-    Row r of counts (R, n) is replicate r's row counts. Scores about
-    _START_ENTRIES (replicate, subset) pairs at a time. Returns (R, k).
+    Row r of counts (R, n) is replicate r's row counts, and a row counted c
+    times weighs sqrt(c), so each of its products x_j.x_l, x_j.b and b.b is
+    its counts times the per-row products of the table's grid columns at
+    count 1. Scores the grid pairs in slices of about _START_ENTRIES
+    entries of working memory. Returns (R, k).
     """
-    subsets = _SUBSETS[k]
-    cross_at = subsets[0] * _H_GRID.size + subsets[-1]  # in a flattened Gram matrix
-    block = max(1, _START_ENTRIES // subsets.shape[1])
-    best = []
-    for lo in range(0, len(counts), block):
-        cols, b = _weighted(dts, values, counts[lo:lo + block], _H_GRID)
-        gram = (cols.transpose(0, 2, 1) @ cols).reshape(len(cols), -1).T
-        _, res = _nnls(np.einsum("rik,rik->kr", cols, cols).take(subsets, axis=0),
-                       gram.take(cross_at, axis=0),
-                       np.einsum("rik,ri->kr", cols, b).take(subsets, axis=0),
-                       np.einsum("ri,ri->r", b, b))
-        best.append(np.argmin(res, axis=0))
-    return _H_GRID[subsets[:, np.concatenate(best)]].T
+    reps, n = counts.shape
+    cols, b = _weighted(dts, values, 1.0, _H_GRID)
+    cols, counts = cols.T.copy(), counts.T  # (grid, n), (n, R)
+    diag, corr, bb = (cols * cols) @ counts, (cols * b) @ counts, (b * b) @ counts
+    gain = corr / diag * corr  # (grid, R): how far each one-column fit lowers b.b
+    if k == 1:
+        return _H_GRID[np.argmax(gain, axis=0)][:, None]
+    per_grid = np.stack([diag, corr, gain])
+    step = max(1, _START_ENTRIES // (n + 16 * reps))
+    least, picks = [], []
+    for lo in range(0, _PAIRS.shape[1], step):
+        i, j = _PAIRS[:, lo:lo + step]
+        # take, not fancy indexing: several times faster on these rows
+        (d0, c0, g0), (d1, c1, g1) = per_grid.take(i, axis=1), per_grid.take(j, axis=1)
+        x0, x1 = cols.take(i, axis=0), cols.take(j, axis=0)
+        one = np.maximum(g0, g1)
+        _, pair_gain, both = _pair((d0, d1), (x0 * x1) @ counts, (c0, c1), one)
+        res = bb - np.where(both, pair_gain, one)
+        least.append(res.min(axis=0))
+        picks.append(lo + res.argmin(axis=0))
+    best = np.array(picks)[np.argmin(least, axis=0), np.arange(reps)]
+    return _H_GRID[_PAIRS[:, best]].T
 
 
 def _feasible(hursts: np.ndarray) -> np.ndarray:

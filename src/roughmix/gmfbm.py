@@ -8,16 +8,27 @@ circulant embedding is nonnegative definite at every Hurst parameter, so it
 has no fallback. Cholesky sampling builds a dense covariance, so it is
 refused above ``MAX_CHOLESKY_POINTS`` grid points.
 
-Randomness is counter-based (Philox), one stream per ``(seed, component,
-coordinate)``, handed out path by path: path k of a batch does not depend on
-the batch size (bit for bit under circulant sampling, to rounding under
-Cholesky, whose matrix product blocks by rows drawn at once). The streams
+Randomness comes from one SFC64 stream per ``(seed, component,
+coordinate)``, seeded by ``SeedSequence(seed, spawn_key=(component,
+coordinate))`` and handed out path by path: path k of a batch does not
+depend on the batch size (bit for bit under circulant sampling, to rounding
+under Cholesky, whose matrix product blocks by rows drawn at once). Version
+0.5.0 changed the generator from Philox to SFC64, so its paths differ from
+0.4.0's for the same seed, as 0.2.0's differed from 0.1.0's. The streams
 are independent, so they are drawn in parallel over the usable CPUs, each in
-chunks of at most ``CHUNK_ENTRIES`` normals, on a thread pool that exists
-only for the duration of that one draw; a draw whose streams each fit in one
-chunk runs on the calling thread. Each stream's draws stay in order,
-so the output does not depend on the number of workers. A seed is an int
-in [0, 2^64).
+chunks of at most ``CHUNK_ENTRIES`` normals into buffers made once per
+stream, on a thread pool that exists only for the duration of that one
+draw; a draw whose streams each fit in one chunk runs on the calling thread.
+Each stream's draws stay in order, so the output does not depend on the
+number of workers. A seed is an int in [0, 2^64).
+
+A circulant row of n steps takes the stream's next 2n normals z_0 ..
+z_{2n-1}. They fill a Hermitian half-spectrum: bin 0 is z_0 and bin n is z_1,
+both real; bin j in 1 .. n-1 is z_{2j} + i z_{2j+1}. Bin j is scaled by
+sqrt(c_j n lambda_j) dt^H, where lambda_j is the j-th eigenvalue of the
+circulant embedding of fGn, c_j is 2 for bins 0 and n and 1 otherwise, and dt
+is the grid step; the first n values of its inverse real FFT of length 2n are
+the fGn steps, and their cumulative sum is the fBm row.
 """
 
 from __future__ import annotations
@@ -290,9 +301,13 @@ def self_similarity_rescale(spec: GmfbmSpec, h: float) -> GmfbmSpec:
 
 
 def _stream(seed: int, component: int, coord: int) -> np.random.Generator:
-    """Counter-based stream for one (component, coordinate) pair."""
+    """SFC64 stream for one (component, coordinate) pair.
+
+    Version 0.5.0 changed the generator from Philox, as 0.2.0 changed the
+    circulant stream, so a seed gives other paths than it did in 0.4.0.
+    """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(component, coord))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
@@ -367,48 +382,61 @@ def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
     return sqrt_eigs
 
 
-def _fgn_circulant(sqrt_eigs: np.ndarray, rng: np.random.Generator,
-                   size: int) -> np.ndarray:
-    """(size, n) exact unit-spacing fGn; row r is the stream's r-th 2n normals.
+def _spectrum_scale(sqrt_eigs: np.ndarray, step_scale: float) -> np.ndarray:
+    """Per-bin factors of the half-spectrum, times the fBm step scale dt^H.
 
-    They fill a Hermitian half-spectrum: bins 0 and n real, bins 1 .. n-1
-    complex with a sqrt(1/2) factor, which ``scale`` folds in.
+    irfft divides by 2n: a real bin needs sqrt(2n eig), a complex one sqrt(n eig).
     """
     n = sqrt_eigs.size - 1
-    z = rng.standard_normal((size, 2 * n)).view(complex)  # (size, n)
-    w = np.empty((size, n + 1), dtype=complex)
-    w[:, 1:n] = z[:, 1:]
-    w[:, 0] = z[:, 0].real
-    w[:, n] = z[:, 0].imag
-    del z  # freed before irfft allocates: a smaller peak per pool worker
-    # irfft divides by 2n: a real bin needs sqrt(2n eig), a complex one sqrt(n eig)
-    scale = np.sqrt(n) * sqrt_eigs
+    scale = (np.sqrt(n) * step_scale) * sqrt_eigs
     scale[[0, n]] *= np.sqrt(2.0)
-    w *= scale
-    return np.fft.irfft(w, n=2 * n, axis=1)[:, :n]
+    return scale
 
 
-def _circulant_rows(sqrt_eigs: np.ndarray, step_scale: float,
-                    rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` (rows, n) with the stream's next fBm rows: fGn, cumsum, scale."""
-    np.cumsum(_fgn_circulant(sqrt_eigs, rng, out.shape[0]), axis=1, out=out)
-    out *= step_scale
-
-
-def _cholesky_rows(factor: np.ndarray, rng: np.random.Generator,
+def _circulant_fbm(normals: np.ndarray, scale: np.ndarray, spectrum: np.ndarray,
                    out: np.ndarray) -> None:
-    """Fill ``out`` (rows, n) with the stream's next fBm rows: normals times L^T."""
-    np.matmul(rng.standard_normal(out.shape), factor.T, out=out)
+    """Fill ``out`` (rows, n) with the fBm rows of ``normals`` (rows, 2n).
+
+    The map of the module docstring, through ``spectrum`` (rows, n + 1),
+    complex; the inverse transform overwrites ``normals``.
+    """
+    n = out.shape[1]
+    z = normals.view(complex)  # (rows, n)
+    spectrum[:, 1:n] = z[:, 1:]
+    spectrum[:, 0] = z[:, 0].real
+    spectrum[:, n] = z[:, 0].imag
+    spectrum *= scale
+    np.fft.irfft(spectrum, n=2 * n, axis=1, out=normals)
+    np.cumsum(normals[:, :n], axis=1, out=out)
 
 
-def _fill_stream(fill, rng: np.random.Generator, out: np.ndarray, rows: int) -> None:
-    """Draw one stream's (size, n) rows in order, ``rows`` at a time."""
-    for start in range(0, out.shape[0], rows):
-        fill(rng, out[start:start + rows])
+def _circulant_stream(scale: np.ndarray, rng: np.random.Generator, out: np.ndarray,
+                      rows: int) -> None:
+    """Draw one stream's (size, n) fBm rows in order, ``rows`` at a time, each
+    chunk into the same normal and spectrum buffers."""
+    size, n = out.shape
+    normals = np.empty((min(rows, size), 2 * n))
+    spectrum = np.empty((len(normals), n + 1), dtype=complex)
+    for start in range(0, size, rows):
+        z = normals[:size - start]
+        rng.standard_normal(out=z)
+        _circulant_fbm(z, scale, spectrum[:len(z)], out[start:start + rows])
+
+
+def _cholesky_stream(factor: np.ndarray, rng: np.random.Generator, out: np.ndarray,
+                     rows: int) -> None:
+    """Draw one stream's (size, n) fBm rows in order, ``rows`` at a time, each
+    chunk's normals into the same buffer, times L^T."""
+    size, n = out.shape
+    normals = np.empty((min(rows, size), n))
+    for start in range(0, size, rows):
+        z = normals[:size - start]
+        rng.standard_normal(out=z)
+        np.matmul(z, factor.T, out=out[start:start + rows])
 
 
 # Entries per sampling chunk, counting 2n normals per row of n steps (512 KiB
-# of float64): bounds each stream's temporaries. A draw whose streams each
+# of float64): bounds each stream's buffers. A draw whose streams each
 # fit in one chunk runs on the calling thread; larger ones fan out.
 CHUNK_ENTRIES = 2 ** 16
 
@@ -460,12 +488,12 @@ def _component_paths(
     for k, hurst in enumerate(spec.hursts):
         if method == "circulant":
             step_scale = (grid.points[1] - grid.points[0]) ** hurst
-            fill = functools.partial(_circulant_rows,
-                                     _fgn_circulant_sqrt_eigs(hurst, n), step_scale)
+            fill = functools.partial(_circulant_stream, _spectrum_scale(
+                _fgn_circulant_sqrt_eigs(hurst, n), step_scale))
         else:
             factor = _cholesky_factor(_fbm_covariance(hurst, grid.points[1:]))
-            fill = functools.partial(_cholesky_rows, factor)
-        jobs += [functools.partial(_fill_stream, fill, _stream(seed, k, coord),
+            fill = functools.partial(_cholesky_stream, factor)
+        jobs += [functools.partial(fill, _stream(seed, k, coord),
                                    comps[k, :, 1:, coord], rows)
                  for coord in range(spec.dim)]
 

@@ -162,6 +162,11 @@ def cross_term_scaling(
     t_scales = np.asarray(sorted(float(t) for t in t_scales))
     if np.unique(t_scales).size < 3:
         raise ValueError("need at least 3 distinct interval lengths")
+    # scale si draws from seed + si
+    if (not np.issubdtype(type(seed), np.integer)
+            or not 0 <= seed <= 2 ** 64 - t_scales.size):
+        raise ValueError(f"seed must be an int in [0, 2^64 - {t_scales.size}] for "
+                         f"{t_scales.size} scales, got {seed!r}")
     moments = []
     ses = []
     for si, t in enumerate(t_scales):

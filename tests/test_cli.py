@@ -356,13 +356,14 @@ RATE = ["bench-rate", "--spec", None, "--mesh-min", 2, "--mesh-max", 4, "--seeds
     ["sim", "--spec", None, "--seed", -1],
     ["sim", "--spec", None, "--seed", 2 ** 64],
     [*SCALING[:-1], -1, "--n-paths", 4],
+    [*SCALING[:-1], 2 ** 64 - 1, "--n-paths", 4],
     ["estimate", "--input", "path.csv", "--bootstrap", -1],
 ], ids=["scaling-1-path", "scaling-0-paths", "scaling-one-scale", "rate-0-seeds",
         "sharpness-1-seed", "sharpness-0-seeds", "cauchy-0-seeds",
         "cauchy-0-levels", "sharpness-0-levels", "rate-e-0", "rate-e-negative",
         "rate-bilinear-e-0", "rate-sigmoid-e-0", "rate-negative-mesh",
         "sim-negative-seed", "sim-seed-2^64", "scaling-negative-seed",
-        "estimate-negative-bootstrap"])
+        "scaling-seed-2^64-1", "estimate-negative-bootstrap"])
 def test_degenerate_bench_inputs_exit_2_without_output(tmp_path, spec_file, capfd,
                                                        argv):
     out = tmp_path / "o"

@@ -502,6 +502,36 @@ def _polish_oracle(dts, values, counts, hursts):
     return hursts
 
 
+def _grid_residuals(dts, values, counts, k):
+    """Squared NNLS residual of every grid subset that the start scores, for
+    one replicate, from its own weighted columns, and b.b."""
+    x, y = estimate._weighted(dts, values, counts, estimate._H_GRID)
+    gram, xy = x.T @ x, x.T @ y
+    d = np.diag(gram)
+    single = y @ y - xy ** 2 / d
+    if k == 1:
+        return single, y @ y
+    det = np.outer(d, d) - gram ** 2
+    np.fill_diagonal(det, np.inf)
+    a = (d[None, :] * xy[:, None] - gram * xy[None, :]) / det  # weight of i in (i, j)
+    both = y @ y - (a * xy[:, None] + a.T * xy[None, :])
+    res = np.minimum(single[:, None], single[None, :])
+    res = np.where((a >= 0) & (a.T >= 0), np.minimum(res, both), res)
+    return res[estimate._PAIRS[0], estimate._PAIRS[1]], y @ y
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_grid_start_picks_each_replicates_least_residual(k):
+    dts, values = structure_function(bench_path(3, n=2 ** 14), BENCH_LAGS)
+    counts = estimate._draw_counts(np.random.default_rng(1), 40, dts.size)
+    subsets = np.arange(estimate._H_GRID.size)[None] if k == 1 else estimate._PAIRS
+    start = estimate._grid_start(dts, values, counts, k)
+    for c, h in zip(counts, start):
+        res, bb = _grid_residuals(dts, values, c, k)
+        picked = np.flatnonzero((estimate._H_GRID[subsets].T == h).all(axis=1))
+        assert res[picked[0]] - res.min() <= 1e-12 * bb
+
+
 @pytest.mark.parametrize("maxiter", [1, 2, 3, 100])
 def test_lockstep_polish_follows_each_replicates_own_iterates(monkeypatch, maxiter):
     # replicates accept and halve in different rounds; each stops after its

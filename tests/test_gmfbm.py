@@ -16,9 +16,10 @@ from roughmix.gmfbm import (
     GmfbmSpec,
     SamplePath,
     TimeGrid,
+    _circulant_fbm,
     _fgn_autocovariance,
-    _fgn_circulant,
     _fgn_circulant_sqrt_eigs,
+    _spectrum_scale,
     covariance,
     dumps,
     format_csv,
@@ -284,13 +285,6 @@ def test_circulant_requires_uniform_grid():
         sample(BROWNIAN, grid, seed=1, method="circulant")
 
 
-class _BasisDraws:
-    """Stands in for a Generator: its "normals" are the rows of the identity."""
-
-    def standard_normal(self, shape):
-        return np.eye(*shape)
-
-
 FGN_HURSTS = [0.01, 0.1, 0.3, 0.4999, 0.5001, 0.75, 0.95, 0.999]
 FGN_LAGS = [*range(1, 40), 100, 1000, 4095, 65535, 262143]
 
@@ -306,10 +300,13 @@ def _fgn_autocovariance_reference(hurst: float, k: int) -> Decimal:
 @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.95])
 def test_circulant_covariance_exact(hurst):
     # the sampler is linear in its 2n normals; feeding it the basis vectors
-    # gives its matrix A, and A^T A is the covariance it samples
+    # gives its matrix A (the increments of its fBm rows), and A^T A is the
+    # covariance it samples
     n = 64
-    responses = _fgn_circulant(_fgn_circulant_sqrt_eigs(hurst, n),
-                               _BasisDraws(), 2 * n)
+    fbm = np.empty((2 * n, n))
+    _circulant_fbm(np.eye(2 * n), _spectrum_scale(_fgn_circulant_sqrt_eigs(hurst, n), 1.0),
+                   np.empty((2 * n, n + 1), dtype=complex), fbm)
+    responses = np.diff(fbm, axis=1, prepend=0.0)
     # against the decimal autocovariance: the float second difference is off
     # by up to 3e-13 at these lags
     gamma = np.array([1.0] + [float(_fgn_autocovariance_reference(hurst, k))
@@ -481,6 +478,25 @@ def test_repeated_samples_are_byte_identical():
     first = sample(TWO_COMP, grid, seed=3).values.tobytes()
     assert sample(TWO_COMP, grid, seed=3).values.tobytes() == first
     assert sample_batch(TWO_COMP, grid, 3, 2)[0].tobytes() == first
+
+
+def test_sample_is_built_from_the_sfc64_streams():
+    # the path by hand, from the module docstring's half-spectrum map: a new
+    # generator, seeding or map has to change this test too
+    spec = GmfbmSpec(hursts=(0.3, 0.8), coeffs=(1.0, -0.5), dim=2)
+    n, seed = 16, 2 ** 64 - 5
+    want = np.zeros((n + 1, spec.dim))
+    for k, (hurst, a) in enumerate(zip(spec.hursts, spec.coeffs)):
+        eigs = _fgn_circulant_sqrt_eigs(hurst, n) ** 2
+        real_bin = np.isin(np.arange(n + 1), [0, n])
+        for c in range(spec.dim):
+            ss = np.random.SeedSequence(seed, spawn_key=(k, c))
+            z = np.random.Generator(np.random.SFC64(ss)).standard_normal(2 * n)
+            bins = np.concatenate([[z[0]], z[2::2] + 1j * z[3::2], [z[1]]])
+            spectrum = bins * np.sqrt(np.where(real_bin, 2, 1) * n * eigs) * (1 / n) ** hurst
+            want[1:, c] += a * np.cumsum(np.fft.irfft(spectrum, n=2 * n)[:n])
+    got = sample(spec, TimeGrid.uniform(n), seed).values
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_cached_circulant_eigenvalues_are_read_only():

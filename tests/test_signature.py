@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -242,3 +243,18 @@ def test_cross_term_scaling_validation():
         cross_term_scaling(0.2, 0.2, [0.25, 0.5, 1.0], 100, 0)
     with pytest.raises(ValueError):
         cross_term_scaling(0.5, 0.75, [1.0], 100, 0)
+
+
+def test_cross_term_scaling_checks_every_scale_seed_before_drawing(monkeypatch):
+    # scale si draws from seed + si, which must stay below 2^64
+    scales = [0.25, 0.5, 1.0]
+    assert np.isfinite(cross_term_scaling(0.5, 0.75, scales, 2, 2 ** 64 - 3,
+                                          n_steps=8)["slope"])
+
+    def no_draw(*args):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(signature_module, "_component_paths", no_draw)
+    for seed in (2 ** 64 - 2, 2 ** 64 - 1, -1, 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            cross_term_scaling(0.5, 0.75, scales, 2, seed, n_steps=8)
