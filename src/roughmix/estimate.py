@@ -349,13 +349,10 @@ def _polish(dts, values, counts, hursts: np.ndarray):
     w, f = stencils(counts, hursts)
     step = _newton_step(f, hursts)
     # each live replicate takes one trial per round, so it has accepted
-    # rounds - rejected steps, and none can have accepted _NEWTON_MAXITER
-    # in fewer rounds
+    # rounds - rejected steps
     rejected = np.zeros(len(hursts), dtype=int)
     for rounds in itertools.count():
-        live = np.abs(step).max(axis=1) >= _H_TOL
-        if rounds >= _NEWTON_MAXITER:
-            live &= rounds - rejected < _NEWTON_MAXITER
+        live = (np.abs(step).max(axis=1) >= _H_TOL) & (rounds - rejected < _NEWTON_MAXITER)
         if not live.all():  # the finished leave the lockstep
             done = rows[~live]
             out_h[done], out_w[done], out_f[done] = hursts[~live], w[~live], f[~live, centre]
@@ -366,16 +363,13 @@ def _polish(dts, values, counts, hursts: np.ndarray):
                 return out_h, out_w, np.sqrt(out_f)
         trial = _feasible(hursts + step)
         wt, ft = stencils(counts, trial)
-        better = ft[:, centre] < f[:, centre]
-        if better.all():
-            hursts, w, f, step = trial, wt, ft, _newton_step(ft, trial)
-            continue
-        worse = ~better
-        step[worse] /= 2
-        rejected += worse
-        if better.any():
-            hursts[better], w[better], f[better] = trial[better], wt[better], ft[better]
-            step[better] = _newton_step(f[better], hursts[better])
+        better = (ft[:, centre] < f[:, centre])[:, None]
+        rejected += ~better[:, 0]
+        hursts, w, f = (np.where(better, new, old)
+                        for new, old in ((trial, hursts), (wt, w), (ft, f)))
+        # a round in which every replicate rejects needs no Newton step
+        newton = _newton_step(f, hursts) if better.any() else 0.0
+        step = np.where(better, newton, step / 2)
 
 
 def _fit(dts, values, counts, k: int):
@@ -474,11 +468,9 @@ def fit_mixture(
     replicate draws as many rows as the table has, with replacement, and is
     refit as the table with those row counts, so a row drawn twice weighs
     twice. All replicates are fit together, in blocks of a fixed size.
-    Since 0.4.0 the weights sum the terms of 0.3.0's repeated rows in
-    another order, so standard errors differ from 0.3.0's at rounding
-    level, as the point estimates do. Replicates with fewer than two distinct lags per component, or
-    whose fit loses a component, are skipped, and a flag counts them; a
-    flag also says when fewer than two replicates are left, so that the
+    Replicates with fewer than two distinct lags per component, or whose
+    fit loses a component, are skipped, and a flag counts them; a flag
+    also says when fewer than two replicates are left, so that the
     standard errors stay None.
     """
     if not np.issubdtype(type(n_bootstrap), np.integer) or n_bootstrap < 0:

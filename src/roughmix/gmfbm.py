@@ -12,15 +12,13 @@ Randomness comes from one SFC64 stream per ``(seed, component,
 coordinate)``, seeded by ``SeedSequence(seed, spawn_key=(component,
 coordinate))`` and handed out path by path: path k of a batch does not
 depend on the batch size (bit for bit under circulant sampling, to rounding
-under Cholesky, whose matrix product blocks by rows drawn at once). Version
-0.5.0 changed the generator from Philox to SFC64, so its paths differ from
-0.4.0's for the same seed, as 0.2.0's differed from 0.1.0's. The streams
-are independent, so they are drawn in parallel over the usable CPUs, each in
-chunks of at most ``CHUNK_ENTRIES`` normals into buffers made once per
-stream, on a thread pool that exists only for the duration of that one
-draw; a draw whose streams each fit in one chunk runs on the calling thread.
-Each stream's draws stay in order, so the output does not depend on the
-number of workers. A seed is an int in [0, 2^64).
+under Cholesky, whose matrix product blocks by rows drawn at once). The
+streams are independent, so they are drawn in parallel over the usable
+CPUs, each in chunks of at most ``CHUNK_ENTRIES`` normals into buffers
+made once per stream, on a thread pool that exists only for the duration
+of that one draw; a draw whose streams each fit in one chunk runs on the
+calling thread. Each stream's draws stay in order, so the output does not
+depend on the number of workers. A seed is an int in [0, 2^64).
 
 A circulant row of n steps takes the stream's next 2n normals z_0 ..
 z_{2n-1}. They fill a Hermitian half-spectrum: bin 0 is z_0 and bin n is z_1,
@@ -190,6 +188,13 @@ def format_csv(header: str, rows) -> str:
     return header + "\n" + (line * len(rows)) % flat
 
 
+def path_csv(points, values: np.ndarray, name: str) -> str:
+    """Path CSV text: a ``t`` column of the points, then one column per
+    coordinate of the (n_points, d) values, headed ``name`` 1 .. d."""
+    header = "t," + ",".join(f"{name}{i + 1}" for i in range(values.shape[1]))
+    return format_csv(header, np.column_stack([points, values]).tolist())
+
+
 def dumps(obj, **kw) -> str:
     """JSON text of ``obj``; a non-finite float raises NumericsError."""
     try:
@@ -231,9 +236,7 @@ class SamplePath:
         return self.values.shape[1]
 
     def to_csv(self) -> str:
-        header = "t," + ",".join(f"x{i + 1}" for i in range(self.dim))
-        rows = np.column_stack([self.grid.points, self.values]).tolist()
-        return format_csv(header, rows)
+        return path_csv(self.grid.points, self.values, "x")
 
     @classmethod
     def from_csv(cls, text: str) -> "SamplePath":
@@ -301,11 +304,7 @@ def self_similarity_rescale(spec: GmfbmSpec, h: float) -> GmfbmSpec:
 
 
 def _stream(seed: int, component: int, coord: int) -> np.random.Generator:
-    """SFC64 stream for one (component, coordinate) pair.
-
-    Version 0.5.0 changed the generator from Philox, as 0.2.0 changed the
-    circulant stream, so a seed gives other paths than it did in 0.4.0.
-    """
+    """SFC64 stream for one (component, coordinate) pair."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(component, coord))
     return np.random.Generator(np.random.SFC64(ss))
 

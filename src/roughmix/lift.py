@@ -341,26 +341,15 @@ def cauchy_diagnostic(
         )
     m_fine = m_max + 1
     grid = TimeGrid.dyadic(m_fine, spec.horizon)
-    rows = []  # (m, seed, d_p)
-    for seed in seeds:
+    dist = np.empty((len(seeds), m_max))  # d_p(lift_m, lift_{m+1}) at [seed, m - 1]
+    for row, seed in zip(dist, seeds):
         path = sample(spec, grid, seed)
-        approx = {m: dyadic_approx(path, m) for m in range(1, m_fine + 1)}
-        for m in range(1, m_max + 1):
-            rows.append((m, int(seed), _dp_distance(approx[m], approx[m + 1], p)))
-    ms = sorted({m for m, _, _ in rows})
-    medians = {
-        m: float(np.median([d for mm, _, d in rows if mm == m])) for m in ms
-    }
-    ratios = {
-        m: medians[m + 1] / medians[m] for m in ms[:-1] if medians[m] > 0
-    }
+        approx = [dyadic_approx(path, m) for m in range(1, m_fine + 1)]
+        row[:] = [_dp_distance(a, b, p) for a, b in zip(approx[:-1], approx[1:])]
     return {
-        "rows": rows,
-        "medians": medians,
-        "ratios": ratios,
-        "monotone_decreasing": all(
-            medians[a] > medians[b] for a, b in zip(ms[:-1], ms[1:])
-        ),
+        "rows": [(m, int(seed), d) for seed, ds in zip(seeds, dist.tolist())
+                 for m, d in enumerate(ds, 1)],
+        "medians": dict(enumerate(np.median(dist, axis=0).tolist(), 1)),
     }
 
 
@@ -392,4 +381,4 @@ def sharpness_probe(
             rp = lift_piecewise_linear(dyadic_approx(path, m))
             areas[m].append(rp.levy_area()[0, 1])
     variances = {m: float(np.var(v, ddof=1)) for m, v in areas.items()}
-    return {"hurst": h_small, "variances": variances, "areas": areas}
+    return {"variances": variances, "areas": areas}

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as ta
 from .errors import NumericsError
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, format_csv, path_values, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, path_csv, path_values, sample
 from .lift import Level2RoughPath, dyadic_approx, lift_piecewise_linear
 
 __all__ = [
@@ -141,10 +141,9 @@ def sigmoid_field(scale: float = 1.0, d: int = 1) -> VectorField:
         return scale * np.tanh(y[:, None] + np.arange(d)[None, :])
 
     def jac_apply(y, g):
-        fy = ev(y)
-        dtanh = scale * (1.0 - np.tanh(y[:, None] + np.arange(d)[None, :]) ** 2)
-        # d_l f_{i b} = delta_{il} dtanh_{i b}
-        return np.einsum("ib,ia,ab->i", dtanh, fy, g)
+        th = np.tanh(y[:, None] + np.arange(d)[None, :])
+        # d_l f_{i b} = delta_{il} scale (1 - th_{i b}^2)
+        return np.einsum("ib,ia,ab->i", scale * (1.0 - th ** 2), scale * th, g)
 
     return VectorField(eval=ev, jacobian_apply=jac_apply)
 
@@ -159,9 +158,7 @@ class RdeSolution:
         return self.states[-1]
 
     def to_csv(self) -> str:
-        header = "t," + ",".join(f"y{i + 1}" for i in range(self.states.shape[1]))
-        rows = np.column_stack([self.grid.points, self.states]).tolist()
-        return format_csv(header, rows)
+        return path_csv(self.grid.points, self.states, "y")
 
 
 # --------------------------------------------------------------------------- #
@@ -195,22 +192,23 @@ def _blow_up(k: int, y: np.ndarray) -> NumericsError:
 
 
 def _propagators(levels: list, mats: np.ndarray) -> np.ndarray:
-    """Per-interval propagators sum_n sum_{|w|=n} levels[n][k, w] A_{w_n}...A_{w_1}.
+    """Per-interval propagators sum_n sum_{|w|=n} levels[n][w, k] A_{w_n}...A_{w_1}.
 
-    ``levels[n]`` has shape (k, d^n) in tensor storage order and ``mats``
-    shape (d, e, e); the result is (k, e, e). Word matrices are built once
-    and contracted with one einsum per level. Overflow is left to the
-    non-finite check in ``_propagate``.
+    ``levels[n]`` is words-first, shape (d^n, k) in tensor storage order, as
+    the ``tensor`` kernels store it, and ``mats`` has shape (d, e, e); the
+    result is (k, e, e). Word matrices are built once and contracted with
+    one einsum per level. Overflow is left to the non-finite check in
+    ``_propagate``.
     """
     d, e = mats.shape[:2]
-    if levels[1].shape[-1] != d:
+    if levels[1].shape[0] != d:
         raise ValueError("need one generator matrix per driver coordinate")
     words = np.eye(e)[None]  # words[w] = A_{w_n} ... A_{w_1}
     with np.errstate(over="ignore", invalid="ignore"):
-        props = levels[0][:, :, None] * np.eye(e)
+        props = levels[0][0, :, None, None] * np.eye(e)
         for n in range(1, len(levels)):
             words = np.einsum("aij,wjl->wail", mats, words).reshape(d ** n, e, e)
-            props += np.einsum("kw,wij->kij", levels[n], words)
+            props += np.einsum("wk,wij->kij", levels[n], words)
     return props
 
 
@@ -254,7 +252,7 @@ def solve(rp: Level2RoughPath, field: VectorField, y0) -> RdeSolution:
     """
     if field.mats is not None:
         k = rp.n_intervals
-        levels = [np.ones((k, 1)), rp.inc1, rp.inc2.reshape(k, rp.dim ** 2)]
+        levels = [np.ones((1, k)), rp.inc1.T, rp.inc2.reshape(k, rp.dim ** 2).T]
         return _propagate(rp, _propagators(levels, field.mats), y0)
     y = _initial_state(y0)
     states = np.empty((rp.n_intervals + 1, y.size))
@@ -275,9 +273,10 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
     tensor level is contracted against products of the generators; for
     commuting generators this is exact up to the truncation level. One
     batched log and exp give every interval's extension, ``_propagators``
-    turns them into propagators P_k, and only y <- P_k y loops.
+    turns them into propagators P_k, and only y <- P_k y loops. The
+    generators are checked as ``linear_field`` checks them.
     """
-    mats = np.stack([np.atleast_2d(np.asarray(m, dtype=float)) for m in mats])
+    mats = linear_field(mats).mats
     d, k = rp.dim, rp.n_intervals
     if level < 2:
         raise ValueError("level must be >= 2")
@@ -288,8 +287,7 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
     # canonical group-like extension: exp of the level-<=2 log part
     g = ta._exp([np.zeros((1, k)), ell[1], ell[2]]
                 + [np.zeros((d ** n, k)) for n in range(3, level + 1)])
-    # back to (k, d^n) rows: einsum's reduction bits follow its operands' layout
-    return _propagate(rp, _propagators([lv.T.copy() for lv in g], mats), y0)
+    return _propagate(rp, _propagators(g, mats), y0)
 
 
 # --------------------------------------------------------------------------- #

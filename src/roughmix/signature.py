@@ -151,7 +151,10 @@ def cross_term_scaling(
 
     The double integral is computed exactly from piecewise-linear
     interpolants of the two independent fBm components on a common grid.
-    The continuum prediction for the slope is 2 (H_i + H_j).
+    The prediction for the slope, 2 (H_i + H_j), is exact on this discrete
+    grid too: the grid scales with the interval, so by self-similarity the
+    discrete moment is exactly a constant times t^{2 (H_i + H_j)}, and the
+    slope's error is Monte Carlo noise alone.
     """
     if h_i + h_j <= 0.5:
         raise ValueError(

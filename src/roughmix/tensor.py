@@ -101,10 +101,9 @@ class TruncatedTensor:
         return float(self.levels[n][word_to_index(word, self.dim)])
 
     def level_array(self, n: int, reshape: bool = False) -> np.ndarray:
-        arr = self.levels[n]
-        if reshape and n > 0:
-            return arr.reshape((self.dim,) * n)
-        return arr.copy()
+        """A copy of level n: flat, or with ``reshape`` a (dim,) * n array."""
+        arr = self.levels[n].copy()
+        return arr.reshape((self.dim,) * n) if reshape and n > 0 else arr
 
     def norm_level(self, n: int) -> float:
         """Max-absolute-entry norm of level n."""
@@ -155,7 +154,21 @@ class TruncatedTensor:
     @classmethod
     def from_json(cls, text: str) -> "TruncatedTensor":
         obj = json.loads(text)
-        return cls(int(obj["dim"]), int(obj["level"]), obj["levels"])
+        if not isinstance(obj, dict):
+            raise ValueError("tensor JSON must be an object")
+        try:
+            dim, level, levels = obj["dim"], obj["level"], obj["levels"]
+            levels = [np.asarray(lv, dtype=float) for lv in levels]
+        except KeyError as err:
+            raise ValueError(f"tensor JSON is missing {err}") from err
+        except TypeError as err:
+            raise ValueError(f"malformed tensor JSON: {err}") from err
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (dim, level)):
+            raise ValueError("tensor JSON needs integer dim and level, "
+                             f"got {dim!r} and {level!r}")
+        if not all(np.isfinite(lv).all() for lv in levels):
+            raise ValueError("tensor JSON holds non-finite values")
+        return cls(dim, level, levels)
 
     def __repr__(self) -> str:
         return f"TruncatedTensor(dim={self.dim}, level={self.level}, scalar={self.scalar})"

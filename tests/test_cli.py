@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -272,6 +273,24 @@ def test_readme_quick_start_runs():
     res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
                          env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_readme_cli_lines_parse():
+    # every roughmix line of the README's sh blocks, parsed but not run, so
+    # that a documented subcommand or flag cannot drift from the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in readme.split("```sh\n")[1:]
+             for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("roughmix ")]
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+    assert {line.split()[1] for line in lines} == {
+        "sim", "lift", "sig", "solve", "estimate",
+        "bench-cauchy", "bench-sharpness", "bench-rate", "bench-scaling"}
 
 
 def test_numerical_blowup_exits_3(tmp_path):

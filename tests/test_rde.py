@@ -337,15 +337,24 @@ def test_convergence_rate_reference_mesh_from_ref_factor(monkeypatch, ref_factor
     assert grids == [2 ** m_ref]
 
 
-@pytest.mark.parametrize("mats,match", [
+BAD_GENERATORS = [
     ([], "at least one generator"),
     ([np.eye(0)], "non-empty square"),
     ([np.ones((2, 3))], "non-empty square"),
     ([np.ones((2, 2, 2))], "non-empty square"),
-])
+]
+
+
+@pytest.mark.parametrize("mats,match", BAD_GENERATORS)
 def test_linear_field_rejects_empty_or_non_square_generators(mats, match):
     with pytest.raises(ValueError, match=match):
         linear_field(mats)
+
+
+@pytest.mark.parametrize("mats,match", BAD_GENERATORS)
+def test_linear_exact_checks_generators_as_linear_field_does(mats, match):
+    with pytest.raises(ValueError, match=match):
+        linear_exact(random_walk_lift(1), mats, [1.0])
 
 
 @pytest.mark.parametrize("d", [0, -3])

@@ -238,6 +238,52 @@ def test_cross_term_scaling_brownian():
     assert abs(res["slope"] - 2.0) < 0.3
 
 
+def exact_cross_moment(h_i, h_j, t, n_steps):
+    """E[(sum_k m_k D_k)^2] on cross_term_scaling's grid of n_steps on [0, t].
+
+    m_k = (X_k + X_{k+1}) / 2 - X_0 for an fBm X of Hurst h_i and D_k is
+    the k-th increment of an independent fBm Y of Hurst h_j, so the moment
+    is sum_{k,l} Cov(m_k, m_l) Cov(D_k, D_l), from the fBm covariance.
+    """
+    s = np.linspace(0.0, t, n_steps + 1)
+    cov_x = 0.5 * (s[:, None] ** (2 * h_i) + s ** (2 * h_i)
+                   - np.abs(s[:, None] - s) ** (2 * h_i))
+    cov_m = 0.25 * (cov_x[:-1, :-1] + cov_x[1:, :-1] + cov_x[:-1, 1:] + cov_x[1:, 1:])
+    lag = np.abs(np.subtract.outer(np.arange(n_steps), np.arange(n_steps)))
+    cov_d = 0.5 * (t / n_steps) ** (2 * h_j) * (
+        (lag + 1.0) ** (2 * h_j) + np.abs(lag - 1.0) ** (2 * h_j) - 2.0 * lag ** (2 * h_j))
+    return float(np.sum(cov_m * cov_d))
+
+
+SCALES = [0.125, 0.25, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("h_i, h_j", [(0.5, 0.75), (0.26, 0.25), (0.3, 0.4), (0.75, 0.9)])
+def test_exact_cross_moments_scale_as_the_continuum(h_i, h_j):
+    # on a grid scaled with t the discrete moment is exactly t^{2(H_i + H_j)}
+    # times a constant, so the prediction has no discretisation bias
+    exact = [exact_cross_moment(h_i, h_j, t, 256) for t in SCALES]
+    slope = np.polyfit(np.log(SCALES), np.log(exact), 1)[0]
+    assert abs(slope - 2 * (h_i + h_j)) < 1e-12
+
+
+@pytest.mark.parametrize("h_i, h_j", [(0.5, 0.75), (0.3, 0.4)])
+def test_cross_term_moments_match_the_exact_ones(h_i, h_j):
+    # 1000 paths per scale: over 100 seeds x 4 scales per pair, the z-scores
+    # had mean -0.15 and -0.08, sd 1.06 and 1.09 and max |z| 3.70 and 3.74
+    # (the squared cross term is heavy-tailed), and the mean of 16 z-scores
+    # (4 seeds) had sd 0.29-0.31 and ranged over [-0.81, 0.46]. The bounds
+    # below are 4.5 on each |z| and 1.5 (about 5 sd) on their mean.
+    exact = np.array([exact_cross_moment(h_i, h_j, t, 256) for t in SCALES])
+    z = []
+    for seed in range(0, 16, 4):  # scale si draws from seed + si
+        res = cross_term_scaling(h_i, h_j, SCALES, n_paths=1000, seed=seed)
+        z.append((np.array(res["moments"]) - exact) / np.array(res["stderrs"]))
+    z = np.array(z)
+    assert np.abs(z).max() <= 4.5, z
+    assert abs(z.mean()) <= 1.5, z
+
+
 def test_cross_term_scaling_validation():
     with pytest.raises(ValueError):
         cross_term_scaling(0.2, 0.2, [0.25, 0.5, 1.0], 100, 0)

@@ -277,3 +277,21 @@ def test_json_round_trip():
     back = TruncatedTensor.from_json(x.to_json())
     assert back.allclose(x)
     assert (back.dim, back.level) == (2, 3)
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "level": 1}',  # no levels
+    '[2, 1, [[1.0], [0.5, 0.5]]]',  # an array, not an object
+    '{"dim": 2.7, "level": 1, "levels": [[1.0], [0.5, 0.5]]}',
+    '{"dim": 2, "level": 1, "levels": [[1.0], [NaN, 0.5]]}',
+], ids=["missing-levels", "array", "fractional-dim", "nan-entry"])
+def test_from_json_rejects_malformed_tensors(text):
+    with pytest.raises(ValueError):
+        TruncatedTensor.from_json(text)
+
+
+@pytest.mark.parametrize("reshape", [False, True])
+def test_level_array_is_a_copy(reshape):
+    t = ta.from_level1([1.0, 2.0], 3)
+    t.level_array(2, reshape=reshape).ravel()[0] = 99.0
+    assert t.levels[2][0] == 0.0
