@@ -13,57 +13,60 @@ Core objects:
 - :mod:`roughmix.rde` — Davie-scheme RDE solving, linear propagators,
   convergence/stability harnesses.
 - :mod:`roughmix.estimate` — Hurst and mixing-coefficient estimation.
+
+Importing the package loads none of them: each name in ``__all__``, and
+each submodule, resolves on first access (PEP 562), so a program loads only
+the modules it uses. ``roughmix.signature`` is the function; the submodule
+of that name is reached by ``from roughmix.signature import ...``.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.5.0"
 
-from .errors import (
-    CompositionError,
-    ConfigurationError,
-    NonPositiveDefiniteError,
-    NumericsError,
-)
-from .estimate import FitReport, fit_mixture, fit_single, structure_function
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample, sample_batch
-from .lift import (
-    Level2RoughPath,
-    PartitionSchedule,
-    chen_compose,
-    dyadic_approx,
-    lift_piecewise_linear,
-    p_variation,
-)
-from .rde import RdeSolution, VectorField, davie_step, linear_field, solve
-from .signature import log_signature, signature
-from .tensor import TruncatedTensor
+# the submodule that defines each public name
+_HOME = {
+    **dict.fromkeys(["CompositionError", "ConfigurationError",
+                     "NonPositiveDefiniteError", "NumericsError"], "errors"),
+    **dict.fromkeys(["FitReport", "fit_mixture", "fit_single",
+                     "structure_function"], "estimate"),
+    **dict.fromkeys(["GmfbmSpec", "SamplePath", "TimeGrid", "sample",
+                     "sample_batch"], "gmfbm"),
+    **dict.fromkeys(["Level2RoughPath", "PartitionSchedule", "chen_compose",
+                     "dyadic_approx", "lift_piecewise_linear", "p_variation"], "lift"),
+    **dict.fromkeys(["RdeSolution", "VectorField", "davie_step", "linear_field",
+                     "solve"], "rde"),
+    **dict.fromkeys(["log_signature", "signature"], "signature"),
+    "TruncatedTensor": "tensor",
+}
+_SUBMODULES = set(_HOME.values()) - {"signature"}  # that name is the function
 
-__all__ = [
-    "__version__",
-    "CompositionError",
-    "ConfigurationError",
-    "NonPositiveDefiniteError",
-    "NumericsError",
-    "FitReport",
-    "fit_mixture",
-    "fit_single",
-    "structure_function",
-    "GmfbmSpec",
-    "SamplePath",
-    "TimeGrid",
-    "sample",
-    "sample_batch",
-    "Level2RoughPath",
-    "PartitionSchedule",
-    "chen_compose",
-    "dyadic_approx",
-    "lift_piecewise_linear",
-    "p_variation",
-    "RdeSolution",
-    "VectorField",
-    "davie_step",
-    "linear_field",
-    "solve",
-    "log_signature",
-    "signature",
-    "TruncatedTensor",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)  # the import binds it
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # loading the submodule ``signature`` binds it on its package, over
+        # the function of that name; the package keeps the function
+        if name == "signature" and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -21,16 +21,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, NumericsError
-from .estimate import default_lags, fit_mixture
 from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, dumps, format_csv, sample
-from .lift import (
-    Level2RoughPath,
-    cauchy_diagnostic,
-    lift_piecewise_linear,
-    sharpness_probe,
-)
-from .rde import convergence_rate, linear_field, sigmoid_field, solve as rde_solve
-from .signature import cross_term_scaling, log_signature, signature
+
+# Each subcommand imports the other modules it calls, so a run, which is a
+# fresh process, loads only what it uses.
 
 
 def _sha256(path: Path) -> str:
@@ -76,18 +70,24 @@ def cmd_sim(args) -> None:
 
 
 def cmd_lift(args) -> None:
+    from .lift import lift_piecewise_linear
+
     path = SamplePath.from_csv(Path(args.input).read_text())
     rp = lift_piecewise_linear(path)
     _emit(args, [Path(args.input)], {"level2.json": rp.to_json() + "\n"})
 
 
 def cmd_sig(args) -> None:
+    from .signature import log_signature, signature
+
     path = SamplePath.from_csv(Path(args.input).read_text())
     tensor = (log_signature if args.log else signature)(path, args.level)
     _emit(args, [Path(args.input)], {"signature.json": tensor.to_json() + "\n"})
 
 
 def _build_field(name: str, dim: int, e: int):
+    from .rde import linear_field, sigmoid_field
+
     # the generator matrices below are e x e, so e is checked before they are built
     if e < 1:
         raise ConfigurationError(f"state dimension --e must be >= 1, got {e}")
@@ -107,6 +107,9 @@ def _build_field(name: str, dim: int, e: int):
 
 
 def cmd_solve(args) -> None:
+    from .lift import Level2RoughPath, lift_piecewise_linear
+    from .rde import solve
+
     if args.lift is not None:
         source = Path(args.lift)
         rp = Level2RoughPath.from_json(source.read_text())
@@ -115,11 +118,13 @@ def cmd_solve(args) -> None:
         rp = lift_piecewise_linear(SamplePath.from_csv(source.read_text()))
     y0 = np.array([float(v) for v in args.y0.split(",")])
     field = _build_field(args.field, rp.dim, y0.size)
-    sol = rde_solve(rp, field, y0)
+    sol = solve(rp, field, y0)
     _emit(args, [source], {"solution.csv": sol.to_csv()})
 
 
 def cmd_estimate(args) -> None:
+    from .estimate import default_lags, fit_mixture
+
     path = SamplePath.from_csv(Path(args.input).read_text())
     if args.lags == "auto":
         lags = default_lags(len(path.grid))
@@ -132,6 +137,8 @@ def cmd_estimate(args) -> None:
 
 
 def cmd_bench_cauchy(args) -> None:
+    from .lift import cauchy_diagnostic
+
     spec = _load_spec(args.spec)
     res = cauchy_diagnostic(spec, args.m_max, args.p, range(args.seeds))
     _emit(args, [Path(args.spec)], {
@@ -143,6 +150,8 @@ def cmd_bench_cauchy(args) -> None:
 
 
 def cmd_bench_sharpness(args) -> None:
+    from .lift import sharpness_probe
+
     res = sharpness_probe(args.hurst, args.m_max, range(args.seeds))
     _emit(args, [], {"sharpness.csv": format_csv(
         "m,stat,value",
@@ -150,6 +159,8 @@ def cmd_bench_sharpness(args) -> None:
 
 
 def cmd_bench_rate(args) -> None:
+    from .rde import convergence_rate
+
     spec = _load_spec(args.spec)
     field = _build_field(args.field, spec.dim, args.e)
     y0 = np.ones(args.e)
@@ -166,6 +177,8 @@ def cmd_bench_rate(args) -> None:
 
 
 def cmd_bench_scaling(args) -> None:
+    from .signature import cross_term_scaling
+
     scales = [float(v) for v in args.scales.split(",")]
     res = cross_term_scaling(args.hi, args.hj, scales, args.n_paths, args.seed)
     _emit(args, [], {
@@ -185,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="roughmix",
         description="Mixed fBm simulation, rough path lifts, signatures, "
         "RDE solving, and parameter estimation.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -252,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("-o", "--output", default="out")
+        p.allow_abbrev = False  # a flag is spelled in full, so no prefix of one parses
     return parser
 
 

@@ -124,11 +124,17 @@ def structure_function(path: SamplePath, lags) -> tuple[np.ndarray, np.ndarray]:
     return np.array(lags, dtype=float) * dt, values
 
 
+def _distinct(dts) -> int:
+    """``np.unique(dts).size``; asking for the inverse skips the masked-array
+    check of the bare call, which imports ``numpy.ma``."""
+    return np.unique(dts, return_inverse=True)[0].size
+
+
 def fit_single_from_table(dts, values) -> tuple[float, float]:
     """Log-log least squares: slope/2 is H, exp(intercept) is a^2."""
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if np.unique(dts).size < 2:
+    if _distinct(dts) < 2:
         raise ConfigurationError("a line needs at least 2 distinct lags")
     if not np.isfinite(values).all():
         raise NumericsError("structure values must be finite to fit")
@@ -391,7 +397,7 @@ def fit_mixture_from_table(dts, values, n_components: int) -> FitReport:
     values = np.asarray(values, dtype=float)
     if n_components not in (1, 2):
         raise ConfigurationError("n_components must be 1 or 2")
-    if np.unique(dts).size < 2 * n_components:
+    if _distinct(dts) < 2 * n_components:
         raise ConfigurationError(
             f"{n_components} components need at least {2 * n_components} "
             "distinct lags"

@@ -109,6 +109,21 @@ def test_unknown_flag_exits_2(tmp_path, spec_file):
     assert run("sim", "--spec", spec_file, "--seed", 1, "--bogus", "x") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "path.csv", "--boot", 5],
+    ["sig", "--input", "path.csv", "--lev", 2],
+], ids=["estimate-boot", "sig-lev"])
+def test_abbreviated_flag_exits_2_without_output(tmp_path, capsys, argv):
+    # a flag is spelled in full: no unique prefix of one parses
+    path = sample(GmfbmSpec(**SPEC), TimeGrid.uniform(64), seed=0)
+    (tmp_path / "path.csv").write_text(path.to_csv())
+    out = tmp_path / "o"
+    argv = [tmp_path / a if a == "path.csv" else a for a in argv]
+    assert run(*argv, "-o", out) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     assert run("frobnicate") == 2
 
@@ -244,24 +259,71 @@ def test_sig_overflow_exits_3_without_output(tmp_path, capsys, log):
     assert not (out / "signature.json").exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # neither importing the CLI nor fitting a mixture loads scipy; importing
-    # it loads no thread pool, and a single-chunk sample starts no thread
+# modules that a fresh ``python -m roughmix.cli`` run of each subcommand must
+# not load: a subcommand imports only the modules it calls, no run loads
+# scipy, and a draw of one chunk starts no thread pool
+NOT_LOADED = {
+    "sim": {"roughmix.lift", "roughmix.tensor", "roughmix.signature",
+            "roughmix.rde", "roughmix.estimate", "concurrent.futures.thread"},
+    "lift": {"roughmix.tensor", "roughmix.signature", "roughmix.rde",
+             "roughmix.estimate"},
+    "estimate": {"numpy.ma", "roughmix.lift", "roughmix.tensor",
+                 "roughmix.signature", "roughmix.rde"},
+}
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, spec_file):
+    path = sample(GmfbmSpec(**SPEC), TimeGrid.uniform(256), seed=0)
+    (tmp_path / "path.csv").write_text(path.to_csv())
+    argvs = {
+        "sim": ["--spec", spec_file, "--n", 64, "--seed", 1],
+        "lift": ["--input", tmp_path / "path.csv"],
+        "estimate": ["--input", tmp_path / "path.csv", "--components", 2,
+                     "--lags", "1,2,4,8", "--bootstrap", 5],
+    }
     src = str(Path(roughmix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, threading, roughmix.cli\n"
-            "assert 'concurrent.futures.thread' not in sys.modules\n"
-            "from roughmix.estimate import fit_mixture\n"
-            "from roughmix.gmfbm import GmfbmSpec, TimeGrid, sample\n"
-            "threads = threading.active_count()\n"
-            "spec = GmfbmSpec(hursts=(0.5, 0.75), coeffs=(1.0, 2.0))\n"
-            "path = sample(spec, TimeGrid.uniform(1024), 0)\n"
-            "assert threading.active_count() == threads\n"
-            "fit_mixture(path, n_components=2, n_bootstrap=5)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "[]"
+    for command, args in argvs.items():
+        out = tmp_path / command
+        # -X importtime writes one stderr line per module the run imports
+        res = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "roughmix.cli", command,
+             *map(str, args), "-o", str(out)],
+            env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert (out / "manifest.json").is_file()
+        loaded = {line.rsplit("|", 1)[1].strip()
+                  for line in res.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {"roughmix.errors", "roughmix.gmfbm"} <= loaded, command
+        assert not loaded & NOT_LOADED[command], command
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}, command
+
+
+def test_package_names_resolve_on_first_access():
+    src = str(Path(roughmix.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    # the package's ``signature`` stays the function after its submodule
+    # of that name is loaded first
+    submodule_first = (
+        "import sys\n"
+        "from roughmix.signature import cross_term_scaling\n"
+        "from roughmix import signature\n"
+        "assert signature is sys.modules['roughmix.signature'].signature\n")
+    bare = (
+        "import sys, roughmix\n"
+        "assert not [m for m in sys.modules if m.startswith('roughmix.')]\n"
+        "assert set(roughmix.__all__) <= set(dir(roughmix))\n"
+        "for name in ('gmfbm', 'tensor', 'lift', 'rde', 'estimate', 'errors'):\n"
+        "    assert getattr(roughmix, name) is sys.modules['roughmix.' + name]\n"
+        "for name in roughmix.__all__[1:]:\n"
+        "    obj = getattr(roughmix, name)\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+        "assert roughmix.signature is sys.modules['roughmix.signature'].signature\n")
+    for code in (submodule_first, bare):
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 
 def test_readme_quick_start_runs():

@@ -105,6 +105,16 @@ def test_fit_single_needs_two_distinct_lags():
             fit_single_from_table(dts, values)
 
 
+@pytest.mark.parametrize("dts", [
+    [], [0.1], [0.1, 0.1, 0.2], [0.2, 0.1, 0.2, 0.1, 0.4],
+    [np.inf, 0.1, np.inf, -np.inf], [np.nan, 0.1, np.nan], [np.nan] * 3,
+    [0.0, -0.0, np.nan, np.inf, 0.1, 0.1],
+], ids=["empty", "one", "duplicate", "duplicates", "inf", "nan", "all-nan", "mixed"])
+def test_distinct_lag_count_is_that_of_unique(dts):
+    dts = np.array(dts, dtype=float)
+    assert estimate._distinct(dts) == np.unique(dts).size
+
+
 # --------------------------------------------------------------------------- #
 # mixture fit
 

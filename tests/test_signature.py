@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughmix import tensor as ta
-from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid
+from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample_batch
 from roughmix.lift import cross_level2, lift_piecewise_linear
 from roughmix.rde import holder_estimate
 from roughmix.signature import (
@@ -238,6 +238,18 @@ def test_cross_term_scaling_brownian():
     assert abs(res["slope"] - 2.0) < 0.3
 
 
+def fbm_covariance(hurst, s):
+    """Cov(B_s, B_s') of an fBm of the given Hurst index at the nodes s."""
+    return 0.5 * (s[:, None] ** (2 * hurst) + s ** (2 * hurst)
+                  - np.abs(s[:, None] - s) ** (2 * hurst))
+
+
+def midpoint_covariance(cov_x):
+    """Cov(m_k, m_l), m_k = (X_k + X_{k+1}) / 2 - X_0, from Cov(X) at nodes
+    that start at 0, where X_0 = 0."""
+    return 0.25 * (cov_x[:-1, :-1] + cov_x[1:, :-1] + cov_x[:-1, 1:] + cov_x[1:, 1:])
+
+
 def exact_cross_moment(h_i, h_j, t, n_steps):
     """E[(sum_k m_k D_k)^2] on cross_term_scaling's grid of n_steps on [0, t].
 
@@ -246,9 +258,7 @@ def exact_cross_moment(h_i, h_j, t, n_steps):
     is sum_{k,l} Cov(m_k, m_l) Cov(D_k, D_l), from the fBm covariance.
     """
     s = np.linspace(0.0, t, n_steps + 1)
-    cov_x = 0.5 * (s[:, None] ** (2 * h_i) + s ** (2 * h_i)
-                   - np.abs(s[:, None] - s) ** (2 * h_i))
-    cov_m = 0.25 * (cov_x[:-1, :-1] + cov_x[1:, :-1] + cov_x[:-1, 1:] + cov_x[1:, 1:])
+    cov_m = midpoint_covariance(fbm_covariance(h_i, s))
     lag = np.abs(np.subtract.outer(np.arange(n_steps), np.arange(n_steps)))
     cov_d = 0.5 * (t / n_steps) ** (2 * h_j) * (
         (lag + 1.0) ** (2 * h_j) + np.abs(lag - 1.0) ** (2 * h_j) - 2.0 * lag ** (2 * h_j))
@@ -282,6 +292,49 @@ def test_cross_term_moments_match_the_exact_ones(h_i, h_j):
     z = np.array(z)
     assert np.abs(z).max() <= 4.5, z
     assert abs(z.mean()) <= 1.5, z
+
+
+def exact_levy_area_moment(spec, n_steps):
+    """E[A^2] of the Levy area A of the polyline through a d=2 path of
+    ``spec`` on a uniform grid of n_steps.
+
+    Each coordinate has covariance C = sum_k a_k^2 C_{H_k}, the two
+    independently, and A = (sum_k m_k^1 D_k^2 - sum_k m_k^2 D_k^1) / 2, so
+    E[A^2] = (sum_{k,l} Cov(m_k, m_l) Cov(D_k, D_l)
+              - sum_{k,l} Cov(m_k, D_l) Cov(m_l, D_k)) / 2.
+    """
+    s = np.linspace(0.0, spec.horizon, n_steps + 1)
+    c = sum(a * a * fbm_covariance(h, s) for h, a in zip(spec.hursts, spec.coeffs))
+    cov_d = c[1:, 1:] - c[1:, :-1] - c[:-1, 1:] + c[:-1, :-1]
+    cov_md = 0.5 * (c[:-1, 1:] - c[:-1, :-1] + c[1:, 1:] - c[1:, :-1])
+    return 0.5 * (np.sum(midpoint_covariance(c) * cov_d) - np.sum(cov_md * cov_md.T))
+
+
+def test_levy_area_of_sampled_paths_matches_the_exact_moment():
+    # Brownian steps: A is half the sum over pairs k < l of
+    # D_k^1 D_l^2 - D_k^2 D_l^1, so E[A^2] = (n - 1) / (4 n)
+    brownian = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,), dim=2)
+    assert abs(exact_levy_area_moment(brownian, 16) - 15 / 64) < 1e-15
+    # The areas of sample_batch paths are taken through the lift and Chen's
+    # identity: the paths' increments chained into one polyline, lifted
+    # once, and each path's level 2 read off over its own intervals.
+    # 4000 paths per seed: over 200 seeds the z-scores had mean -0.04, sd
+    # 0.95 and max |z| 3.39, so the mean of 3 has sd about 0.55. The bounds
+    # below are 4.5 on each |z| and 2.5 (about 4.5 sd) on their mean.
+    spec = GmfbmSpec(hursts=(0.4, 0.75), coeffs=(1.0, 2.0), dim=2)
+    n, n_paths = 64, 4000
+    exact = exact_levy_area_moment(spec, n)
+    starts = n * np.arange(n_paths)
+    z = []
+    for seed in range(3):
+        paths = sample_batch(spec, TimeGrid.uniform(n), seed, n_paths)
+        steps = np.diff(paths, axis=1).reshape(-1, 2)
+        chain = np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+        _, x2 = lift_piecewise_linear(chain).over(starts, starts + n)
+        area_sq = (0.5 * (x2[:, 0, 1] - x2[:, 1, 0])) ** 2
+        z.append((area_sq.mean() - exact) / (area_sq.std(ddof=1) / np.sqrt(n_paths)))
+    assert np.abs(z).max() <= 4.5, z
+    assert abs(np.mean(z)) <= 2.5, z
 
 
 def test_cross_term_scaling_validation():
