@@ -27,10 +27,6 @@ from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, dumps, format_csv, sample
 # fresh process, loads only what it uses.
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _emit(args: argparse.Namespace, inputs: list[Path], texts: dict[str, str],
           **extra) -> None:
     """Write each named output text and a ``manifest.json`` to ``args.output``.
@@ -42,7 +38,7 @@ def _emit(args: argparse.Namespace, inputs: list[Path], texts: dict[str, str],
     manifest = dumps({
         "version": __version__,
         "config": cfg,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
         "outputs": list(texts),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **extra,
@@ -123,13 +119,10 @@ def cmd_solve(args) -> None:
 
 
 def cmd_estimate(args) -> None:
-    from .estimate import default_lags, fit_mixture
+    from .estimate import fit_mixture
 
     path = SamplePath.from_csv(Path(args.input).read_text())
-    if args.lags == "auto":
-        lags = default_lags(len(path.grid))
-    else:
-        lags = [int(v) for v in args.lags.split(",")]
+    lags = None if args.lags == "auto" else [int(v) for v in args.lags.split(",")]
     report = fit_mixture(path, lags=lags, n_components=args.components,
                          n_bootstrap=args.bootstrap)
     _emit(args, [Path(args.input)],
@@ -142,8 +135,7 @@ def cmd_bench_cauchy(args) -> None:
     spec = _load_spec(args.spec)
     res = cauchy_diagnostic(spec, args.m_max, args.p, range(args.seeds))
     _emit(args, [Path(args.spec)], {
-        "cauchy.csv": format_csv(
-            "m,seed,d_p", [(m, s, float(d)) for m, s, d in res["rows"]]),
+        "cauchy.csv": format_csv("m,seed,d_p", res["rows"]),
         "cauchy_summary.csv": format_csv(
             "m,stat,value", [(m, "median", v) for m, v in res["medians"].items()]),
     })
@@ -169,7 +161,7 @@ def cmd_bench_rate(args) -> None:
                           range(args.seeds))
     _emit(args, [Path(args.spec)], {
         "rate.csv": format_csv(
-            "mesh,err,seed", [(mesh, float(err), s) for mesh, s, err in res["rows"]]),
+            "mesh,err,seed", [(mesh, err, s) for mesh, s, err in res["rows"]]),
         "rate_summary.csv": format_csv(
             "stat,value",
             [("median_slope", res["median_slope"]), ("predicted", res["predicted"])]),

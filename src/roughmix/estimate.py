@@ -20,7 +20,7 @@ count 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,33 +66,18 @@ class FitReport:
 
     def __post_init__(self):
         order = np.argsort(self.hursts_hat)
-        self.hursts_hat = np.asarray(self.hursts_hat, dtype=float)[order]
-        self.coeffs_sq_hat = np.asarray(self.coeffs_sq_hat, dtype=float)[order]
-        if self.stderr_hursts is not None:
-            self.stderr_hursts = np.asarray(self.stderr_hursts, dtype=float)[order]
-        if self.stderr_coeffs_sq is not None:
-            self.stderr_coeffs_sq = np.asarray(
-                self.stderr_coeffs_sq, dtype=float
-            )[order]
+        for name in ("hursts_hat", "coeffs_sq_hat", "stderr_hursts", "stderr_coeffs_sq"):
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float)[order])
         if np.any(self.coeffs_sq_hat < 0):
             raise ValueError("squared coefficients must be nonnegative")
         if np.any((self.hursts_hat <= 0) | (self.hursts_hat >= 1)):
             raise ValueError("fitted Hurst exponents must lie in (0, 1)")
 
     def to_json_dict(self) -> dict:
-        return {
-            "hursts_hat": self.hursts_hat.tolist(),
-            "coeffs_sq_hat": self.coeffs_sq_hat.tolist(),
-            "residual": self.residual,
-            "dts": self.dts.tolist(),
-            "stderr_hursts": None
-            if self.stderr_hursts is None
-            else self.stderr_hursts.tolist(),
-            "stderr_coeffs_sq": None
-            if self.stderr_coeffs_sq is None
-            else self.stderr_coeffs_sq.tolist(),
-            "flags": self.flags,
-        }
+        """Each field by name, in field order; arrays as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def _uniform_dt(path: SamplePath) -> float:
@@ -130,16 +115,23 @@ def _distinct(dts) -> int:
     return np.unique(dts, return_inverse=True)[0].size
 
 
-def fit_single_from_table(dts, values) -> tuple[float, float]:
-    """Log-log least squares: slope/2 is H, exp(intercept) is a^2."""
+def _table(dts, values, n_lags: int) -> tuple[np.ndarray, np.ndarray]:
+    """The structure table as float arrays, checked for a fit that needs
+    ``n_lags`` distinct lags and finite, positive values."""
     dts = np.asarray(dts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if _distinct(dts) < 2:
-        raise ConfigurationError("a line needs at least 2 distinct lags")
+    if _distinct(dts) < n_lags:
+        raise ConfigurationError(f"the fit needs at least {n_lags} distinct lags")
     if not np.isfinite(values).all():
         raise NumericsError("structure values must be finite to fit")
     if np.any(values <= 0):
         raise ValueError("structure values must be positive to fit")
+    return dts, values
+
+
+def fit_single_from_table(dts, values) -> tuple[float, float]:
+    """Log-log least squares: slope/2 is H, exp(intercept) is a^2."""
+    dts, values = _table(dts, values, 2)
     slope, intercept = np.polyfit(np.log(dts), np.log(values), 1)
     return float(slope / 2.0), float(np.exp(intercept))
 
@@ -339,7 +331,7 @@ def _polish(dts, values, counts, hursts: np.ndarray):
     Returns the exponents (R, k), their NNLS weights (R, k) and the
     residual norms (R,).
     """
-    k, n = hursts.shape[1], counts.shape[1]
+    k = hursts.shape[1]
     offsets = _FD_STEP * (np.indices((3,) * k).reshape(k, -1).T - 1)
     size = len(offsets)
     centre = size // 2
@@ -393,20 +385,9 @@ def fit_mixture_from_table(dts, values, n_components: int) -> FitReport:
     Only the exponents are searched; their weights are an exact NNLS. A
     component whose final weight is 0 is dropped.
     """
-    dts = np.asarray(dts, dtype=float)
-    values = np.asarray(values, dtype=float)
     if n_components not in (1, 2):
         raise ConfigurationError("n_components must be 1 or 2")
-    if _distinct(dts) < 2 * n_components:
-        raise ConfigurationError(
-            f"{n_components} components need at least {2 * n_components} "
-            "distinct lags"
-        )
-    if not np.isfinite(values).all():
-        raise NumericsError("structure values must be finite to fit")
-    if np.any(values <= 0):
-        raise ValueError("structure values must be positive to fit")
-
+    dts, values = _table(dts, values, 2 * n_components)
     (hursts,), (weights,), (rnorm,) = _fit(dts, values, np.ones((1, dts.size)),
                                            n_components)
     keep = weights > 0

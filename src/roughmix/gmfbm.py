@@ -38,7 +38,7 @@ import json
 import numbers
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class GmfbmSpec:
             raise ValueError("coefficients must not all be zero")
         if not np.issubdtype(type(self.dim), np.integer) or self.dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         if not 0.0 < self.horizon < np.inf:
             raise ValueError("horizon must be positive and finite")
 
@@ -98,14 +99,7 @@ class GmfbmSpec:
         return min(self.hursts)
 
     def to_json(self) -> str:
-        return dumps(
-            {
-                "hursts": list(self.hursts),
-                "coeffs": list(self.coeffs),
-                "dim": self.dim,
-                "horizon": self.horizon,
-            }
-        )
+        return dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "GmfbmSpec":

@@ -380,5 +380,4 @@ def sharpness_probe(
         for m in range(m_min, m_max + 1):
             rp = lift_piecewise_linear(dyadic_approx(path, m))
             areas[m].append(rp.levy_area()[0, 1])
-    variances = {m: float(np.var(v, ddof=1)) for m, v in areas.items()}
-    return {"variances": variances, "areas": areas}
+    return {"variances": {m: float(np.var(v, ddof=1)) for m, v in areas.items()}}

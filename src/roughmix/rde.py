@@ -414,13 +414,7 @@ def holder_estimate(values) -> dict:
         correction = np.sqrt(2.0 * np.log(max(inc.size, 2)))
         stats.append(inc.max() / correction)
     (slope, _), cov = np.polyfit(np.log(lags), np.log(stats), 1, cov=True)
-    se = float(np.sqrt(cov[0, 0]))
-    return {
-        "exponent": float(slope),
-        "stderr": se,
-        "band": (float(slope - 2 * se), float(slope + 2 * se)),
-        "lags": lags,
-    }
+    return {"exponent": float(slope), "stderr": float(np.sqrt(cov[0, 0]))}
 
 
 def stability_probe(

@@ -181,14 +181,11 @@ def cross_term_scaling(
         sq = cross ** 2
         moments.append(sq.mean())
         ses.append(sq.std(ddof=1) / np.sqrt(n_paths))
-    logs = np.log(t_scales)
-    logm = np.log(moments)
-    slope, intercept = np.polyfit(logs, logm, 1)
+    slope = np.polyfit(np.log(t_scales), np.log(moments), 1)[0]
     return {
         "t_scales": t_scales.tolist(),
         "moments": [float(m) for m in moments],
         "stderrs": [float(s) for s in ses],
         "slope": float(slope),
-        "intercept": float(intercept),
         "expected_slope": 2.0 * (h_i + h_j),
     }

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -232,7 +234,8 @@ def test_sig_rejects_non_finite_csv(tmp_path):
     lambda obj: obj["inc1"][0].__setitem__(0, float("nan")),
     lambda obj: obj.pop("inc2"),
     lambda obj: obj["inc2"].pop(),
-], ids=["nan-inc1", "no-inc2", "short-inc2"])
+    lambda obj: obj.__setitem__("inc1", {"x1": 1.0}),
+], ids=["nan-inc1", "no-inc2", "short-inc2", "object-inc1"])
 def test_solve_rejects_malformed_lift_with_exit_2(tmp_path, capsys, edit):
     driver = tmp_path / "driver.csv"
     driver.write_text("t,x1\n0,0\n0.5,1\n1,0.5\n")
@@ -324,6 +327,16 @@ def test_package_names_resolve_on_first_access():
         res = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
+
+
+def test_exported_names_exist():
+    # each submodule defines every name of its __all__, and the package's
+    # home module of each public name defines it
+    for info in pkgutil.iter_modules(roughmix.__path__):
+        module = importlib.import_module(f"roughmix.{info.name}")
+        assert not set(getattr(module, "__all__", ())) - set(vars(module)), info.name
+    for name, home in roughmix._HOME.items():
+        assert name in vars(importlib.import_module(f"roughmix.{home}")), name
 
 
 def test_readme_quick_start_runs():
@@ -434,6 +447,8 @@ RATE = ["bench-rate", "--spec", None, "--mesh-min", 2, "--mesh-max", 4, "--seeds
     [*RATE, "--e", 0, "--field", "bilinear"],
     [*RATE, "--e", 0, "--field", "sigmoid"],
     ["bench-rate", "--spec", None, "--mesh-min", -2, "--mesh-max", 1],
+    ["bench-rate", "--spec", None, "--mesh-min", 5, "--mesh-max", 6],
+    [*RATE, "--field", "quadratic"],
     ["sim", "--spec", None, "--seed", -1],
     ["sim", "--spec", None, "--seed", 2 ** 64],
     [*SCALING[:-1], -1, "--n-paths", 4],
@@ -443,6 +458,7 @@ RATE = ["bench-rate", "--spec", None, "--mesh-min", 2, "--mesh-max", 4, "--seeds
         "sharpness-1-seed", "sharpness-0-seeds", "cauchy-0-seeds",
         "cauchy-0-levels", "sharpness-0-levels", "rate-e-0", "rate-e-negative",
         "rate-bilinear-e-0", "rate-sigmoid-e-0", "rate-negative-mesh",
+        "rate-2-mesh-levels", "rate-unknown-field",
         "sim-negative-seed", "sim-seed-2^64", "scaling-negative-seed",
         "scaling-seed-2^64-1", "estimate-negative-bootstrap"])
 def test_degenerate_bench_inputs_exit_2_without_output(tmp_path, spec_file, capfd,

@@ -94,6 +94,8 @@ def test_fit_single_known_hurst():
 def test_fit_single_rejects_degenerate_values():
     with pytest.raises(ValueError):
         fit_single_from_table([0.1, 0.2], [0.0, 1.0])
+    with pytest.raises(ValueError, match="positive"):
+        fit_mixture_from_table([0.1, 0.2, 0.4, 0.8], [1.0, 0.0, 2.0, 3.0], 1)
 
 
 @pytest.mark.filterwarnings("error")
@@ -174,6 +176,10 @@ def test_fit_report_validation():
                     np.array([0.1]))
     assert list(rep.hursts_hat) == [0.3, 0.8]  # sorted by Hurst
     assert list(rep.coeffs_sq_hat) == [2.0, 1.0]
+    rep = FitReport(np.array([0.8, 0.3]), np.array([1.0, 2.0]), 0.0,
+                    np.array([0.1]), np.array([0.01, 0.03]), [0.1, 0.2])
+    assert list(rep.stderr_hursts) == [0.03, 0.01]  # reordered with the exponents
+    assert list(rep.stderr_coeffs_sq) == [0.2, 0.1]
 
 
 def test_scale_equivariance():
@@ -310,6 +316,16 @@ def test_bootstrap_flags_standard_errors_it_cannot_give():
                          "a standard error needs, so stderr_* are null"]
     # perfbench counts merged components by the word "merged" in a flag
     assert not any("merged" in flag for flag in rep.flags)
+
+
+def test_bootstrap_block_without_enough_lags_is_skipped():
+    # each replicate draws 4 of the 4 lags with replacement; seed 0 draws a
+    # repeat in all 3, so no replicate of the block has the 4 distinct lags
+    # that 2 components need
+    dts = np.array([1.0, 2.0, 4.0, 8.0])
+    hursts, weights, rnorm, skip = estimate._bootstrap(dts, dts ** 1.2, 2, 3, 0)
+    assert (skip == estimate._FEW_LAGS).all()
+    assert np.isnan(hursts).all() and np.isnan(weights).all() and np.isnan(rnorm).all()
 
 
 def test_bootstrap_memory_does_not_grow_with_replicates():

@@ -49,6 +49,10 @@ def test_spec_rejects_bad_parameters():
         GmfbmSpec(hursts=(0.5,), coeffs=(1.0,), dim=0)
     with pytest.raises(ValueError):
         GmfbmSpec(hursts=(0.5,), coeffs=(1.0,), horizon=0.0)
+    with pytest.raises(ValueError, match="at least one component"):
+        GmfbmSpec(hursts=(), coeffs=())
+    with pytest.raises(ValueError, match="JSON object"):
+        GmfbmSpec.from_json("[1, 2]")
 
 
 def test_spec_takes_python_and_numpy_reals():
@@ -56,6 +60,8 @@ def test_spec_takes_python_and_numpy_reals():
                      horizon=2)
     assert spec.hursts == (0.25, 0.75) and spec.coeffs == (1.0, 2.0)
     assert isinstance(spec.horizon, float) and spec.horizon == 2.0
+    spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,), dim=np.int64(2))
+    assert type(spec.dim) is int and GmfbmSpec.from_json(spec.to_json()) == spec
 
 
 def test_spec_accepts_duplicate_hursts():
@@ -75,6 +81,10 @@ def test_grid_validation():
         TimeGrid(np.array([0.1, 0.5]))  # must start at 0
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.5]))  # strictly increasing
+    with pytest.raises(ValueError, match="1-d"):
+        TimeGrid(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="row count"):
+        SamplePath(grid=TimeGrid.uniform(4), values=np.zeros((4, 1)))
     g = TimeGrid.uniform(8, 2.0)
     assert len(g) == 9 and g.horizon == 2.0 and g.is_uniform
     assert len(TimeGrid.dyadic(3).points) == 9
@@ -283,6 +293,22 @@ def test_circulant_requires_uniform_grid():
     grid = TimeGrid(np.array([0.0, 0.1, 0.5, 1.0]))
     with pytest.raises(ValueError):
         sample(BROWNIAN, grid, seed=1, method="circulant")
+
+
+@pytest.mark.parametrize("grid,method,match", [
+    (TimeGrid.uniform(4), "fft", "unknown sampling method"),
+    (TimeGrid.uniform(4, 1.5), "auto", "beyond the spec horizon"),
+], ids=["unknown-method", "past-horizon"])
+def test_sample_rejects_bad_requests(grid, method, match):
+    with pytest.raises(ValueError, match=match):
+        sample(BROWNIAN, grid, seed=1, method=method)
+
+
+def test_one_point_grid_samples_a_zero_path():
+    grid = TimeGrid(np.array([0.0]))
+    path = sample(TWO_COMP, grid, seed=1)
+    assert path.values.shape == (1, 1) and path.values[0, 0] == 0.0
+    assert not sample_batch(TWO_COMP, grid, seed=1, n_paths=3).any()
 
 
 FGN_HURSTS = [0.01, 0.1, 0.3, 0.4999, 0.5001, 0.75, 0.95, 0.999]

@@ -79,6 +79,8 @@ def test_dyadic_approx_missing_points_rejected():
     path = SamplePath(grid=TimeGrid(t), values=np.zeros((3, 1)))
     with pytest.raises(ValueError):
         dyadic_approx(path, 1)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        dyadic_approx(path, -1)
 
 
 # --------------------------------------------------------------------------- #
@@ -162,6 +164,15 @@ def test_check_chen_detects_corrupted_prefix():
 def test_lift_rejects_short_paths():
     with pytest.raises(ValueError):
         lift_piecewise_linear(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("inc1,inc2,match", [
+    (np.zeros((3, 2)), np.zeros((4, 2, 2)), "one increment per grid interval"),
+    (np.zeros((4, 2)), np.zeros((4, 2, 3)), r"inc2 must be \(n_intervals, d, d\)"),
+], ids=["interval-count", "inc2-shape"])
+def test_level2_path_rejects_misshapen_increments(inc1, inc2, match):
+    with pytest.raises(ValueError, match=match):
+        Level2RoughPath(grid=TimeGrid.uniform(4), inc1=inc1, inc2=inc2)
 
 
 # --------------------------------------------------------------------------- #
@@ -329,6 +340,17 @@ def test_dp_distance_on_nodes_matches_fine_grid_reference(m, d, p):
 def test_partition_schedule_rejects_bad_depth(max_depth):
     with pytest.raises(ValueError, match="max_depth"):
         PartitionSchedule("dyadic", max_depth)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda rp: p_variation(rp, 2.5, PartitionSchedule("greedy")), "partition family"),
+    (lambda rp: p_variation(rp, 2.5, levels=(1, 3)), "levels"),
+    (lambda rp: p_variation(rp, 2.5, PartitionSchedule("all_subsets_dp")), "64 points"),
+], ids=["unknown-family", "level-3", "dp-above-64-points"])
+def test_p_variation_rejects_bad_requests(call, match):
+    rp = lift_piecewise_linear(np.cumsum(np.ones((65, 1)), axis=0))
+    with pytest.raises(ValueError, match=match):
+        call(rp)
 
 
 def test_partition_schedule_depth_zero_is_the_trivial_partition():

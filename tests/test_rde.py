@@ -242,6 +242,11 @@ def test_linear_exact_rejects_initial_state_of_another_size():
         linear_exact(random_walk_lift(1), [np.eye(2)] * 2, [1.0])
 
 
+def test_linear_exact_rejects_level_below_2():
+    with pytest.raises(ValueError, match="level must be >= 2"):
+        linear_exact(random_walk_lift(1), [np.eye(1)] * 2, [1.0], level=1)
+
+
 def test_linear_exact_needs_one_generator_per_driver_coordinate():
     with pytest.raises(ValueError, match="one generator matrix per driver coordinate"):
         linear_exact(random_walk_lift(2), [np.eye(2)], [1.0, 1.0])
@@ -419,3 +424,5 @@ def test_stability_probe_rejects_empty_seeds():
     spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
     with pytest.raises(ValueError, match="at least 1 seed"):
         stability_probe(spec, [0.01], SCALAR_LINEAR, [1.0], seeds=[])
+    with pytest.raises(ValueError, match="pushes a Hurst outside"):
+        stability_probe(spec, [0.5], SCALAR_LINEAR, [1.0], seeds=[0], n_intervals=8)

@@ -127,6 +127,9 @@ def test_signature_input_validation():
         signature(np.zeros((1, 2)), 2)
     with pytest.raises(ValueError):
         signature(np.zeros((3, 2)), 0)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        expected_signature_mc(GmfbmSpec((0.5,), (1.0,), dim=2), TimeGrid.uniform(4),
+                              level=2, n_paths=1, seed=0)
 
 
 def sequential_signature(values, level):

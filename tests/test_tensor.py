@@ -30,6 +30,10 @@ def test_word_index_round_trip():
         for idx in range(d ** n):
             word = ta.index_to_word(idx, d, n)
             assert ta.word_to_index(word, d) == idx
+    with pytest.raises(ValueError, match="letter 4 outside 1..3"):
+        ta.word_to_index((1, 4), d)
+    with pytest.raises(ValueError, match="longer than truncation level"):
+        ta.unit(d, 2).coeff((1, 2, 3))
 
 
 def test_lexicographic_order():
@@ -42,11 +46,15 @@ def test_lexicographic_order():
 def test_entry_cap_enforced():
     with pytest.raises(ConfigurationError):
         TruncatedTensor(10, 8, [np.zeros(10 ** n) for n in range(9)])
+    with pytest.raises(ConfigurationError, match="dim >= 1"):
+        ta.zero(0, 2)
 
 
 def test_level_shape_validation():
     with pytest.raises(ValueError):
         TruncatedTensor(2, 2, [[1.0], [1.0, 2.0], [1.0]])
+    with pytest.raises(ValueError, match=r"length level \+ 1"):
+        TruncatedTensor(2, 2, [[1.0], [1.0, 2.0]])
 
 
 # --------------------------------------------------------------------------- #
@@ -85,6 +93,8 @@ def test_product_shape_mismatch():
         ta.mul(ta.unit(2, 2), ta.unit(2, 3))
     with pytest.raises(CompositionError):
         ta.mul(ta.unit(2, 2), ta.unit(3, 2))
+    with pytest.raises(CompositionError, match="expected a TruncatedTensor"):
+        ta.mul(ta.unit(2, 2), 1.0)
 
 
 @given(st.integers(0, 10_000))
@@ -284,7 +294,8 @@ def test_json_round_trip():
     '[2, 1, [[1.0], [0.5, 0.5]]]',  # an array, not an object
     '{"dim": 2.7, "level": 1, "levels": [[1.0], [0.5, 0.5]]}',
     '{"dim": 2, "level": 1, "levels": [[1.0], [NaN, 0.5]]}',
-], ids=["missing-levels", "array", "fractional-dim", "nan-entry"])
+    '{"dim": 2, "level": 1, "levels": 3}',
+], ids=["missing-levels", "array", "fractional-dim", "nan-entry", "number-levels"])
 def test_from_json_rejects_malformed_tensors(text):
     with pytest.raises(ValueError):
         TruncatedTensor.from_json(text)
