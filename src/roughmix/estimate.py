@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .gmfbm import SamplePath
+from .gmfbm import SamplePath, _check_seed
 
 __all__ = [
     "FitReport",
@@ -462,6 +462,7 @@ def fit_mixture(
     """
     if not np.issubdtype(type(n_bootstrap), np.integer) or n_bootstrap < 0:
         raise ValueError(f"n_bootstrap must be an int >= 0, got {n_bootstrap!r}")
+    _check_seed(bootstrap_seed)
     lags = default_lags(len(path.grid)) if lags is None else list(lags)
     dts, values = structure_function(path, lags)
     report = fit_mixture_from_table(dts, values, n_components)

@@ -38,7 +38,7 @@ import json
 import numbers
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -285,16 +285,28 @@ def self_similarity_rescale(spec: GmfbmSpec, h: float) -> GmfbmSpec:
     """Spec whose law matches t -> M_{h t}: coefficients become a_k * h^{H_k}."""
     if h <= 0.0:
         raise ValueError("scaling factor must be positive")
-    return GmfbmSpec(
-        hursts=spec.hursts,
-        coeffs=tuple(a * h ** hk for hk, a in zip(spec.hursts, spec.coeffs)),
-        dim=spec.dim,
-        horizon=spec.horizon,
-    )
+    return replace(spec, coeffs=tuple(a * h ** hk for hk, a in zip(spec.hursts, spec.coeffs)))
 
 
 # --------------------------------------------------------------------------- #
 # exact Gaussian sampling
+
+
+def _check_seed(seed, span: int = 1) -> None:
+    """Seeds ``seed`` .. ``seed + span - 1`` must be ints in [0, 2^64)."""
+    if not np.issubdtype(type(seed), np.integer) or not 0 <= int(seed) <= 2 ** 64 - span:
+        top = "2^64)" if span == 1 else f"2^64 - {span}] for {span} seeds"
+        raise ValueError(f"seed must be an int in [0, {top}, got {seed!r}")
+
+
+def _seeds(seeds, least: int = 1) -> list:
+    """The seeds as a list of at least ``least``, each checked by ``_check_seed``."""
+    seeds = list(seeds)
+    if len(seeds) < least:
+        raise ValueError(f"need at least {least} seed{'s' if least > 1 else ''}")
+    for seed in seeds:
+        _check_seed(seed)
+    return seeds
 
 
 def _stream(seed: int, component: int, coord: int) -> np.random.Generator:
@@ -458,8 +470,7 @@ def _component_paths(
     """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
-    if not np.issubdtype(type(seed), np.integer) or not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an int in [0, 2^64), got {seed!r}")
+    _check_seed(seed)
     if grid.horizon > spec.horizon * (1 + 1e-12):
         raise ValueError("grid extends beyond the spec horizon")
     if method == "auto":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompositionError
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, dumps, path_values, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, _seeds, dumps, path_values, sample
 
 __all__ = [
     "Level2RoughPath",
@@ -330,9 +330,7 @@ def cauchy_diagnostic(
     _check_p(p)
     if m_max < 1:
         raise ValueError(f"need m_max >= 1 for a level to compare, got {m_max}")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least 1 seed")
+    seeds = _seeds(seeds)
     if p <= 1.0 / spec.min_hurst:
         warnings.warn(
             f"p={p} is at or below 1/min(H)={1.0 / spec.min_hurst:.3f}; "
@@ -369,9 +367,7 @@ def sharpness_probe(
     if not 1 <= m_min <= m_max:
         raise ValueError(f"need 1 <= m_min <= m_max, got m_min={m_min}, "
                          f"m_max={m_max}")
-    seeds = list(seeds)
-    if len(seeds) < 2:
-        raise ValueError("need at least 2 seeds for a variance")
+    seeds = _seeds(seeds, least=2)
     spec = GmfbmSpec((h_small,), (1.0,), dim=2, horizon=1.0)
     grid = TimeGrid.dyadic(m_max, 1.0)
     areas = {m: [] for m in range(m_min, m_max + 1)}

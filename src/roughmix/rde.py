@@ -14,14 +14,14 @@ and parameter stability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import tensor as ta
 from .errors import NumericsError
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, path_csv, path_values, sample
+from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, _seeds, path_csv, path_values, sample
 from .lift import Level2RoughPath, dyadic_approx, lift_piecewise_linear
 
 __all__ = [
@@ -349,9 +349,7 @@ def convergence_rate(
     is measured here, not promised.
     """
     mesh_levels = _mesh_levels(mesh_levels)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least 1 seed")
+    seeds = _seeds(seeds)
     if (not np.issubdtype(type(ref_factor), np.integer) or ref_factor < 2
             or ref_factor & (ref_factor - 1)):
         raise ValueError(f"ref_factor must be a power of two >= 2, got {ref_factor!r}")
@@ -433,10 +431,14 @@ def stability_probe(
     parameter effect; each seed's unperturbed path is solved once. Reports
     the median (over seeds) sup-norm difference per eps.
     """
-    perturbations = sorted(float(e) for e in perturbations)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least 1 seed")
+    perturbed = {}
+    for eps in sorted(float(e) for e in perturbations):
+        hursts = tuple(h + eps for h in spec.hursts)
+        if any(not (0.0 < h < 1.0) for h in hursts):
+            raise ValueError(f"perturbation {eps} pushes a Hurst outside (0,1)")
+        perturbed[eps] = replace(spec, hursts=hursts,
+                                 coeffs=tuple(a * (1.0 + eps) for a in spec.coeffs))
+    seeds = _seeds(seeds)
     grid = TimeGrid.uniform(n_intervals, spec.horizon)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
 
@@ -445,16 +447,7 @@ def stability_probe(
 
     bases = [states(spec, seed, y0) for seed in seeds]
     table = {}
-    for eps in perturbations:
-        hursts = tuple(h + eps for h in spec.hursts)
-        if any(not (0.0 < h < 1.0) for h in hursts):
-            raise ValueError(f"perturbation {eps} pushes a Hurst outside (0,1)")
-        pert = GmfbmSpec(
-            hursts=hursts,
-            coeffs=tuple(a * (1.0 + eps) for a in spec.coeffs),
-            dim=spec.dim,
-            horizon=spec.horizon,
-        )
+    for eps, pert in perturbed.items():
         diffs = [float(np.abs(base - states(pert, seed, y0 + eps)).max())
                  for seed, base in zip(seeds, bases)]
         table[eps] = float(np.median(diffs))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as ta
-from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _component_paths, path_values,
-                    sample_batch)
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _component_paths,
+                    path_values, sample_batch)
 from .lift import cross_level2, lift_piecewise_linear
 from .tensor import TruncatedTensor
 
@@ -131,6 +131,7 @@ def expected_signature_mc(
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
+    ta._check_size(spec.dim, level)
     values = sample_batch(spec, grid, seed, n_paths)
     levels = _signature_levels(values, level)
     means = [lv.mean(axis=-1) for lv in levels]
@@ -165,11 +166,7 @@ def cross_term_scaling(
     t_scales = np.asarray(sorted(float(t) for t in t_scales))
     if np.unique(t_scales).size < 3:
         raise ValueError("need at least 3 distinct interval lengths")
-    # scale si draws from seed + si
-    if (not np.issubdtype(type(seed), np.integer)
-            or not 0 <= seed <= 2 ** 64 - t_scales.size):
-        raise ValueError(f"seed must be an int in [0, 2^64 - {t_scales.size}] for "
-                         f"{t_scales.size} scales, got {seed!r}")
+    _check_seed(seed, span=t_scales.size)  # scale si draws from seed + si
     moments = []
     ses = []
     for si, t in enumerate(t_scales):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import multiprocessing
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from roughmix import gmfbm
 from roughmix.errors import ConfigurationError, NonPositiveDefiniteError, NumericsError
+from roughmix.estimate import fit_mixture
 from roughmix.gmfbm import (
     MAX_CHOLESKY_POINTS,
     GmfbmSpec,
@@ -29,6 +31,9 @@ from roughmix.gmfbm import (
     sample_batch,
     self_similarity_rescale,
 )
+from roughmix.lift import cauchy_diagnostic, sharpness_probe
+from roughmix.rde import convergence_rate, linear_field, stability_probe
+from roughmix.signature import expected_signature_mc
 
 TWO_COMP = GmfbmSpec(hursts=(0.5, 0.75), coeffs=(1.0, 2.0))
 BROWNIAN = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
@@ -287,6 +292,48 @@ def test_largest_seeds_accepted():
     top = sample(spec, grid, 2 ** 64 - 1).values
     assert np.array_equal(sample(spec, grid, np.uint64(2 ** 64 - 1)).values, top)
     assert not np.array_equal(sample(spec, grid, 0).values, top)
+
+
+def _nothing_drawn_cases():
+    field = linear_field([np.eye(1)])
+    path = sample(BROWNIAN, TimeGrid.uniform(256), 0)
+    bad_seed = ValueError, r"seed must be an int in \[0, 2\^64\)"
+    cases = []
+    for bad in (-1, 2 ** 64, 1.5, True):
+        cases += [pytest.param(call, bad_seed, id=f"{name}-{bad!r}") for name, call in [
+            ("cauchy", lambda bad=bad: cauchy_diagnostic(BROWNIAN, 2, 2.1, [0, 1, bad])),
+            ("sharpness", lambda bad=bad: sharpness_probe(0.3, 3, [0, 1, bad])),
+            ("rate", lambda bad=bad: convergence_rate(BROWNIAN, field, [1.0], [2, 3, 4],
+                                                      [0, bad])),
+            ("stability", lambda bad=bad: stability_probe(BROWNIAN, [0.01], field, [1.0],
+                                                          [0, bad], n_intervals=8)),
+            ("bootstrap", lambda bad=bad: fit_mixture(path, n_components=1, n_bootstrap=5,
+                                                      bootstrap_seed=bad)),
+        ]]
+    cases.append(pytest.param(
+        lambda: stability_probe(BROWNIAN, [0.01, 0.6], field, [1.0], range(3),
+                                n_intervals=8),
+        (ValueError, "pushes a Hurst outside"), id="stability-hurst"))
+    for level in (0, 30):
+        cases.append(pytest.param(
+            lambda level=level: expected_signature_mc(
+                GmfbmSpec((0.5,), (1.0,), dim=2), TimeGrid.uniform(8), level, 4, 0),
+            (ConfigurationError, "level"), id=f"expected-signature-level-{level}"))
+    return cases
+
+
+@pytest.mark.parametrize("call,error", _nothing_drawn_cases())
+def test_bad_arguments_rejected_before_any_draw(call, error, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the arguments")
+
+    # every harness draws through these names, and every fit through _fit
+    for module, name in (("lift", "sample"), ("rde", "sample"),
+                         ("signature", "sample_batch"), ("estimate", "_fit")):
+        monkeypatch.setattr(importlib.import_module(f"roughmix.{module}"), name, no_draw)
+    exc, match = error
+    with pytest.raises(exc, match=match):
+        call()
 
 
 def test_circulant_requires_uniform_grid():
