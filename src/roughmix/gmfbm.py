@@ -148,7 +148,7 @@ class TimeGrid:
         if len(self) < 3:
             return True
         d = np.diff(self.points)
-        return bool(np.allclose(d, d[0], rtol=1e-8, atol=0.0))
+        return bool((np.abs(d - d[0]) <= 1e-8 * abs(d[0])).all())
 
     @classmethod
     def uniform(cls, n_intervals: int, horizon: float = 1.0) -> "TimeGrid":

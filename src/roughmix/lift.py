@@ -4,7 +4,11 @@ A sampled path is treated as the polyline through its grid points. Its
 level-2 iterated integrals have a closed form: within a segment with
 increment D the contribution is D (x) D / 2, and across segments the
 pieces compose by Chen's identity. Prefix sums make the increment pair
-(X^1, X^2) over any grid subinterval an O(1) lookup.
+(X^1, X^2) over any grid subinterval an O(1) lookup. The prefixes are kept
+words-first, (d, n + 1) and (d, d, n + 1), so the products and sums that
+build them, and the gathers of ``over``, run along the intervals; the public
+increments ``inc1`` and ``inc2`` and every result of ``over`` keep the
+interval-first (n, d) and (n, d, d) layout.
 
 Also here: dyadic piecewise-linear approximations, p-variation functionals
 (every dyadic partition at once, as one stack of blocks whose norms are
@@ -56,12 +60,15 @@ class Level2RoughPath:
         d = self.inc1.shape[1]
         if self.inc2.shape != (n, d, d):
             raise ValueError("inc2 must be (n_intervals, d, d)")
-        a = self._prefix1 = np.zeros((n + 1, d))
-        np.cumsum(self.inc1, axis=0, out=a[1:])
+        w1 = self.inc1.T.copy()
+        a = self._prefix1 = np.zeros((d, n + 1))
+        np.cumsum(w1, axis=1, out=a[:, 1:])
         # Chen accumulation: X2(0, j+1) = X2(0, j) + inc2_j + X1(0, j) (x) inc1_j
-        cross = a[:-1, :, None] * self.inc1[:, None, :]
-        self._prefix2 = np.zeros((n + 1, d, d))
-        np.cumsum(self.inc2 + cross, axis=0, out=self._prefix2[1:])
+        self._prefix2 = np.zeros((d, d, n + 1))
+        b = self._prefix2[:, :, 1:]
+        np.multiply(a[:, None, :-1], w1[None], out=b)
+        b += self.inc2.transpose(1, 2, 0)
+        np.cumsum(b, axis=2, out=b)
 
     @property
     def dim(self) -> int:
@@ -74,13 +81,20 @@ class Level2RoughPath:
     def over(self, i, j) -> tuple[np.ndarray, np.ndarray]:
         """(X^1, X^2) over [t_i, t_j] via Chen's identity on the prefixes.
 
-        ``i`` and ``j`` may be integer arrays of one shape; the results then
-        carry that shape as leading axes, (..., d) and (..., d, d).
+        ``i`` and ``j`` may be integer arrays that broadcast together; the
+        results then carry their broadcast shape as leading axes, (..., d)
+        and (..., d, d), C-ordered.
         """
+        i, j = np.broadcast_arrays(i, j)
         a, b = self._prefix1, self._prefix2
-        x1 = a[j] - a[i]
-        x2 = b[j] - b[i] - a[i][..., :, None] * x1[..., None, :]
-        return x1, x2
+        ai = a.take(i, axis=1)
+        x1 = a.take(j, axis=1) - ai
+        x2 = b.take(j, axis=2) - b.take(i, axis=2) - ai[:, None] * x1[None]
+        # C order, as callers sum along rows and numpy's summation order
+        # for a row of 8 or more entries depends on its layout
+        batch = range(1, i.ndim + 1)
+        return (np.ascontiguousarray(x1.transpose(*batch, 0)),
+                np.ascontiguousarray(x2.transpose(*(k + 1 for k in batch), 0, 1)))
 
     def total(self) -> tuple[np.ndarray, np.ndarray]:
         return self.over(0, self.n_intervals)
@@ -194,7 +208,10 @@ def lift_piecewise_linear(path_or_values, grid: TimeGrid | None = None) -> Level
     if values.shape[0] < 2:
         raise ValueError("need at least 2 grid points to lift")
     inc1 = np.diff(values, axis=0)
-    inc2 = 0.5 * inc1[:, :, None] * inc1[:, None, :]
+    w1 = inc1.T.copy()
+    # D (x) D / 2 along intervals, written into the (n, d, d) layout of inc2
+    inc2 = np.empty(inc1.shape + inc1.shape[1:])
+    np.multiply(0.5 * w1[:, None], w1[None], out=inc2.transpose(1, 2, 0))
     return Level2RoughPath(grid=grid, inc1=inc1, inc2=inc2)
 
 

@@ -177,10 +177,25 @@ def davie_step(y: np.ndarray, inc1: np.ndarray, inc2: np.ndarray,
     return out
 
 
-def _initial_state(y0) -> np.ndarray:
+def _initial_state(field: VectorField, dim: int, y0) -> np.ndarray:
+    """y0 as a finite float vector that ``field`` acts on for a ``dim``-d driver.
+
+    A linear field needs one generator per driver coordinate, each acting on
+    y0.size entries; any other field must map y0 to a (y0.size, dim) matrix.
+    """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError(f"initial state must be finite, got {y}")
+    if field.mats is not None:
+        d, e = field.mats.shape[:2]
+        if d != dim:
+            raise ValueError("need one generator matrix per driver coordinate")
+        if y.size != e:
+            raise ValueError(f"y0 has {y.size} entries, the field acts on {e}")
+    else:
+        shape = np.shape(field.eval(y))
+        if shape != (y.size, dim):
+            raise ValueError(f"the field maps y0 to shape {shape}, need {(y.size, dim)}")
     return y
 
 
@@ -201,8 +216,6 @@ def _propagators(levels: list, mats: np.ndarray) -> np.ndarray:
     ``_propagate``.
     """
     d, e = mats.shape[:2]
-    if levels[1].shape[0] != d:
-        raise ValueError("need one generator matrix per driver coordinate")
     words = np.eye(e)[None]  # words[w] = A_{w_n} ... A_{w_1}
     with np.errstate(over="ignore", invalid="ignore"):
         props = levels[0][0, :, None, None] * np.eye(e)
@@ -212,16 +225,13 @@ def _propagators(levels: list, mats: np.ndarray) -> np.ndarray:
     return props
 
 
-def _propagate(rp: Level2RoughPath, props: np.ndarray, y0) -> RdeSolution:
-    """States y_{k+1} = P_k y_k; raises at the first non-finite one.
+def _propagate(rp: Level2RoughPath, props: np.ndarray, y: np.ndarray) -> RdeSolution:
+    """States y_{k+1} = P_k y_k from a checked y; raises at the first non-finite one.
 
     A scalar state (e = 1) is one running product over [y0, P_0, P_1, ...]:
     each step is the same single multiply as the 1 x 1 ``np.dot``, so the
     states are bit-identical. Larger states loop sequentially.
     """
-    y = _initial_state(y0)
-    if y.size != props.shape[-1]:
-        raise ValueError(f"y0 has {y.size} entries, the field acts on {props.shape[-1]}")
     states = np.empty((len(props) + 1, y.size))
     states[0] = y
     # a non-finite state stays non-finite under y <- P_k y, so the first
@@ -250,11 +260,11 @@ def solve(rp: Level2RoughPath, field: VectorField, y0) -> RdeSolution:
     state raises NumericsError naming the interval and the largest absolute
     entry of the last finite state.
     """
+    y = _initial_state(field, rp.dim, y0)
     if field.mats is not None:
         k = rp.n_intervals
         levels = [np.ones((1, k)), rp.inc1.T, rp.inc2.reshape(k, rp.dim ** 2).T]
-        return _propagate(rp, _propagators(levels, field.mats), y0)
-    y = _initial_state(y0)
+        return _propagate(rp, _propagators(levels, field.mats), y)
     states = np.empty((rp.n_intervals + 1, y.size))
     states[0] = y
     for k in range(rp.n_intervals):
@@ -276,18 +286,19 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
     turns them into propagators P_k, and only y <- P_k y loops. The
     generators are checked as ``linear_field`` checks them.
     """
-    mats = linear_field(mats).mats
+    field = linear_field(mats)
     d, k = rp.dim, rp.n_intervals
     if level < 2:
         raise ValueError("level must be >= 2")
     ta._check_size(d, level)
+    y = _initial_state(field, d, y0)
     # words-first, C-ordered: elementwise results inherit their operands' order
     ell = ta._log([np.ones((1, k)), rp.inc1.T.copy(),
                    rp.inc2.reshape(k, d * d).T.copy()])
     # canonical group-like extension: exp of the level-<=2 log part
     g = ta._exp([np.zeros((1, k)), ell[1], ell[2]]
                 + [np.zeros((d ** n, k)) for n in range(3, level + 1)])
-    return _propagate(rp, _propagators(g, mats), y0)
+    return _propagate(rp, _propagators(g, field.mats), y)
 
 
 # --------------------------------------------------------------------------- #
@@ -350,6 +361,7 @@ def convergence_rate(
     """
     mesh_levels = _mesh_levels(mesh_levels)
     seeds = _seeds(seeds)
+    _initial_state(field, spec.dim, y0)
     if (not np.issubdtype(type(ref_factor), np.integer) or ref_factor < 2
             or ref_factor & (ref_factor - 1)):
         raise ValueError(f"ref_factor must be a power of two >= 2, got {ref_factor!r}")
@@ -440,7 +452,7 @@ def stability_probe(
                                  coeffs=tuple(a * (1.0 + eps) for a in spec.coeffs))
     seeds = _seeds(seeds)
     grid = TimeGrid.uniform(n_intervals, spec.horizon)
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    y0 = _initial_state(field, spec.dim, y0)
 
     def states(sp: GmfbmSpec, seed, start) -> np.ndarray:
         return solve(lift_piecewise_linear(sample(sp, grid, seed)), field, start).states

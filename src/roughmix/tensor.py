@@ -216,11 +216,26 @@ def _mul(x, y) -> list:
 
 
 def _series(x, coeffs) -> list:
-    """Horner evaluation of sum_n coeffs[n] x^{(x) n} on raw levels."""
-    acc = [np.full_like(x[0], coeffs[-1])] + [np.zeros_like(lv) for lv in x[1:]]
-    for c in reversed(coeffs[:-1]):
-        acc = _mul(acc, x)
-        acc[0] = acc[0] + c
+    """Horner evaluation of sum_n coeffs[n] x^{(x) n} on raw levels.
+
+    Each step acc <- acc (x) x + c forms only the terms that can be nonzero.
+    The accumulator starts as one scalar level, and levels it does not hold
+    yet are left out of the sums. When the scalar part x[0] is exactly zero
+    in every batch entry, the terms with x[0] are dropped as well, and after
+    s steps the accumulator is formed up to level s only: each later step
+    raises every level by at least one, so its higher levels never reach
+    the result. The dropped terms are exact zeros and the others are summed
+    in the order of the full product, so for finite input the result equals
+    the full product's up to the sign of an entry that is exactly zero.
+    """
+    top = len(x) - 1
+    nilpotent = not np.any(x[0])
+    acc = [np.full_like(x[0], coeffs[-1])]
+    for s, c in enumerate(reversed(coeffs[:-1]), 1):
+        head = np.full_like(x[0], c) if nilpotent else _outer(acc[0], x[0]) + c
+        acc = [head] + [sum(_outer(acc[i], x[n - i])
+                            for i in range(min(len(acc), n + 1 - nilpotent)))
+                        for n in range(1, (s if nilpotent else top) + 1)]
     return acc
 
 

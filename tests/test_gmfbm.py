@@ -100,6 +100,25 @@ def test_long_uniform_grid_is_uniform():
     assert TimeGrid.uniform(3_000_000).is_uniform
 
 
+def _stretched_grid(rel, horizon=1.0, n=8):
+    """n equal steps over the horizon, the last one stretched by ``rel``."""
+    steps = np.full(n, horizon / n)
+    steps[-1] *= 1.0 + rel
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+@pytest.mark.parametrize("points", [
+    *(_stretched_grid(rel, horizon) for horizon in (1.0, 1e-300, 1e300)
+      for rel in (5e-9, 1e-8, 2e-8, -1e-8)),
+    np.linspace(0.0, 1e-300, 9), np.linspace(0.0, 1e300, 9),
+    np.array([0.0, 1.0, 2.0]), _stretched_grid(2e-8, n=2), np.array([0.0, 1.0, 3.0]),
+    np.array([0.0, 1.0, 2.0, np.inf]),
+], ids=lambda points: f"{len(points)}-points")
+def test_is_uniform_matches_allclose(points):
+    steps = np.diff(points)
+    assert TimeGrid(points).is_uniform == np.allclose(steps, steps[0], rtol=1e-8, atol=0.0)
+
+
 # --------------------------------------------------------------------------- #
 # covariance structure
 

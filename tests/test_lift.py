@@ -153,10 +153,32 @@ def test_over_on_index_arrays_matches_scalar_calls(seed, n, d, shape):
         assert np.abs(x2[pos] - s2).max() <= 1e-12
 
 
+def _interval_first_over(rp, i, j):
+    """(X^1, X^2) from interval-first prefixes, (n + 1, d) and (n + 1, d, d)."""
+    n, d = rp.inc1.shape
+    a = np.zeros((n + 1, d))
+    np.cumsum(rp.inc1, axis=0, out=a[1:])
+    b = np.zeros((n + 1, d, d))
+    np.cumsum(rp.inc2 + a[:-1, :, None] * rp.inc1[:, None, :], axis=0, out=b[1:])
+    x1 = a[j] - a[i]
+    return x1, b[j] - b[i] - a[i][..., :, None] * x1[..., None, :]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_over_equals_the_interval_first_prefix_formula(d):
+    rng = np.random.default_rng(d)
+    rp = lift_piecewise_linear(np.cumsum(rng.normal(size=(65, d)), axis=0))
+    lo, hi = np.sort(rng.integers(0, 65, size=(2, 5, 3)), axis=0)
+    for i, j in [(0, 64), (7, 7), (3, hi), (lo, 64), (lo, hi)]:
+        for got, want in zip(rp.over(i, j), _interval_first_over(rp, i, j)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+
 def test_check_chen_detects_corrupted_prefix():
     rng = np.random.default_rng(6)
     rp = lift_piecewise_linear(np.cumsum(rng.normal(size=(17, 2)), axis=0))
-    rp._prefix2[7, 0, 1] += 1e-6
+    rp._prefix2[0, 1, 7] += 1e-6
     with pytest.raises(AssertionError):
         rp.check_chen(1e-10)
 

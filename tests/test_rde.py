@@ -212,6 +212,29 @@ def test_solve_rejects_initial_state_of_another_size():
         solve(random_walk_lift(0), linear_field(SWAP), y0=[1.0])
 
 
+@pytest.mark.parametrize("field,match", [
+    (linear_field([np.eye(2)]), "y0 has 1 entries, the field acts on 2"),
+    (linear_field([np.eye(1)] * 2), "one generator matrix per driver coordinate"),
+    (sigmoid_field(1.0, 2), r"the field maps y0 to shape \(1, 2\), need \(1, 1\)"),
+], ids=["linear-state-size", "linear-generator-count", "sigmoid-driver-dim"])
+@pytest.mark.parametrize("harness", ["convergence_rate", "stability_probe"])
+def test_harness_checks_field_against_y0_before_any_draw(harness, field, match, monkeypatch):
+    draws = []
+
+    def counted_sample(*args, **kwargs):
+        draws.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(rde, "sample", counted_sample)
+    spec = GmfbmSpec((0.5,), (1.0,), dim=1)
+    with pytest.raises(ValueError, match=match):
+        if harness == "convergence_rate":
+            convergence_rate(spec, field, [1.0], [2, 3, 4], range(3))
+        else:
+            stability_probe(spec, [0.01], field, [1.0], range(3), n_intervals=8)
+    assert not draws
+
+
 def test_solution_csv_header():
     _, rp = brownian_lift(2, m=3)
     text = solve(rp, SCALAR_LINEAR, [1.0]).to_csv()

@@ -172,6 +172,59 @@ def test_exp_of_increment_matches_exp():
     assert a.max_diff(b) < 1e-14
 
 
+def _full_series(x, coeffs):
+    """Reference Horner evaluation with the full product: every level and term."""
+    acc = [np.full_like(x[0], coeffs[-1])] + [np.zeros_like(lv) for lv in x[1:]]
+    for c in reversed(coeffs[:-1]):
+        acc = ta._mul(acc, x)
+        acc[0] = acc[0] + c
+    return acc
+
+
+def _full_exp(x):
+    return _full_series(x, [1.0 / math.factorial(n) for n in range(len(x))])
+
+
+def _full_log(x):
+    coeffs = [0.0] + [(-1.0) ** (n - 1) / n for n in range(1, len(x))]
+    return _full_series([x[0] - 1.0, *x[1:]], coeffs)
+
+
+def _same_levels(got, want):
+    return len(got) == len(want) and all(
+        g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=["flat", "batch-7", "batch-2x3"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_truncated_exp_log_match_the_full_product(dim, level, batch):
+    # exp always has a zero scalar part, log of scalar exactly 1 drops the
+    # terms with it, and at 1 + 1e-13 every term is formed
+    rng = np.random.default_rng(100 * dim + level)
+    x = [np.zeros((1,) + batch)] + [rng.normal(size=(dim ** n,) + batch)
+                                    for n in range(1, level + 1)]
+    assert _same_levels(ta._exp(x), _full_exp(x))
+    for scalar in (1.0, 1.0 + 1e-13):
+        x[0] = np.full((1,) + batch, scalar)
+        assert _same_levels(ta._log(x), _full_log(x))
+
+
+def test_truncated_exp_log_match_the_full_product_on_a_lift():
+    # the level lists linear_exact passes: a lift's words-first levels, then
+    # the level <= 2 part of their log padded with zero levels
+    rng = np.random.default_rng(8)
+    d, k, level = 2, 64, 5
+    inc1 = rng.normal(size=(d, k))
+    inc2 = 0.5 * inc1[:, None] * inc1[None] + rng.normal(size=(d, d, k))
+    lift = [np.ones((1, k)), inc1, inc2.reshape(d * d, k)]
+    ell = ta._log(lift)
+    assert _same_levels(ell, _full_log(lift))
+    padded = ([np.zeros((1, k)), ell[1], ell[2]]
+              + [np.zeros((d ** n, k)) for n in range(3, level + 1)])
+    assert _same_levels(ta._exp(padded), _full_exp(padded))
+
+
 # --------------------------------------------------------------------------- #
 # shuffle product and group-likeness
 
