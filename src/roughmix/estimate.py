@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigurationError, NumericsError
-from .gmfbm import SamplePath, _check_seed
+from .gmfbm import SamplePath, _check_seed, _distinct
 
 __all__ = [
     "FitReport",
@@ -107,12 +107,6 @@ def structure_function(path: SamplePath, lags) -> tuple[np.ndarray, np.ndarray]:
             [np.mean((path.values[l:] - path.values[:-l]) ** 2) for l in lags]
         )
     return np.array(lags, dtype=float) * dt, values
-
-
-def _distinct(dts) -> int:
-    """``np.unique(dts).size``; asking for the inverse skips the masked-array
-    check of the bare call, which imports ``numpy.ma``."""
-    return np.unique(dts, return_inverse=True)[0].size
 
 
 def _table(dts, values, n_lags: int) -> tuple[np.ndarray, np.ndarray]:

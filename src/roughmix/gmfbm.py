@@ -16,7 +16,7 @@ under Cholesky, whose matrix product blocks by rows drawn at once). The
 streams are independent, so they are drawn in parallel over the usable
 CPUs, each in chunks of at most ``CHUNK_ENTRIES`` normals into buffers
 made once per stream, on a thread pool that exists only for the duration
-of that one draw; a draw whose streams each fit in one chunk runs on the
+of that one call; a draw whose streams each fit in one chunk runs on the
 calling thread. Each stream's draws stay in order, so the output does not
 depend on the number of workers. A seed is an int in [0, 2^64).
 
@@ -299,6 +299,12 @@ def _check_seed(seed, span: int = 1) -> None:
         raise ValueError(f"seed must be an int in [0, {top}, got {seed!r}")
 
 
+def _distinct(values) -> int:
+    """``np.unique(values).size``; asking for the inverse skips the
+    masked-array check of the bare call, which imports ``numpy.ma``."""
+    return np.unique(values, return_inverse=True)[0].size
+
+
 def _seeds(seeds, least: int = 1) -> list:
     """The seeds as a list of at least ``least``, each checked by ``_check_seed``."""
     seeds = list(seeds)
@@ -398,6 +404,12 @@ def _spectrum_scale(sqrt_eigs: np.ndarray, step_scale: float) -> np.ndarray:
     return scale
 
 
+def _circulant_scale(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """``_spectrum_scale`` for an fBm of index ``hurst`` on the uniform grid."""
+    step_scale = (grid.points[1] - grid.points[0]) ** hurst
+    return _spectrum_scale(_fgn_circulant_sqrt_eigs(hurst, len(grid) - 1), step_scale)
+
+
 def _circulant_fbm(normals: np.ndarray, scale: np.ndarray, spectrum: np.ndarray,
                    out: np.ndarray) -> None:
     """Fill ``out`` (rows, n) with the fBm rows of ``normals`` (rows, 2n).
@@ -446,8 +458,13 @@ def _cholesky_stream(factor: np.ndarray, rng: np.random.Generator, out: np.ndarr
 CHUNK_ENTRIES = 2 ** 16
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows of n steps per sampling chunk."""
+    return max(1, CHUNK_ENTRIES // (2 * n))
+
+
 def _pool():
-    """A thread pool for one draw, one worker per usable CPU; leaving its
+    """A thread pool for one call, one worker per usable CPU; leaving its
     ``with`` block joins the threads."""
     from concurrent.futures import ThreadPoolExecutor
 
@@ -458,15 +475,27 @@ def _pool():
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="roughmix-sample")
 
 
+def _run(jobs, size: int, n: int) -> None:
+    """Run the jobs, whose streams each draw ``size`` rows of n steps: on the
+    calling thread when those fit in one chunk, otherwise on a thread pool
+    that exists only for this call and is joined before it returns."""
+    if size * 2 * n <= CHUNK_ENTRIES:
+        for job in jobs:
+            job()
+    else:
+        with _pool() as pool:
+            for future in [pool.submit(job) for job in jobs]:
+                future.result()
+
+
 def _component_paths(
     spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str, size: int
 ) -> tuple[np.ndarray, str]:
     """Per-component fBm paths (N, size, n_points, dim) and the method used.
 
-    Everything that can raise runs first, on the calling thread;
-    then each (component, coordinate) stream fills its own slice of the
-    result. When some stream spans more than one chunk, the streams run on a
-    thread pool that exists only for this draw and is joined before it returns.
+    Everything that can raise runs first, on the calling thread; then each
+    (component, coordinate) stream fills its own slice of the result, the
+    streams run by ``_run``.
     """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
@@ -487,27 +516,17 @@ def _component_paths(
     if n < 1:
         return comps, method
 
-    rows = max(1, CHUNK_ENTRIES // (2 * n))
     jobs = []
     for k, hurst in enumerate(spec.hursts):
         if method == "circulant":
-            step_scale = (grid.points[1] - grid.points[0]) ** hurst
-            fill = functools.partial(_circulant_stream, _spectrum_scale(
-                _fgn_circulant_sqrt_eigs(hurst, n), step_scale))
+            fill = functools.partial(_circulant_stream, _circulant_scale(hurst, grid))
         else:
             factor = _cholesky_factor(_fbm_covariance(hurst, grid.points[1:]))
             fill = functools.partial(_cholesky_stream, factor)
         jobs += [functools.partial(fill, _stream(seed, k, coord),
-                                   comps[k, :, 1:, coord], rows)
+                                   comps[k, :, 1:, coord], _chunk_rows(n))
                  for coord in range(spec.dim)]
-
-    if size * 2 * n <= CHUNK_ENTRIES:
-        for job in jobs:
-            job()
-    else:
-        with _pool() as pool:
-            for future in [pool.submit(job) for job in jobs]:
-                future.result()
+    _run(jobs, size, n)
     return comps, method
 
 

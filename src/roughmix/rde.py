@@ -351,10 +351,10 @@ def convergence_rate(
     ``predicted`` is the worst-case exponent, not the rate on every field.
     Commutative fields exceed it: for dY = Y dM the per-step log-error is
     -x^3/6 + x^4/8 with x = X^1, and the measured median slope (seeds 0-19,
-    meshes 2^6..2^12) is 0.65, 0.91, 1.20 and 1.52 at H = 0.4, 0.5, 0.6 and
+    meshes 2^6..2^12) is 0.66, 1.05, 1.29 and 1.52 at H = 0.4, 0.5, 0.6 and
     0.75. A noncommutative 2-d linear field meets it at H = 0.5 (0.49), but
-    with min(H) > 1/2 it can fall below: 1.02 against 1.25 at H = 0.75. Its
-    slopes (0.33, 0.71 and 1.02 at H = 0.4, 0.6 and 0.75) follow
+    with min(H) > 1/2 it can fall below: 1.01 against 1.25 at H = 0.75. Its
+    slopes (0.30, 0.70 and 1.01 at H = 0.4, 0.6 and 0.75) follow
     2 min(H) - 1/2, which fits the coarse piecewise-linear lift dropping
     the Levy area of the path between grid points. The rate in that regime
     is measured here, not promised.

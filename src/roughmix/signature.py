@@ -11,10 +11,13 @@ underlying process is measured empirically instead.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor as ta
-from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _component_paths,
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _chunk_rows,
+                    _circulant_fbm, _circulant_scale, _distinct, _run, _stream,
                     path_values, sample_batch)
 from .lift import cross_level2, lift_piecewise_linear
 from .tensor import TruncatedTensor
@@ -156,6 +159,12 @@ def cross_term_scaling(
     grid too: the grid scales with the interval, so by self-similarity the
     discrete moment is exactly a constant times t^{2 (H_i + H_j)}, and the
     slope's error is Monte Carlo noise alone.
+
+    Scale si draws its two components from the streams of seed + si, as
+    ``sample_batch`` does, on one thread pool for all the scales, one job
+    per scale. Each job draws its two streams a sampling chunk of rows at a
+    time into buffers it makes once, and reduces each chunk to its squared
+    cross integrals, so memory does not grow with ``n_paths``.
     """
     if h_i + h_j <= 0.5:
         raise ValueError(
@@ -164,25 +173,39 @@ def cross_term_scaling(
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     t_scales = np.asarray(sorted(float(t) for t in t_scales))
-    if np.unique(t_scales).size < 3:
+    if _distinct(t_scales) < 3:
         raise ValueError("need at least 3 distinct interval lengths")
     _check_seed(seed, span=t_scales.size)  # scale si draws from seed + si
-    moments = []
-    ses = []
-    for si, t in enumerate(t_scales):
-        spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), dim=1, horizon=t)
+    # the spectra of both components at every scale, checked before any draw
+    factors = []
+    for t in t_scales:
+        spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), horizon=t)
         grid = TimeGrid.uniform(n_steps, t)
-        comps, _ = _component_paths(spec, grid, seed + si, "auto", n_paths)
-        # comps is (component, path, point, 1); one cross integral per path
-        cross = cross_level2(comps[0], comps[1])[:, 0, 0]
-        sq = cross ** 2
-        moments.append(sq.mean())
-        ses.append(sq.std(ddof=1) / np.sqrt(n_paths))
+        factors.append([_circulant_scale(h, grid) for h in spec.hursts])
+    rows = min(_chunk_rows(n_steps), n_paths)
+    sq = np.empty((t_scales.size, n_paths))
+
+    def fill(si: int) -> None:
+        streams = [_stream(seed + si, k, 0) for k in (0, 1)]
+        normals = np.empty((rows, 2 * n_steps))
+        spectrum = np.empty((rows, n_steps + 1), dtype=complex)
+        comps = np.zeros((2, rows, n_steps + 1, 1))  # (component, path, point, 1)
+        for start in range(0, n_paths, rows):
+            m = min(rows, n_paths - start)
+            for k, rng in enumerate(streams):
+                rng.standard_normal(out=normals[:m])
+                _circulant_fbm(normals[:m], factors[si][k], spectrum[:m], comps[k, :m, 1:, 0])
+            cross = cross_level2(comps[0, :m], comps[1, :m])[:, 0, 0]
+            sq[si, start:start + m] = cross ** 2
+
+    _run([functools.partial(fill, si) for si in range(t_scales.size)], n_paths, n_steps)
+    moments = sq.mean(axis=1)
+    ses = sq.std(axis=1, ddof=1) / np.sqrt(n_paths)
     slope = np.polyfit(np.log(t_scales), np.log(moments), 1)[0]
     return {
         "t_scales": t_scales.tolist(),
-        "moments": [float(m) for m in moments],
-        "stderrs": [float(s) for s in ses],
+        "moments": moments.tolist(),
+        "stderrs": ses.tolist(),
         "slope": float(slope),
         "expected_slope": 2.0 * (h_i + h_j),
     }

@@ -272,6 +272,7 @@ NOT_LOADED = {
              "roughmix.estimate"},
     "estimate": {"numpy.ma", "roughmix.lift", "roughmix.tensor",
                  "roughmix.signature", "roughmix.rde"},
+    "bench-scaling": {"numpy.ma", "roughmix.rde", "roughmix.estimate"},
 }
 
 
@@ -283,6 +284,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, spec_file):
         "lift": ["--input", tmp_path / "path.csv"],
         "estimate": ["--input", tmp_path / "path.csv", "--components", 2,
                      "--lags", "1,2,4,8", "--bootstrap", 5],
+        "bench-scaling": ["--hi", 0.5, "--hj", 0.75, "--n-paths", 200, "--seed", 1],
     }
     src = str(Path(roughmix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

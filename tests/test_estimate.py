@@ -15,7 +15,7 @@ from roughmix.estimate import (
     fit_single_from_table,
     structure_function,
 )
-from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample
+from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid, _distinct, sample
 
 BENCH = GmfbmSpec(hursts=(0.5, 0.75), coeffs=(1.0, 2.0), horizon=64.0)
 BENCH_LAGS = [2 ** q for q in range(9)]
@@ -114,7 +114,7 @@ def test_fit_single_needs_two_distinct_lags():
 ], ids=["empty", "one", "duplicate", "duplicates", "inf", "nan", "all-nan", "mixed"])
 def test_distinct_lag_count_is_that_of_unique(dts):
     dts = np.array(dts, dtype=float)
-    assert estimate._distinct(dts) == np.unique(dts).size
+    assert _distinct(dts) == np.unique(dts).size
 
 
 # --------------------------------------------------------------------------- #

@@ -31,9 +31,9 @@ from roughmix.gmfbm import (
     sample_batch,
     self_similarity_rescale,
 )
-from roughmix.lift import cauchy_diagnostic, sharpness_probe
+from roughmix.lift import cauchy_diagnostic, cross_level2, sharpness_probe
 from roughmix.rde import convergence_rate, linear_field, stability_probe
-from roughmix.signature import expected_signature_mc
+from roughmix.signature import cross_term_scaling, expected_signature_mc
 
 TWO_COMP = GmfbmSpec(hursts=(0.5, 0.75), coeffs=(1.0, 2.0))
 BROWNIAN = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
@@ -518,6 +518,41 @@ def test_output_does_not_depend_on_workers(monkeypatch):
         got = [sample_batch(THREE_COMP, g, 8, size) for g in (grid, odd)]
         assert got[0].tobytes() == real[0].tobytes()
         assert np.allclose(got[1], real[1], rtol=1e-12, atol=1e-12)
+
+
+def per_scale_cross_term_scaling(h_i, h_j, t_scales, n_paths, seed, n_steps):
+    """``cross_term_scaling`` as one whole ``_component_paths`` draw per scale,
+    reduced by ``cross_level2`` on the whole arrays."""
+    moments, ses = [], []
+    for si, t in enumerate(t_scales):
+        spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), horizon=t)
+        comps, _ = gmfbm._component_paths(spec, TimeGrid.uniform(n_steps, t), seed + si,
+                                          "auto", n_paths)
+        sq = cross_level2(comps[0], comps[1])[:, 0, 0] ** 2
+        moments.append(float(sq.mean()))
+        ses.append(float(sq.std(ddof=1) / np.sqrt(n_paths)))
+    return {
+        "t_scales": list(t_scales),
+        "moments": moments,
+        "stderrs": ses,
+        "slope": float(np.polyfit(np.log(t_scales), np.log(moments), 1)[0]),
+        "expected_slope": 2.0 * (h_i + h_j),
+    }
+
+
+@pytest.mark.parametrize("n_steps", [5, 64, 256, 1000])
+def test_cross_term_scaling_equals_one_draw_per_scale(monkeypatch, n_steps):
+    # chunks of rows reduced as they are drawn, on one pool for all scales:
+    # path counts on both sides of one chunk's row count, and 3 to 5 scales,
+    # so that a pool of 2 workers runs an odd number of jobs
+    rows = gmfbm._chunk_rows(n_steps)
+    pools = (gmfbm._pool, _InlineExecutor, lambda: ThreadPoolExecutor(max_workers=1))
+    for i, n_paths in enumerate([2, rows - 1, rows, rows + 1, 1000]):
+        scales = [0.125 * 2 ** k for k in range(3 + (i + 2) % 3)]
+        want = per_scale_cross_term_scaling(0.5, 0.75, scales, n_paths, 11, n_steps)
+        for make in pools:
+            monkeypatch.setattr(gmfbm, "_pool", make)
+            assert cross_term_scaling(0.5, 0.75, scales, n_paths, 11, n_steps) == want
 
 
 def test_single_chunk_draws_stay_on_the_calling_thread(monkeypatch):

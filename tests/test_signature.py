@@ -2,12 +2,14 @@ import importlib
 import math
 import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughmix import gmfbm
 from roughmix import tensor as ta
 from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample_batch
 from roughmix.lift import cross_level2, lift_piecewise_linear
@@ -185,6 +187,21 @@ def test_long_path_signature_memory():
     assert ok, viol
 
 
+def test_cross_term_scaling_memory_does_not_grow_with_paths(monkeypatch):
+    # each job holds one chunk's normals, spectrum and component rows, about
+    # 2 MiB at 256 steps, so the peak grows with the jobs running at once
+    # (pinned here to two workers) and not with n_paths; drawing whole scales
+    # peaked at 81 MiB for 10,000 paths
+    monkeypatch.setattr(gmfbm, "_pool", lambda: ThreadPoolExecutor(max_workers=2))
+    tracemalloc.start()
+    try:
+        cross_term_scaling(0.5, 0.75, [0.125, 0.25, 0.5, 1.0], 10_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
 # --------------------------------------------------------------------------- #
 # level formulas
 
@@ -356,7 +373,7 @@ def test_cross_term_scaling_checks_every_scale_seed_before_drawing(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew before checking the seed")
 
-    monkeypatch.setattr(signature_module, "_component_paths", no_draw)
+    monkeypatch.setattr(signature_module, "_stream", no_draw)
     for seed in (2 ** 64 - 2, 2 ** 64 - 1, -1, 1.0):
         with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
             cross_term_scaling(0.5, 0.75, scales, 2, seed, n_steps=8)
