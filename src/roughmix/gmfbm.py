@@ -305,6 +305,23 @@ def _distinct(values) -> int:
     return np.unique(values, return_inverse=True)[0].size
 
 
+def _median(values):
+    """``np.median(values, axis=0)`` bit for bit, NaN included, without the
+    NaN check of numpy's own, which imports ``numpy.ma``: the same partition,
+    the mean of the same middle entries, and NaN where the partition put a
+    NaN last."""
+    n = len(values)
+    part = np.partition(values, sorted({(n - 1) // 2, n // 2}) + [-1], axis=0)
+    median = part[(n - 1) // 2:n // 2 + 1].mean(axis=0)
+    nan = np.isnan(part[-1])
+    if not nan.any():
+        return median
+    if isinstance(median, np.generic):
+        return part[-1]
+    np.copyto(median, part[-1], where=nan)
+    return median
+
+
 def _seeds(seeds, least: int = 1) -> list:
     """The seeds as a list of at least ``least``, each checked by ``_check_seed``."""
     seeds = list(seeds)

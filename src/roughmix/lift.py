@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompositionError
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, _seeds, dumps, path_values, sample
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _median, _seeds, dumps, path_values,
+                    sample)
 
 __all__ = [
     "Level2RoughPath",
@@ -364,7 +365,7 @@ def cauchy_diagnostic(
     return {
         "rows": [(m, int(seed), d) for seed, ds in zip(seeds, dist.tolist())
                  for m, d in enumerate(ds, 1)],
-        "medians": dict(enumerate(np.median(dist, axis=0).tolist(), 1)),
+        "medians": dict(enumerate(_median(dist).tolist(), 1)),
     }
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import tensor as ta
 from .errors import NumericsError
-from .gmfbm import GmfbmSpec, SamplePath, TimeGrid, _seeds, path_csv, path_values, sample
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _median, _seeds, path_csv, path_values,
+                    sample)
 from .lift import Level2RoughPath, dyadic_approx, lift_piecewise_linear
 
 __all__ = [
@@ -377,7 +378,7 @@ def convergence_rate(
     return {
         "rows": rows,
         "slopes": slopes,
-        "median_slope": float(np.median(slopes)),
+        "median_slope": float(_median(slopes)),
         "predicted": 3.0 * spec.min_hurst - 1.0,
     }
 
@@ -462,7 +463,7 @@ def stability_probe(
     for eps, pert in perturbed.items():
         diffs = [float(np.abs(base - states(pert, seed, y0 + eps)).max())
                  for seed, base in zip(seeds, bases)]
-        table[eps] = float(np.median(diffs))
+        table[eps] = float(_median(diffs))
     sizes = list(table)
     return {
         "table": table,

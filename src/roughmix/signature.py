@@ -7,11 +7,22 @@ cumsum per level below the top) batched over paths. Each linear segment's
 signature is exactly the tensor exponential of its increment, so no
 higher-order log corrections are needed; refinement error relative to the
 underlying process is measured empirically instead.
+
+A call's working memory is one block: a flat float64 workspace, sized for
+the largest chunk and reused by the others, holds every array of the
+accumulation as a view, written with ``out=`` in the order of fresh
+temporaries, so every level is the same to the bit. glibc maps a block that
+large fresh, and freeing it raises its dynamic mmap and trim thresholds
+above it (mallopt(3)), so later calls, and other layers' smaller
+temporaries, reuse resident heap pages. With a dozen separate 64-256 KiB
+temporaries instead, each call on a 4097-point d = 2 path at level 4
+faulted about 224 fresh pages in.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -32,56 +43,95 @@ __all__ = [
 
 # Entries per chunk, counting a full signature per segment (8 MiB of float64):
 # bounds _signature_levels' working memory on long paths and large batches.
+# That memory is one workspace block per call, at most about twice a chunk's
+# entries, so that freeing it lifts the allocator's thresholds above the
+# call's working set (see the module docstring).
 CHUNK_ENTRIES = 2 ** 20
 
 
-def _segment_sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _segment_sum_outer(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """sum_j a[..., j] (x) b[..., j] for raw levels (d^i, ..., s) and (d^k, ..., s):
-    one matmul over the segment axis per batch entry, words-first (d^(i+k), ...)."""
-    prod = np.matmul(np.moveaxis(a, 0, -2), np.moveaxis(b, 0, -1))
+    one matmul over the segment axis per batch entry, words-first (d^(i+k), ...).
+    ``out``, if given, is a C-contiguous (..., d^(i+k)) array to compute into."""
+    if out is not None:
+        out = out.reshape(out.shape[:-1] + (a.shape[0], b.shape[0]))
+    prod = np.matmul(np.moveaxis(a, 0, -2), np.moveaxis(b, 0, -1), out=out)
     return np.moveaxis(prod.reshape(prod.shape[:-2] + (-1,)), -1, 0)
 
 
-def _chunk_signature(delta: np.ndarray, level: int) -> list:
-    """Raw signature levels (d^k, ...) of a polyline with increments (d, ..., s).
+def _chunk_shapes(d: int, level: int, shape: tuple) -> list:
+    """Shapes of the arrays ``_chunk_signature`` works in, for increments
+    (d,) + shape: the increments, one scaled copy, the powers for n < level,
+    the running levels 1 .. level - 1, one outer product and one matmul."""
+    rows = ([d, d] + [d ** n for n in range(level)]
+            + [d ** k for k in range(1, level)])
+    return ([(r,) + shape for r in rows]
+            + [(d ** (level - 1),) + shape[:-1] + (shape[-1] - 1,),
+               shape[:-1] + (d ** level,)])
+
+
+def _views(work: np.ndarray, shapes: list) -> list:
+    """Consecutive C-contiguous views of the flat array ``work``, one per shape."""
+    views, used = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[used:used + size].reshape(shape))
+        used += size
+    return views
+
+
+def _chunk_signature(values: np.ndarray, level: int, work: np.ndarray) -> list:
+    """Raw signature levels (d^k, ...) of the polyline through values (..., s + 1, d).
 
     Chen's identity as a running sum over the segments j:
     S^k(t_{j+1}) = S^k(t_j) + sum_{m=1..k} S^{k-m}(t_j) (x) delta_j^{(x) m} / m!.
     Levels 1 .. level - 1 are one cumsum each; the top level is needed only
     at the end, so it is the segment sum of those outer products, with
     delta_j^{(x) level} / level! taken as (delta_j^{(x) (level-1)} / (level-1)!)
-    (x) delta_j / level, as in ``ta._exp_of_increment``.
+    (x) delta_j / level, as in ``ta._exp_of_increment``. Every array but the
+    returned levels is a view of the flat workspace ``work``, laid out by
+    ``_chunk_shapes``; the arithmetic is that of fresh temporaries.
     """
-    powers = ta._exp_of_increment(delta, level - 1)
+    shape = values.shape[:-2] + (values.shape[-2] - 1,)
+    delta, scaled, *views = _views(work, _chunk_shapes(values.shape[-1], level, shape))
+    powers, running = views[:level], [None] + views[level:2 * level - 1]
+    prod, mat = views[2 * level - 1:]
+    # words-first increments (d, ..., s), segments along memory
+    np.subtract(np.moveaxis(values[..., 1:, :], -1, 0),
+                np.moveaxis(values[..., :-1, :], -1, 0), out=delta)
+    powers[0].fill(1.0)
+    for n in range(1, level):
+        ta._outer(powers[n - 1], np.divide(delta, n, out=scaled), out=powers[n])
     # running[k][..., j]: level k of the signature after segment j
-    running = [None]
     for k in range(1, level):
-        step = powers[k].copy()
+        step = running[k]
+        np.copyto(step, powers[k])
         for m in range(1, k):
-            step[..., 1:] += ta._outer(running[k - m][..., :-1], powers[m][..., 1:])
-        running.append(np.cumsum(step, axis=-1, out=step))
-    top = _segment_sum_outer(powers[level - 1], delta / level)
+            step[..., 1:] += ta._outer(running[k - m][..., :-1], powers[m][..., 1:],
+                                       out=prod[:len(step)])
+        np.cumsum(step, axis=-1, out=step)
+    top = _segment_sum_outer(powers[level - 1], np.divide(delta, level, out=scaled))
     for m in range(1, level):
-        top += _segment_sum_outer(running[level - m][..., :-1], powers[m][..., 1:])
-    return [powers[0][..., 0]] + [lv[..., -1].copy() for lv in running[1:]] + [top]
+        top += _segment_sum_outer(running[level - m][..., :-1], powers[m][..., 1:], out=mat)
+    return [powers[0][..., 0].copy()] + [lv[..., -1].copy() for lv in running[1:]] + [top]
 
 
 def _signature_levels(values: np.ndarray, level: int) -> list:
     """Raw signature levels (d^k, ...) of the polylines through values (..., n, d).
 
     Segments are taken in chunks of at most ``CHUNK_ENTRIES`` stored entries,
-    each by Chen accumulation, and the chunks multiplied left to right.
+    each by Chen accumulation in one workspace sized for the largest chunk,
+    and the chunks multiplied left to right.
     """
     d = values.shape[-1]
     ta._check_size(d, level)
     per_segment = values[..., 0, 0].size * sum(d ** k for k in range(level + 1))
     chunk = max(1, CHUNK_ENTRIES // per_segment)
+    largest = values.shape[:-2] + (min(chunk, values.shape[-2] - 1),)
+    work = np.empty(sum(math.prod(shape) for shape in _chunk_shapes(d, level, largest)))
     acc = None
     for start in range(0, values.shape[-2] - 1, chunk):
-        # words-first increments (d, ..., s), segments along memory
-        delta = np.ascontiguousarray(np.moveaxis(
-            np.diff(values[..., start:start + chunk + 1, :], axis=-2), -1, 0))
-        part = _chunk_signature(delta, level)
+        part = _chunk_signature(values[..., start:start + chunk + 1, :], level, work)
         acc = part if acc is None else ta._mul(acc, part)
     return acc
 

@@ -202,10 +202,13 @@ def from_level1(vec, level: int) -> TruncatedTensor:
 # algebra
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _outer(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Flat outer product over the leading (word) axis; words concatenate
-    lexicographically."""
-    prod = a[:, None] * b[None, :]
+    lexicographically. ``out``, if given, is a C-contiguous array of the
+    product's shape to write it into."""
+    if out is not None:
+        out = out.reshape(a.shape[:1] + b.shape[:1] + out.shape[1:])
+    prod = np.multiply(a[:, None], b[None, :], out=out)
     return prod.reshape((a.shape[0] * b.shape[0],) + prod.shape[2:])
 
 

@@ -272,6 +272,9 @@ NOT_LOADED = {
              "roughmix.estimate"},
     "estimate": {"numpy.ma", "roughmix.lift", "roughmix.tensor",
                  "roughmix.signature", "roughmix.rde"},
+    "bench-cauchy": {"numpy.ma", "roughmix.tensor", "roughmix.signature",
+                     "roughmix.rde", "roughmix.estimate"},
+    "bench-rate": {"numpy.ma", "roughmix.signature", "roughmix.estimate"},
     "bench-scaling": {"numpy.ma", "roughmix.rde", "roughmix.estimate"},
 }
 
@@ -284,6 +287,9 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, spec_file):
         "lift": ["--input", tmp_path / "path.csv"],
         "estimate": ["--input", tmp_path / "path.csv", "--components", 2,
                      "--lags", "1,2,4,8", "--bootstrap", 5],
+        "bench-cauchy": ["--spec", spec_file, "--p", 2.5, "--m-max", 4, "--seeds", 3],
+        "bench-rate": ["--spec", spec_file, "--mesh-min", 4, "--mesh-max", 6,
+                       "--seeds", 3],
         "bench-scaling": ["--hi", 0.5, "--hj", 0.75, "--n-paths", 200, "--seed", 1],
     }
     src = str(Path(roughmix.__file__).resolve().parents[1])

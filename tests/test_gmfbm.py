@@ -21,6 +21,7 @@ from roughmix.gmfbm import (
     _circulant_fbm,
     _fgn_autocovariance,
     _fgn_circulant_sqrt_eigs,
+    _median,
     _spectrum_scale,
     covariance,
     dumps,
@@ -705,3 +706,16 @@ def test_writers_refuse_non_finite_values(bad):
 def test_from_csv_rejects_missing_rows_or_values(text):
     with pytest.raises(ValueError):
         SamplePath.from_csv(text)
+
+
+@pytest.mark.parametrize("nans", [0, 1, 2], ids=["finite", "one-nan", "two-nans"])
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (6,), (1, 3), (4, 3), (7, 3)])
+def test_median_is_numpys_bit_for_bit(shape, nans):
+    # odd and even sizes, 1-d and 2-d, NaN anywhere along the axis
+    rng = np.random.default_rng(len(shape) * 100 + shape[0] * 10 + nans)
+    values = rng.normal(size=shape)
+    values.flat[rng.choice(values.size, min(nans, values.size), replace=False)] = np.nan
+    for given in (values, values.tolist()):
+        want, got = np.median(given, axis=0), _median(given)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

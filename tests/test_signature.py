@@ -1,14 +1,19 @@
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roughmix
 from roughmix import gmfbm
 from roughmix import tensor as ta
 from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample_batch
@@ -168,6 +173,88 @@ def test_chen_accumulation_chunked_fold(monkeypatch):
     assert_matches_fold(chunked, values, 3)
     for a, b in zip(whole, chunked):
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+def fresh_chunk_signature(delta, level):
+    """The Chen accumulation of one chunk in fresh temporaries: the reference
+    that the workspace kernel must equal to the bit."""
+    powers = ta._exp_of_increment(delta, level - 1)
+    running = [None]
+    for k in range(1, level):
+        step = powers[k].copy()
+        for m in range(1, k):
+            step[..., 1:] += ta._outer(running[k - m][..., :-1], powers[m][..., 1:])
+        running.append(np.cumsum(step, axis=-1, out=step))
+    top = signature_module._segment_sum_outer(powers[level - 1], delta / level)
+    for m in range(1, level):
+        top += signature_module._segment_sum_outer(running[level - m][..., :-1],
+                                                   powers[m][..., 1:])
+    return [powers[0][..., 0]] + [lv[..., -1].copy() for lv in running[1:]] + [top]
+
+
+def fresh_signature_levels(values, level):
+    d = values.shape[-1]
+    per_segment = values[..., 0, 0].size * sum(d ** k for k in range(level + 1))
+    chunk = max(1, signature_module.CHUNK_ENTRIES // per_segment)
+    acc = None
+    for start in range(0, values.shape[-2] - 1, chunk):
+        delta = np.ascontiguousarray(np.moveaxis(
+            np.diff(values[..., start:start + chunk + 1, :], axis=-2), -1, 0))
+        part = fresh_chunk_signature(delta, level)
+        acc = part if acc is None else ta._mul(acc, part)
+    return acc
+
+
+def assert_levels_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and (a == b).all()
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,)], ids=["unbatched", "one", "three"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_workspace_kernel_equals_fresh_temporaries(d, level, batch):
+    rng = np.random.default_rng(100 * d + 10 * level + len(batch))
+    values = np.cumsum(rng.normal(size=batch + (33, d)), axis=-2)
+    assert_levels_equal(_signature_levels(values, level),
+                        fresh_signature_levels(values, level))
+
+
+@pytest.mark.parametrize("d, level", [(1, 5), (2, 3), (2, 4), (3, 2)])
+def test_chunked_workspace_kernel_equals_fresh_temporaries(monkeypatch, d, level):
+    # 3 paths, 37 segments, chunks of 4 segments: the last chunk holds one,
+    # and each chunk reuses the workspace sized for the first
+    values = np.cumsum(np.random.default_rng(d + level).normal(size=(3, 38, d)), axis=1)
+    per_segment = 3 * sum(d ** k for k in range(level + 1))
+    monkeypatch.setattr(signature_module, "CHUNK_ENTRIES", 4 * per_segment)
+    assert_levels_equal(_signature_levels(values, level),
+                        fresh_signature_levels(values, level))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the page faults of glibc's allocator")
+def test_long_path_signature_reuses_resident_memory():
+    # a call's working memory is one block, and once a call has freed it the
+    # allocator serves later calls from resident pages: with a dozen fresh
+    # temporaries per call, each was mapped and faulted in anew (about 224
+    # faults per call). A fresh process, since earlier tests move the
+    # allocator's thresholds.
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from roughmix import signature\n"
+        "values = np.cumsum(np.random.default_rng(7).normal(size=(4097, 2)), axis=0)\n"
+        "signature(values, 4)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(50):\n"
+        "    signature(values, 4)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)\n")
+    src = str(Path(roughmix.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) < 16
 
 
 def test_long_path_signature_memory():
