@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import tensor as ta
 from .errors import NumericsError
 from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _median, _seeds, path_csv, path_values,
                     sample)
@@ -287,6 +286,8 @@ def linear_exact(rp: Level2RoughPath, mats, y0, level: int = 4) -> RdeSolution:
     turns them into propagators P_k, and only y <- P_k y loops. The
     generators are checked as ``linear_field`` checks them.
     """
+    from . import tensor as ta
+
     field = linear_field(mats)
     d, k = rp.dim, rp.n_intervals
     if level < 2:

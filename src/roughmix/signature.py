@@ -27,10 +27,9 @@ import math
 import numpy as np
 
 from . import tensor as ta
-from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _chunk_rows,
-                    _circulant_fbm, _circulant_scale, _distinct, _run, _stream,
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _chunk_drawer,
+                    _chunk_rows, _circulant_scale, _distinct, _run, _stream,
                     path_values, sample_batch)
-from .lift import cross_level2, lift_piecewise_linear
 from .tensor import TruncatedTensor
 
 __all__ = [
@@ -158,6 +157,8 @@ def level_formulas_check(path_or_values) -> dict:
     and S^(2) equals the lift's level-2 tensor, whose symmetric part already
     carries (1/2) S^(1) (x) S^(1).
     """
+    from .lift import lift_piecewise_linear
+
     sig = signature(path_or_values, level=2)
     rp = lift_piecewise_linear(path_or_values)
     x1, x2 = rp.total()
@@ -216,6 +217,8 @@ def cross_term_scaling(
     time into buffers it makes once, and reduces each chunk to its squared
     cross integrals, so memory does not grow with ``n_paths``.
     """
+    from .lift import cross_level2
+
     if h_i + h_j <= 0.5:
         raise ValueError(
             "H_i + H_j must exceed 1/2 for the cross Young integral to exist"
@@ -237,14 +240,12 @@ def cross_term_scaling(
 
     def fill(si: int) -> None:
         streams = [_stream(seed + si, k, 0) for k in (0, 1)]
-        normals = np.empty((rows, 2 * n_steps))
-        spectrum = np.empty((rows, n_steps + 1), dtype=complex)
+        draw = _chunk_drawer("circulant", factors[si], rows, n_steps)
         comps = np.zeros((2, rows, n_steps + 1, 1))  # (component, path, point, 1)
         for start in range(0, n_paths, rows):
             m = min(rows, n_paths - start)
             for k, rng in enumerate(streams):
-                rng.standard_normal(out=normals[:m])
-                _circulant_fbm(normals[:m], factors[si][k], spectrum[:m], comps[k, :m, 1:, 0])
+                draw(rng, k, comps[k, :m, 1:, 0])
             cross = cross_level2(comps[0, :m], comps[1, :m])[:, 0, 0]
             sq[si, start:start + m] = cross ** 2
 

@@ -270,11 +270,14 @@ NOT_LOADED = {
             "roughmix.rde", "roughmix.estimate", "concurrent.futures.thread"},
     "lift": {"roughmix.tensor", "roughmix.signature", "roughmix.rde",
              "roughmix.estimate"},
+    "sig": {"roughmix.lift", "roughmix.rde", "roughmix.estimate"},
+    "solve": {"roughmix.tensor", "roughmix.signature", "roughmix.estimate"},
     "estimate": {"numpy.ma", "roughmix.lift", "roughmix.tensor",
                  "roughmix.signature", "roughmix.rde"},
     "bench-cauchy": {"numpy.ma", "roughmix.tensor", "roughmix.signature",
                      "roughmix.rde", "roughmix.estimate"},
-    "bench-rate": {"numpy.ma", "roughmix.signature", "roughmix.estimate"},
+    "bench-rate": {"numpy.ma", "roughmix.tensor", "roughmix.signature",
+                   "roughmix.estimate"},
     "bench-scaling": {"numpy.ma", "roughmix.rde", "roughmix.estimate"},
 }
 
@@ -285,6 +288,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, spec_file):
     argvs = {
         "sim": ["--spec", spec_file, "--n", 64, "--seed", 1],
         "lift": ["--input", tmp_path / "path.csv"],
+        "sig": ["--input", tmp_path / "path.csv", "--log"],
+        "solve": ["--driver", tmp_path / "path.csv", "--field", "bilinear", "--y0", "1,0"],
         "estimate": ["--input", tmp_path / "path.csv", "--components", 2,
                      "--lags", "1,2,4,8", "--bootstrap", 5],
         "bench-cauchy": ["--spec", spec_file, "--p", 2.5, "--m-max", 4, "--seeds", 3],

@@ -1,6 +1,7 @@
 import importlib
 import json
 import multiprocessing
+import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from decimal import Decimal, localcontext
@@ -521,14 +522,78 @@ def test_output_does_not_depend_on_workers(monkeypatch):
         assert np.allclose(got[1], real[1], rtol=1e-12, atol=1e-12)
 
 
+def reference_draw(spec, grid, seed, method, size):
+    """Paths and components as drawn before they were mixed chunk by chunk:
+    each (component, coordinate) stream drawn whole, a sampling chunk of rows
+    at a time, into its slice of one (N, size, n_points, d) array, then mixed
+    by one einsum."""
+    if method == "auto":
+        method = "circulant" if grid.is_uniform else "cholesky"
+    n, rows = len(grid) - 1, gmfbm._chunk_rows(len(grid) - 1)
+    comps = np.zeros((spec.n_components, size, n + 1, spec.dim))
+    for k, hurst in enumerate(spec.hursts):
+        if method == "circulant":
+            scale = gmfbm._circulant_scale(hurst, grid)
+        else:
+            factor = gmfbm._cholesky_factor(gmfbm._fbm_covariance(hurst, grid.points[1:]))
+        for c in range(spec.dim):
+            rng = gmfbm._stream(seed, k, c)
+            for start in range(0, size, rows):
+                out = comps[k, start:start + rows, 1:, c]
+                if method == "circulant":
+                    z = rng.standard_normal((len(out), 2 * n))
+                    _circulant_fbm(z, scale, np.empty((len(out), n + 1), complex), out)
+                else:
+                    np.matmul(rng.standard_normal((len(out), n)), factor.T, out=out)
+    return np.einsum("k,k...->...", np.asarray(spec.coeffs), comps), comps
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, n_components, dim):
+    # components added chunk by chunk, one job per coordinate, give the
+    # einsum of whole streams bit for bit, at every worker count
+    spec = GmfbmSpec(hursts=(0.3, 0.6, 0.9)[:n_components],
+                     coeffs=(-0.5, 1.0, 2.0)[:n_components], dim=dim)
+    uniform = TimeGrid.uniform(64)
+    draws = [(uniform, "circulant"), (uniform, "cholesky"),
+             (TimeGrid(uniform.points ** 1.5), "auto")]
+    pools = (gmfbm._pool, _InlineExecutor, lambda: ThreadPoolExecutor(max_workers=1))
+    sizes = (1, CHUNK_ROWS_64 - 1, CHUNK_ROWS_64, CHUNK_ROWS_64 + 1)
+    for grid, method in draws:
+        values, comps = reference_draw(spec, grid, 5, method, 1)
+        want = {size: reference_draw(spec, grid, 5, method, size)[0].tobytes()
+                for size in sizes}
+        for make in pools:
+            monkeypatch.setattr(gmfbm, "_pool", make)
+            path = sample(spec, grid, 5, method)
+            assert path.values.tobytes() == values[0].tobytes()
+            assert path.components.tobytes() == comps[:, 0].tobytes()
+            for size in sizes:
+                assert sample_batch(spec, grid, 5, size, method).tobytes() == want[size]
+
+
+def test_sample_batch_memory_is_its_output(monkeypatch):
+    # each coordinate's job holds one chunk's normals, spectrum and component
+    # rows; holding every component of the batch at once peaked at 79 MiB
+    monkeypatch.setattr(gmfbm, "_pool", lambda: ThreadPoolExecutor(max_workers=2))
+    tracemalloc.start()
+    try:
+        values = sample_batch(THREE_COMP, TimeGrid.uniform(64), 3, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + 4 * 2 ** 20, peak
+
+
 def per_scale_cross_term_scaling(h_i, h_j, t_scales, n_paths, seed, n_steps):
-    """``cross_term_scaling`` as one whole ``_component_paths`` draw per scale,
+    """``cross_term_scaling`` as one whole ``reference_draw`` per scale,
     reduced by ``cross_level2`` on the whole arrays."""
     moments, ses = [], []
     for si, t in enumerate(t_scales):
         spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), horizon=t)
-        comps, _ = gmfbm._component_paths(spec, TimeGrid.uniform(n_steps, t), seed + si,
-                                          "auto", n_paths)
+        _, comps = reference_draw(spec, TimeGrid.uniform(n_steps, t), seed + si,
+                                  "auto", n_paths)
         sq = cross_level2(comps[0], comps[1])[:, 0, 0] ** 2
         moments.append(float(sq.mean()))
         ses.append(float(sq.std(ddof=1) / np.sqrt(n_paths)))
