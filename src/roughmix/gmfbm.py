@@ -14,14 +14,15 @@ coordinate))`` and handed out path by path: path k of a batch does not
 depend on the batch size (bit for bit under circulant sampling, to rounding
 under Cholesky, whose matrix product blocks by rows drawn at once). The
 coordinates are independent, so they are drawn in parallel over the usable
-CPUs, one job per coordinate, on a thread pool that exists only for the
-duration of that one call; a draw whose streams each fit in one chunk runs
-on the calling thread. A job walks its rows in chunks of at most
-``CHUNK_ENTRIES`` normals, into buffers it makes once, and adds the
-components chunk by chunk in component order, a_k times component k into
-the output, so each entry is 0 + a_0 c_0 + a_1 c_1 + ... and no array holds
-every component of a batch. Each stream's draws stay in order, so the output
-does not depend on the number of workers. A seed is an int in [0, 2^64).
+CPUs, one job per coordinate, on the process's one sampling pool, made by
+the first draw that needs it, whose idle workers wait between draws; a draw
+whose streams each fit in one chunk runs on the calling thread. A job walks
+its rows in chunks of at most ``CHUNK_ENTRIES`` normals, into buffers it
+makes once, and adds the components chunk by chunk in component order, a_k
+times component k into the output, so each entry is 0 + a_0 c_0 + a_1 c_1 +
+... and no array holds every component of a batch. Each stream's draws stay
+in order, so the output does not depend on the number of workers. A seed is
+an int in [0, 2^64).
 
 A circulant row of n steps takes the stream's next 2n normals z_0 ..
 z_{2n-1}. They fill a Hermitian half-spectrum: bin 0 is z_0 and bin n is z_1,
@@ -40,6 +41,7 @@ import itertools
 import json
 import numbers
 import os
+import threading
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -458,29 +460,62 @@ def _chunk_rows(n: int) -> int:
     return max(1, CHUNK_ENTRIES // (2 * n))
 
 
-def _pool():
-    """A thread pool for one call, one worker per usable CPU; leaving its
-    ``with`` block joins the threads."""
-    from concurrent.futures import ThreadPoolExecutor
+_pool_lock = threading.Lock()
+_process_pool = None  # the sampling pool, once a draw has needed it
 
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="roughmix-sample")
+
+def _pool():
+    """The process's one sampling pool, made by the first draw that fans out,
+    with one worker per usable CPU, counted then. Its idle workers wait
+    between draws; a forked child forgets it and makes its own."""
+    global _process_pool
+    with _pool_lock:
+        if _process_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+            _process_pool = ThreadPoolExecutor(max_workers=workers,
+                                               thread_name_prefix="roughmix-sample")
+        return _process_pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: drop the parent's pool, whose threads do not exist
+    here, and its lock, which a parent thread may have held at the fork."""
+    global _process_pool, _pool_lock
+    _process_pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _run(jobs, size: int, n: int) -> None:
     """Run the jobs, whose streams each draw ``size`` rows of n steps: on the
-    calling thread when those fit in one chunk, otherwise on a thread pool
-    that exists only for this call and is joined before it returns."""
+    calling thread when those fit in one chunk, otherwise on ``_pool()``.
+
+    It waits for every job before it returns or raises the error of the
+    first job that failed, in job order, so no job of a failed call still
+    writes into its output. No job may call ``_run``: a job that waits on
+    the pool it runs on deadlocks the pool once every worker waits so.
+    """
     if size * 2 * n <= CHUNK_ENTRIES:
         for job in jobs:
             job()
-    else:
-        with _pool() as pool:
-            for future in [pool.submit(job) for job in jobs]:
-                future.result()
+        return
+    from concurrent.futures import wait
+
+    pool, futures = _pool(), []
+    try:
+        for job in jobs:
+            futures.append(pool.submit(job))
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _chunk_drawer(method: str, params: list, rows: int, n: int):

@@ -212,10 +212,10 @@ def cross_term_scaling(
     slope's error is Monte Carlo noise alone.
 
     Scale si draws its two components from the streams of seed + si, as
-    ``sample_batch`` does, on one thread pool for all the scales, one job
-    per scale. Each job draws its two streams a sampling chunk of rows at a
-    time into buffers it makes once, and reduces each chunk to its squared
-    cross integrals, so memory does not grow with ``n_paths``.
+    ``sample_batch`` does, on the sampling pool, one job per scale. Each
+    job draws its two streams a sampling chunk of rows at a time into
+    buffers it makes once, and reduces each chunk to its squared cross
+    integrals, so memory does not grow with ``n_paths``.
     """
     from .lift import cross_level2
 

@@ -1,4 +1,6 @@
+import contextlib
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,13 +15,28 @@ settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)
-def no_sampling_thread_left():
-    """Fail a test that leaves a sampling pool thread alive: each draw's pool
-    is joined before the draw returns."""
+def one_sampling_pool():
+    """Fail a test that leaves a thread-pool worker alive that is not one of
+    the sampling pool's. The process has one sampling pool, made by its
+    first draw that fans out, whose idle workers wait between draws; a draw
+    that makes a second pool, or a test that leaves an executor of its own
+    running (named ``ThreadPoolExecutor-*`` by default), fails here."""
     yield
-    left = [t.name for t in threading.enumerate()
-            if t.name.startswith("roughmix-sample")]
-    assert not left, f"sampling threads outlive their draw: {left}"
+    pool = gmfbm._process_pool
+    ours = set(pool._threads) if pool else set()
+    workers = {t for t in threading.enumerate()
+               if t.name.startswith(("roughmix-sample", "ThreadPoolExecutor-"))}
+    stray = sorted(t.name for t in workers - ours)
+    assert not stray, f"pool workers outside the sampling pool: {stray}"
+    assert len(workers) <= (pool._max_workers if pool else 0)
+
+
+@pytest.fixture
+def pool_of():
+    """``pool_of(k)``: a thread pool of k workers for a test to draw on in
+    place of the sampling pool, shut down after the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda k: stack.enter_context(ThreadPoolExecutor(max_workers=k))
 
 
 @pytest.fixture

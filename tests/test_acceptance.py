@@ -15,6 +15,7 @@ it from below over coarse meshes (slope >= 1.9).
 
 import numpy as np
 import pytest
+from exact_moments import area_matrix, bilinear_moment, increment_covariance
 
 from roughmix import tensor as ta
 from roughmix.estimate import fit_mixture, fit_single
@@ -131,21 +132,10 @@ def test_criterion_05_cauchy_convergence():
 
 
 def _levy_area_variance(hurst: float, m: int) -> float:
-    """Exact variance of the Levy area of the level-m dyadic lift of a 2-d fBm.
-
-    With x, y the two coordinates' 2^m increments, the piecewise-linear lift
-    has area x^T S y, S_ij = sign(j - i) / 2, so its variance is
-    tr(S Sigma S^T Sigma) = -tr((S Sigma)^2), where Sigma is the fGn
-    covariance of the increments at spacing 2^-m.
-    """
-    i = np.arange(2 ** m)
-    lag = np.abs(i[:, None] - i[None, :]).astype(float)
-    sigma = 0.5 * 2.0 ** (-2 * hurst * m) * (
-        (lag + 1) ** (2 * hurst) - 2 * lag ** (2 * hurst)
-        + np.abs(lag - 1) ** (2 * hurst)
-    )
-    a = 0.5 * np.sign(i[None, :] - i[:, None]) @ sigma
-    return float(-np.sum(a * a.T))
+    """Exact variance of the Levy area x^T S y of the level-m dyadic lift of
+    a 2-d fBm, where x and y are the two coordinates' 2^m increments."""
+    sigma = increment_covariance((hurst,), (1.0,), 2 ** m)
+    return bilinear_moment(area_matrix(2 ** m), sigma, sigma)
 
 
 def test_criterion_06_sharpness():

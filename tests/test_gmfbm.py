@@ -1,6 +1,11 @@
+import concurrent.futures
+import functools
 import importlib
 import json
 import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -481,12 +486,6 @@ CHUNK_ROWS_64 = gmfbm.CHUNK_ENTRIES // 128  # rows per chunk of a 64-step stream
 class _InlineExecutor:
     """Runs each job on the calling thread as it is submitted."""
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn):
         future = Future()
         future.set_result(fn())
@@ -511,12 +510,12 @@ def test_batch_rows_do_not_depend_on_chunk_boundaries():
                            rtol=1e-12, atol=1e-12)
 
 
-def test_output_does_not_depend_on_workers(monkeypatch):
+def test_output_does_not_depend_on_workers(monkeypatch, pool_of):
     grid, odd = TimeGrid.uniform(64), TimeGrid(TimeGrid.uniform(64).points ** 1.5)
     size = 2 * CHUNK_ROWS_64 + 7
     real = [sample_batch(THREE_COMP, g, 8, size) for g in (grid, odd)]
-    for make in (_InlineExecutor, lambda: ThreadPoolExecutor(max_workers=1)):
-        monkeypatch.setattr(gmfbm, "_pool", make)
+    for executor in (_InlineExecutor(), pool_of(1)):
+        monkeypatch.setattr(gmfbm, "_pool", lambda: executor)
         got = [sample_batch(THREE_COMP, g, 8, size) for g in (grid, odd)]
         assert got[0].tobytes() == real[0].tobytes()
         assert np.allclose(got[1], real[1], rtol=1e-12, atol=1e-12)
@@ -550,7 +549,7 @@ def reference_draw(spec, grid, seed, method, size):
 
 @pytest.mark.parametrize("n_components", [1, 2, 3])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, n_components, dim):
+def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, pool_of, n_components, dim):
     # components added chunk by chunk, one job per coordinate, give the
     # einsum of whole streams bit for bit, at every worker count
     spec = GmfbmSpec(hursts=(0.3, 0.6, 0.9)[:n_components],
@@ -558,14 +557,14 @@ def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, n_components, dim)
     uniform = TimeGrid.uniform(64)
     draws = [(uniform, "circulant"), (uniform, "cholesky"),
              (TimeGrid(uniform.points ** 1.5), "auto")]
-    pools = (gmfbm._pool, _InlineExecutor, lambda: ThreadPoolExecutor(max_workers=1))
+    executors = (gmfbm._pool(), _InlineExecutor(), pool_of(1))
     sizes = (1, CHUNK_ROWS_64 - 1, CHUNK_ROWS_64, CHUNK_ROWS_64 + 1)
     for grid, method in draws:
         values, comps = reference_draw(spec, grid, 5, method, 1)
         want = {size: reference_draw(spec, grid, 5, method, size)[0].tobytes()
                 for size in sizes}
-        for make in pools:
-            monkeypatch.setattr(gmfbm, "_pool", make)
+        for executor in executors:
+            monkeypatch.setattr(gmfbm, "_pool", lambda: executor)
             path = sample(spec, grid, 5, method)
             assert path.values.tobytes() == values[0].tobytes()
             assert path.components.tobytes() == comps[:, 0].tobytes()
@@ -573,10 +572,11 @@ def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, n_components, dim)
                 assert sample_batch(spec, grid, 5, size, method).tobytes() == want[size]
 
 
-def test_sample_batch_memory_is_its_output(monkeypatch):
+def test_sample_batch_memory_is_its_output(monkeypatch, pool_of):
     # each coordinate's job holds one chunk's normals, spectrum and component
     # rows; holding every component of the batch at once peaked at 79 MiB
-    monkeypatch.setattr(gmfbm, "_pool", lambda: ThreadPoolExecutor(max_workers=2))
+    two = pool_of(2)
+    monkeypatch.setattr(gmfbm, "_pool", lambda: two)
     tracemalloc.start()
     try:
         values = sample_batch(THREE_COMP, TimeGrid.uniform(64), 3, 20_000)
@@ -607,17 +607,17 @@ def per_scale_cross_term_scaling(h_i, h_j, t_scales, n_paths, seed, n_steps):
 
 
 @pytest.mark.parametrize("n_steps", [5, 64, 256, 1000])
-def test_cross_term_scaling_equals_one_draw_per_scale(monkeypatch, n_steps):
+def test_cross_term_scaling_equals_one_draw_per_scale(monkeypatch, pool_of, n_steps):
     # chunks of rows reduced as they are drawn, on one pool for all scales:
     # path counts on both sides of one chunk's row count, and 3 to 5 scales,
     # so that a pool of 2 workers runs an odd number of jobs
     rows = gmfbm._chunk_rows(n_steps)
-    pools = (gmfbm._pool, _InlineExecutor, lambda: ThreadPoolExecutor(max_workers=1))
+    executors = (gmfbm._pool(), _InlineExecutor(), pool_of(1))
     for i, n_paths in enumerate([2, rows - 1, rows, rows + 1, 1000]):
         scales = [0.125 * 2 ** k for k in range(3 + (i + 2) % 3)]
         want = per_scale_cross_term_scaling(0.5, 0.75, scales, n_paths, 11, n_steps)
-        for make in pools:
-            monkeypatch.setattr(gmfbm, "_pool", make)
+        for executor in executors:
+            monkeypatch.setattr(gmfbm, "_pool", lambda: executor)
             assert cross_term_scaling(0.5, 0.75, scales, n_paths, 11, n_steps) == want
 
 
@@ -632,6 +632,102 @@ def test_single_chunk_draws_stay_on_the_calling_thread(monkeypatch):
         sample_batch(THREE_COMP, TimeGrid.uniform(64), 1, CHUNK_ROWS_64 + 1)
 
 
+def test_parallel_draws_run_on_the_same_workers(monkeypatch):
+    # the pool outlives each draw: three pooled draws run their jobs on the
+    # threads of one pool, which stay the same from draw to draw
+    ran_on, stream = [], gmfbm._stream
+
+    def recording_stream(*args):
+        ran_on.append(threading.get_ident())
+        return stream(*args)
+
+    monkeypatch.setattr(gmfbm, "_stream", recording_stream)
+    pool, workers = gmfbm._pool(), []
+    for seed in range(3):
+        sample_batch(THREE_COMP, TimeGrid.uniform(64), seed, 2 * CHUNK_ROWS_64)
+        assert gmfbm._pool() is pool
+        workers.append({t.ident for t in pool._threads if t.is_alive()})
+    assert workers[0] == workers[1] == workers[2]
+    assert len(ran_on) == 3 * 6 and set(ran_on) <= workers[0]  # 6 streams a draw
+    assert threading.get_ident() not in workers[0]
+
+
+def test_concurrent_draws_match_sequential_ones():
+    # two threads draw on the one pool at once: sample_batch and
+    # cross_term_scaling, each three times, give the bytes they give alone
+    grid, scales = TimeGrid.uniform(64), [0.25, 0.5, 1.0, 2.0]
+
+    def batch():
+        return sample_batch(THREE_COMP, grid, 6, 2 * CHUNK_ROWS_64 + 7).tobytes()
+
+    def cross():
+        return cross_term_scaling(0.5, 0.75, scales, 2 * CHUNK_ROWS_64, 6, 64)
+
+    want = (batch(), cross())
+    start = threading.Barrier(2)
+
+    def three(draw):
+        start.wait()
+        return [draw() for _ in range(3)]
+
+    with ThreadPoolExecutor(max_workers=2) as callers:
+        got = [callers.submit(three, draw) for draw in (batch, cross)]
+        assert got[0].result(60) == [want[0]] * 3
+        assert got[1].result(60) == [want[1]] * 3
+
+
+def test_threads_that_draw_first_at_once_make_one_pool(monkeypatch):
+    # eight threads ask for the pool at once while none exists, with a short
+    # switch interval: a check-then-make without the lock makes several
+    made = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(gmfbm, "_process_pool", None)
+    start, got = threading.Barrier(8), []
+
+    def first_draw():
+        start.wait()
+        got.append(gmfbm._pool())
+
+    callers = [threading.Thread(target=first_draw) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in callers)
+    assert len(made) == 1 and got == made * 8
+
+
+def test_job_error_is_raised_after_the_other_jobs_finish():
+    # a failed call leaves no job writing into its output: the error of the
+    # first failed job is raised once the jobs after it have finished
+    finished = []
+
+    def fail():
+        raise ValueError("job 0 failed")
+
+    def slow(i):
+        time.sleep(0.2)
+        finished.append(i)
+
+    jobs = [fail] + [functools.partial(slow, i) for i in (1, 2)]
+    with pytest.raises(ValueError, match="job 0 failed"):
+        gmfbm._run(jobs, gmfbm.CHUNK_ENTRIES, 1)  # two chunks: on the pool
+    assert sorted(finished) == [1, 2]
+
+
 def _send_batch(conn):
     conn.send_bytes(sample_batch(THREE_COMP, TimeGrid.uniform(64), 2,
                                  2 * CHUNK_ROWS_64).tobytes())
@@ -639,7 +735,8 @@ def _send_batch(conn):
 
 
 def test_forked_child_samples_on_a_pool_of_its_own():
-    # the child inherits none of the parent's threads; its draw makes a pool
+    # the parent's pool exists, but its threads do not in the child, which
+    # forgets it and makes a pool of its own at its first pooled draw
     want = sample_batch(THREE_COMP, TimeGrid.uniform(64), 2, 2 * CHUNK_ROWS_64)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from exact_moments import area_matrix, bilinear_moment, increment_covariance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -443,10 +444,46 @@ def test_levy_area_is_bilinear_form_of_increments():
     for m in (1, 2, 5, 8):
         step = 2 ** (8 - m)
         inc = np.diff(path.values[::step], axis=0)
-        i = np.arange(2 ** m)
-        s = 0.5 * np.sign(i[None, :] - i[:, None])
         got = lift_piecewise_linear(dyadic_approx(path, m)).levy_area()[0, 1]
-        assert got == pytest.approx(inc[:, 0] @ s @ inc[:, 1], rel=1e-13, abs=1e-15)
+        assert got == pytest.approx(inc[:, 0] @ area_matrix(2 ** m) @ inc[:, 1],
+                                    rel=1e-13, abs=1e-15)
+
+
+def cauchy_increment_matrix(m):
+    """D with A_m - A_{m+1} = x^T D y, where A_m is the Levy area of the
+    level-m dyadic lift and x, y are the two coordinates' 2^{m+1} increments.
+
+    The level-m increments are P x, where P sums adjacent pairs, so
+    A_m = x^T P^T S_m P y and D = P^T S_m P - S_{m+1}.
+    """
+    pair = np.arange(2 ** (m + 1)) // 2
+    return area_matrix(2 ** m)[np.ix_(pair, pair)] - area_matrix(2 ** (m + 1))
+
+
+def test_exact_cauchy_increments_of_the_dyadic_lifts():
+    # the paper's threshold, exactly: E[(A_{m+1} - A_m)^2] = tr(D C D^T C),
+    # with C the increments' covariance, falls by 2^-(4H - 1) per level, so
+    # the lifts converge above H = 1/4 and not below it; a mixture falls
+    # faster than its min-H rate on coarse levels and tends to that rate
+    path = sample(GmfbmSpec((0.3,), (1.0,), dim=2), TimeGrid.dyadic(6), seed=5)
+    inc = np.diff(path.values, axis=0)
+    areas = [lift_piecewise_linear(dyadic_approx(path, m)).levy_area()[0, 1]
+             for m in (5, 6)]
+    assert areas[0] - areas[1] == pytest.approx(
+        inc[:, 0] @ cauchy_increment_matrix(5) @ inc[:, 1], rel=1e-12, abs=1e-15)
+
+    def rates(hursts, coeffs=(1.0,)):  # log2 of M_m / M_{m-1}, m = 5 .. 8
+        moments = []
+        for m in range(4, 9):
+            sigma = increment_covariance(hursts, coeffs, 2 ** (m + 1))
+            moments.append(bilinear_moment(cauchy_increment_matrix(m), sigma, sigma))
+        return np.diff(np.log2(moments))
+
+    for hurst in (0.3, 0.5, 0.6, 0.75):
+        assert np.abs(rates((hurst,)) + (4 * hurst - 1)).max() <= 0.01, hurst
+    assert (rates((0.2,)) > 0).all()
+    gap = -0.2 - rates((0.3, 0.7), (1.0, 1.0))
+    assert (gap > 0).all() and (np.diff(gap) < 0).all(), gap
 
 
 def test_sharpness_probe_rejects_large_hurst():

@@ -5,11 +5,11 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from exact_moments import area_matrix, bilinear_moment, increment_covariance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,12 +274,13 @@ def test_long_path_signature_memory():
     assert ok, viol
 
 
-def test_cross_term_scaling_memory_does_not_grow_with_paths(monkeypatch):
+def test_cross_term_scaling_memory_does_not_grow_with_paths(monkeypatch, pool_of):
     # each job holds one chunk's normals, spectrum and component rows, about
     # 2 MiB at 256 steps, so the peak grows with the jobs running at once
     # (pinned here to two workers) and not with n_paths; drawing whole scales
     # peaked at 81 MiB for 10,000 paths
-    monkeypatch.setattr(gmfbm, "_pool", lambda: ThreadPoolExecutor(max_workers=2))
+    two = pool_of(2)
+    monkeypatch.setattr(gmfbm, "_pool", lambda: two)
     tracemalloc.start()
     try:
         cross_term_scaling(0.5, 0.75, [0.125, 0.25, 0.5, 1.0], 10_000, 3)
@@ -345,31 +346,17 @@ def test_cross_term_scaling_brownian():
     assert abs(res["slope"] - 2.0) < 0.3
 
 
-def fbm_covariance(hurst, s):
-    """Cov(B_s, B_s') of an fBm of the given Hurst index at the nodes s."""
-    return 0.5 * (s[:, None] ** (2 * hurst) + s ** (2 * hurst)
-                  - np.abs(s[:, None] - s) ** (2 * hurst))
-
-
-def midpoint_covariance(cov_x):
-    """Cov(m_k, m_l), m_k = (X_k + X_{k+1}) / 2 - X_0, from Cov(X) at nodes
-    that start at 0, where X_0 = 0."""
-    return 0.25 * (cov_x[:-1, :-1] + cov_x[1:, :-1] + cov_x[:-1, 1:] + cov_x[1:, 1:])
-
-
 def exact_cross_moment(h_i, h_j, t, n_steps):
     """E[(sum_k m_k D_k)^2] on cross_term_scaling's grid of n_steps on [0, t].
 
     m_k = (X_k + X_{k+1}) / 2 - X_0 for an fBm X of Hurst h_i and D_k is
-    the k-th increment of an independent fBm Y of Hurst h_j, so the moment
-    is sum_{k,l} Cov(m_k, m_l) Cov(D_k, D_l), from the fBm covariance.
+    the k-th increment of an independent fBm Y of Hurst h_j. With x the
+    increments of X, m_k = sum_{l<k} x_l + x_k / 2, so the cross term is
+    x^T (S + 1 1^T / 2) D.
     """
-    s = np.linspace(0.0, t, n_steps + 1)
-    cov_m = midpoint_covariance(fbm_covariance(h_i, s))
-    lag = np.abs(np.subtract.outer(np.arange(n_steps), np.arange(n_steps)))
-    cov_d = 0.5 * (t / n_steps) ** (2 * h_j) * (
-        (lag + 1.0) ** (2 * h_j) + np.abs(lag - 1.0) ** (2 * h_j) - 2.0 * lag ** (2 * h_j))
-    return float(np.sum(cov_m * cov_d))
+    return bilinear_moment(area_matrix(n_steps) + 0.5,
+                           increment_covariance((h_i,), (1.0,), n_steps, t),
+                           increment_covariance((h_j,), (1.0,), n_steps, t))
 
 
 SCALES = [0.125, 0.25, 0.5, 1.0]
@@ -402,19 +389,11 @@ def test_cross_term_moments_match_the_exact_ones(h_i, h_j):
 
 
 def exact_levy_area_moment(spec, n_steps):
-    """E[A^2] of the Levy area A of the polyline through a d=2 path of
-    ``spec`` on a uniform grid of n_steps.
-
-    Each coordinate has covariance C = sum_k a_k^2 C_{H_k}, the two
-    independently, and A = (sum_k m_k^1 D_k^2 - sum_k m_k^2 D_k^1) / 2, so
-    E[A^2] = (sum_{k,l} Cov(m_k, m_l) Cov(D_k, D_l)
-              - sum_{k,l} Cov(m_k, D_l) Cov(m_l, D_k)) / 2.
-    """
-    s = np.linspace(0.0, spec.horizon, n_steps + 1)
-    c = sum(a * a * fbm_covariance(h, s) for h, a in zip(spec.hursts, spec.coeffs))
-    cov_d = c[1:, 1:] - c[1:, :-1] - c[:-1, 1:] + c[:-1, :-1]
-    cov_md = 0.5 * (c[:-1, 1:] - c[:-1, :-1] + c[1:, 1:] - c[1:, :-1])
-    return 0.5 * (np.sum(midpoint_covariance(c) * cov_d) - np.sum(cov_md * cov_md.T))
+    """E[A^2] of the Levy area A = x^T S y of the polyline through a d=2 path
+    of ``spec`` on a uniform grid of n_steps, with x and y the increments of
+    its two independent coordinates."""
+    sigma = increment_covariance(spec.hursts, spec.coeffs, n_steps, spec.horizon)
+    return bilinear_moment(area_matrix(n_steps), sigma, sigma)
 
 
 def test_levy_area_of_sampled_paths_matches_the_exact_moment():
