@@ -24,7 +24,7 @@ import importlib
 import sys
 import types
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # the submodule that defines each public name
 _HOME = {

@@ -30,7 +30,10 @@ both real; bin j in 1 .. n-1 is z_{2j} + i z_{2j+1}. Bin j is scaled by
 sqrt(c_j n lambda_j) dt^H, where lambda_j is the j-th eigenvalue of the
 circulant embedding of fGn, c_j is 2 for bins 0 and n and 1 otherwise, and dt
 is the grid step; the first n values of its inverse real FFT of length 2n are
-the fGn steps, and their cumulative sum is the fBm row.
+the fGn steps. That map ends at the steps (``_circulant_fgn``); their
+cumulative sum, the fBm row, is a separate step (``_circulant_fbm``), which a
+caller that needs only the steps, as ``signature.cross_term_scaling`` does,
+leaves out.
 """
 
 from __future__ import annotations
@@ -432,21 +435,28 @@ def _circulant_scale(hurst: float, grid: TimeGrid) -> np.ndarray:
     return _spectrum_scale(_fgn_circulant_sqrt_eigs(hurst, len(grid) - 1), step_scale)
 
 
-def _circulant_fbm(normals: np.ndarray, scale: np.ndarray, spectrum: np.ndarray,
-                   out: np.ndarray) -> None:
-    """Fill ``out`` (rows, n) with the fBm rows of ``normals`` (rows, 2n).
+def _circulant_fgn(normals: np.ndarray, scale: np.ndarray,
+                   spectrum: np.ndarray) -> np.ndarray:
+    """The fGn steps (rows, n) of ``normals`` (rows, 2n), as a view of ``normals``.
 
     The map of the module docstring, through ``spectrum`` (rows, n + 1),
     complex; the inverse transform overwrites ``normals``.
     """
-    n = out.shape[1]
+    n = spectrum.shape[1] - 1
     z = normals.view(complex)  # (rows, n)
     spectrum[:, 1:n] = z[:, 1:]
     spectrum[:, 0] = z[:, 0].real
     spectrum[:, n] = z[:, 0].imag
     spectrum *= scale
     np.fft.irfft(spectrum, n=2 * n, axis=1, out=normals)
-    np.cumsum(normals[:, :n], axis=1, out=out)
+    return normals[:, :n]
+
+
+def _circulant_fbm(normals: np.ndarray, scale: np.ndarray, spectrum: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Fill ``out`` (rows, n) with the fBm rows of ``normals`` (rows, 2n): the
+    cumulative sums of their ``_circulant_fgn`` steps."""
+    np.cumsum(_circulant_fgn(normals, scale, spectrum), axis=1, out=out)
 
 
 # Entries per sampling chunk, counting 2n normals per row of n steps (512 KiB

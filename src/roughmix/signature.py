@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from . import tensor as ta
-from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _chunk_drawer,
-                    _chunk_rows, _circulant_scale, _distinct, _run, _stream,
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _chunk_rows,
+                    _circulant_fgn, _circulant_scale, _distinct, _run, _stream,
                     path_values, sample_batch)
 from .tensor import TruncatedTensor
 
@@ -214,11 +214,12 @@ def cross_term_scaling(
     Scale si draws its two components from the streams of seed + si, as
     ``sample_batch`` does, on the sampling pool, one job per scale. Each
     job draws its two streams a sampling chunk of rows at a time into
-    buffers it makes once, and reduces each chunk to its squared cross
-    integrals, so memory does not grow with ``n_paths``.
+    buffers it makes once, maps them to fGn steps xi and eta, and reduces
+    each chunk to its squared cross integrals, so memory does not grow with
+    ``n_paths``. The integral over a row is sum_k (X_{k+1} - xi_k / 2) eta_k,
+    with X the one cumulative sum of xi: ``lift.cross_level2`` on the two
+    fBm rows, to rounding.
     """
-    from .lift import cross_level2
-
     if h_i + h_j <= 0.5:
         raise ValueError(
             "H_i + H_j must exceed 1/2 for the cross Young integral to exist"
@@ -240,14 +241,18 @@ def cross_term_scaling(
 
     def fill(si: int) -> None:
         streams = [_stream(seed + si, k, 0) for k in (0, 1)]
-        draw = _chunk_drawer("circulant", factors[si], rows, n_steps)
-        comps = np.zeros((2, rows, n_steps + 1, 1))  # (component, path, point, 1)
+        normals = np.empty((2, rows, 2 * n_steps))
+        spectrum = np.empty((rows, n_steps + 1), dtype=complex)
+        path = np.empty((rows, n_steps))
         for start in range(0, n_paths, rows):
             m = min(rows, n_paths - start)
-            for k, rng in enumerate(streams):
-                draw(rng, k, comps[k, :m, 1:, 0])
-            cross = cross_level2(comps[0, :m], comps[1, :m])[:, 0, 0]
-            sq[si, start:start + m] = cross ** 2
+            xi, eta = (_circulant_fgn(rng.standard_normal(out=normals[k, :m]),
+                                      factors[si][k], spectrum[:m])
+                       for k, rng in enumerate(streams))
+            x = np.cumsum(xi, axis=1, out=path[:m])
+            xi *= -0.5
+            xi += x  # the midpoints (X_k + X_{k+1}) / 2
+            sq[si, start:start + m] = np.einsum("pk,pk->p", xi, eta) ** 2
 
     _run([functools.partial(fill, si) for si in range(t_scales.size)], n_paths, n_steps)
     moments = sq.mean(axis=1)

@@ -22,6 +22,17 @@ def area_matrix(n_steps):
     return 0.5 * np.sign(i[None, :] - i[:, None])
 
 
+def cauchy_increment_matrix(m):
+    """D with A_m - A_{m+1} = x^T D y, where A_m is the Levy area of the
+    level-m dyadic lift and x, y are the two coordinates' 2^{m+1} increments.
+
+    The level-m increments are P x, where P sums adjacent pairs, so
+    A_m = x^T P^T S_m P y and D = P^T S_m P - S_{m+1}.
+    """
+    pair = np.arange(2 ** (m + 1)) // 2
+    return area_matrix(2 ** m)[np.ix_(pair, pair)] - area_matrix(2 ** (m + 1))
+
+
 def bilinear_moment(k, sigma_x, sigma_y):
     """E[(x^T K y)^2] = tr(K Sigma_y K^T Sigma_x) for independent centred
     Gaussian x and y with covariances Sigma_x and Sigma_y."""

@@ -15,7 +15,8 @@ it from below over coarse meshes (slope >= 1.9).
 
 import numpy as np
 import pytest
-from exact_moments import area_matrix, bilinear_moment, increment_covariance
+from exact_moments import (area_matrix, bilinear_moment, cauchy_increment_matrix,
+                           increment_covariance)
 
 from roughmix import tensor as ta
 from roughmix.estimate import fit_mixture, fit_single
@@ -120,15 +121,27 @@ def test_criterion_04_signature_closed_forms():
 
 
 def test_criterion_05_cauchy_convergence():
-    """Median dyadic-lift distances strictly decreasing for m = 4..10."""
+    """Median dyadic-lift distances strictly decreasing for m = 4..10.
+
+    Reported beside them: the exact log2 ratios of E[(A_{m+1} - A_m)^2] for
+    the Levy areas A_m of a 2-d fBm's dyadic lifts at the same H, which fall
+    by 2^-(4H - 1) per level, so that the lifts converge for H > 1/4.
+    """
     spec = GmfbmSpec(hursts=(0.6,), coeffs=(1.0,))
     res = cauchy_diagnostic(spec, m_max=10, p=2.1, seeds=range(20))
     med = res["medians"]
     decreasing = all(med[m] > med[m + 1] for m in range(4, 10))
     ok = decreasing
     seq = ", ".join(f"{med[m]:.3f}" for m in range(4, 11))
+    moments = []
+    for m in range(4, 9):
+        sigma = increment_covariance((0.6,), (1.0,), 2 ** (m + 1))
+        moments.append(bilinear_moment(cauchy_increment_matrix(m), sigma, sigma))
+    ratios = ", ".join(f"{r:.3f}" for r in np.diff(np.log2(moments)))
     assert report(5, "Cauchy convergence", ok,
-                  f"medians m=4..10: {seq} (strictly decreasing)")
+                  f"medians m=4..10: {seq} (strictly decreasing); exact d=2 "
+                  f"log2 ratios of E[(A_{{m+1}} - A_m)^2], m=4..8: {ratios} "
+                  f"(rate -(4H - 1) = -1.4)")
 
 
 def _levy_area_variance(hurst: float, m: int) -> float:

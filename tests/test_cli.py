@@ -278,7 +278,7 @@ NOT_LOADED = {
                      "roughmix.rde", "roughmix.estimate"},
     "bench-rate": {"numpy.ma", "roughmix.tensor", "roughmix.signature",
                    "roughmix.estimate"},
-    "bench-scaling": {"numpy.ma", "roughmix.rde", "roughmix.estimate"},
+    "bench-scaling": {"numpy.ma", "roughmix.lift", "roughmix.rde", "roughmix.estimate"},
 }
 
 

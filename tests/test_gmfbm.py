@@ -25,6 +25,7 @@ from roughmix.gmfbm import (
     SamplePath,
     TimeGrid,
     _circulant_fbm,
+    _circulant_fgn,
     _fgn_autocovariance,
     _fgn_circulant_sqrt_eigs,
     _median,
@@ -586,15 +587,24 @@ def test_sample_batch_memory_is_its_output(monkeypatch, pool_of):
     assert peak <= values.nbytes + 4 * 2 ** 20, peak
 
 
+def whole_stream_steps(hurst, grid, seed, component, n_paths):
+    """The fGn steps (n_paths, n) of one stream, drawn and mapped in one piece."""
+    n = len(grid) - 1
+    z = gmfbm._stream(seed, component, 0).standard_normal((n_paths, 2 * n))
+    return _circulant_fgn(z, gmfbm._circulant_scale(hurst, grid),
+                          np.empty((n_paths, n + 1), complex))
+
+
 def per_scale_cross_term_scaling(h_i, h_j, t_scales, n_paths, seed, n_steps):
-    """``cross_term_scaling`` as one whole ``reference_draw`` per scale,
-    reduced by ``cross_level2`` on the whole arrays."""
+    """``cross_term_scaling`` from each scale's whole-stream fGn steps xi and
+    eta, reduced on the whole arrays as sum_k (X_{k+1} - xi_k / 2) eta_k."""
     moments, ses = [], []
     for si, t in enumerate(t_scales):
-        spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), horizon=t)
-        _, comps = reference_draw(spec, TimeGrid.uniform(n_steps, t), seed + si,
-                                  "auto", n_paths)
-        sq = cross_level2(comps[0], comps[1])[:, 0, 0] ** 2
+        grid = TimeGrid.uniform(n_steps, t)
+        xi, eta = (whole_stream_steps(h, grid, seed + si, k, n_paths)
+                   for k, h in enumerate((h_i, h_j)))
+        mid = np.cumsum(xi, axis=1) - xi / 2
+        sq = np.einsum("pk,pk->p", mid, eta) ** 2
         moments.append(float(sq.mean()))
         ses.append(float(sq.std(ddof=1) / np.sqrt(n_paths)))
     return {
@@ -604,6 +614,19 @@ def per_scale_cross_term_scaling(h_i, h_j, t_scales, n_paths, seed, n_steps):
         "slope": float(np.polyfit(np.log(t_scales), np.log(moments), 1)[0]),
         "expected_slope": 2.0 * (h_i + h_j),
     }
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 64, 256])
+@pytest.mark.parametrize("hursts", [(0.5, 0.75), (0.26, 0.25)])
+def test_step_reduction_is_the_cross_integral_of_the_paths(n_steps, hursts):
+    # path by path, the reduction from the fGn steps equals cross_level2 on
+    # the cumulated rows to rounding
+    grid = TimeGrid.uniform(n_steps, 0.5)
+    xi, eta = (whole_stream_steps(h, grid, 7, k, 50) for k, h in enumerate(hursts))
+    x, y = (np.pad(np.cumsum(s, axis=1), ((0, 0), (1, 0)))[..., None] for s in (xi, eta))
+    want = cross_level2(x, y)[:, 0, 0]
+    got = np.einsum("pk,pk->p", np.cumsum(xi, axis=1) - xi / 2, eta)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n_steps", [5, 64, 256, 1000])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from exact_moments import area_matrix, bilinear_moment, increment_covariance
+from exact_moments import (area_matrix, bilinear_moment, cauchy_increment_matrix,
+                           increment_covariance)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -447,17 +448,6 @@ def test_levy_area_is_bilinear_form_of_increments():
         got = lift_piecewise_linear(dyadic_approx(path, m)).levy_area()[0, 1]
         assert got == pytest.approx(inc[:, 0] @ area_matrix(2 ** m) @ inc[:, 1],
                                     rel=1e-13, abs=1e-15)
-
-
-def cauchy_increment_matrix(m):
-    """D with A_m - A_{m+1} = x^T D y, where A_m is the Levy area of the
-    level-m dyadic lift and x, y are the two coordinates' 2^{m+1} increments.
-
-    The level-m increments are P x, where P sums adjacent pairs, so
-    A_m = x^T P^T S_m P y and D = P^T S_m P - S_{m+1}.
-    """
-    pair = np.arange(2 ** (m + 1)) // 2
-    return area_matrix(2 ** m)[np.ix_(pair, pair)] - area_matrix(2 ** (m + 1))
 
 
 def test_exact_cauchy_increments_of_the_dyadic_lifts():
