@@ -30,10 +30,10 @@ both real; bin j in 1 .. n-1 is z_{2j} + i z_{2j+1}. Bin j is scaled by
 sqrt(c_j n lambda_j) dt^H, where lambda_j is the j-th eigenvalue of the
 circulant embedding of fGn, c_j is 2 for bins 0 and n and 1 otherwise, and dt
 is the grid step; the first n values of its inverse real FFT of length 2n are
-the fGn steps. That map ends at the steps (``_circulant_fgn``); their
-cumulative sum, the fBm row, is a separate step (``_circulant_fbm``), which a
-caller that needs only the steps, as ``signature.cross_term_scaling`` does,
-leaves out.
+the fGn steps (``_circulant_fgn``). ``_chunk_drawer`` is the one map from a
+stream's normals to rows, circulant fGn steps or Cholesky fBm rows; ``_draw``
+cumulates the steps into fBm rows, while ``signature.cross_term_scaling``,
+which needs steps, cumulates one of its two streams only.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numbers
 import os
 import threading
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -216,15 +216,12 @@ def path_values(values) -> np.ndarray:
 class SamplePath:
     """A d-dimensional path on a time grid, with how it was sampled.
 
-    ``components[k]`` holds the k-th fBm component path (same shape as
-    ``values``) of a sampled path, so that a caller can decompose the
-    mixture. ``method`` is the sampling method used; ``used_fallback`` is
-    always False (circulant sampling has no fallback), kept for its readers.
+    ``method`` is the sampling method used; ``used_fallback`` is always
+    False (circulant sampling has no fallback), kept for its readers.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    components: np.ndarray | None = field(default=None, repr=False)
     method: str | None = None
     used_fallback: bool = False
 
@@ -418,21 +415,17 @@ def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
     return sqrt_eigs
 
 
-def _spectrum_scale(sqrt_eigs: np.ndarray, step_scale: float) -> np.ndarray:
-    """Per-bin factors of the half-spectrum, times the fBm step scale dt^H.
+def _circulant_scale(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """Per-bin factors of the half-spectrum of an fBm of index ``hurst`` on
+    the uniform grid, times its step scale dt^H.
 
     irfft divides by 2n: a real bin needs sqrt(2n eig), a complex one sqrt(n eig).
     """
-    n = sqrt_eigs.size - 1
-    scale = (np.sqrt(n) * step_scale) * sqrt_eigs
+    n = len(grid) - 1
+    step_scale = (grid.points[1] - grid.points[0]) ** hurst
+    scale = (np.sqrt(n) * step_scale) * _fgn_circulant_sqrt_eigs(hurst, n)
     scale[[0, n]] *= np.sqrt(2.0)
     return scale
-
-
-def _circulant_scale(hurst: float, grid: TimeGrid) -> np.ndarray:
-    """``_spectrum_scale`` for an fBm of index ``hurst`` on the uniform grid."""
-    step_scale = (grid.points[1] - grid.points[0]) ** hurst
-    return _spectrum_scale(_fgn_circulant_sqrt_eigs(hurst, len(grid) - 1), step_scale)
 
 
 def _circulant_fgn(normals: np.ndarray, scale: np.ndarray,
@@ -450,13 +443,6 @@ def _circulant_fgn(normals: np.ndarray, scale: np.ndarray,
     spectrum *= scale
     np.fft.irfft(spectrum, n=2 * n, axis=1, out=normals)
     return normals[:, :n]
-
-
-def _circulant_fbm(normals: np.ndarray, scale: np.ndarray, spectrum: np.ndarray,
-                   out: np.ndarray) -> None:
-    """Fill ``out`` (rows, n) with the fBm rows of ``normals`` (rows, 2n): the
-    cumulative sums of their ``_circulant_fgn`` steps."""
-    np.cumsum(_circulant_fgn(normals, scale, spectrum), axis=1, out=out)
 
 
 # Entries per sampling chunk, counting 2n normals per row of n steps (512 KiB
@@ -528,36 +514,38 @@ def _run(jobs, size: int, n: int) -> None:
         future.result()
 
 
-def _chunk_drawer(method: str, params: list, rows: int, n: int):
-    """``draw(rng, k, out)``: draw the stream ``rng``'s next len(out) <= ``rows``
-    rows of normals into one buffer and map them into ``out`` (len(out), n)
-    as component k's fBm rows, by ``_circulant_fbm`` with the spectrum
-    factors params[k], or times the transposed Cholesky factor params[k].
-    The buffers are made once per drawer, so each job makes its own."""
+def _chunk_drawer(method: str, rows: int, n: int):
+    """``draw(rng, param, m)``: the stream ``rng``'s next m <= ``rows`` rows
+    of normals, mapped to m rows of n values: circulant fGn steps by
+    ``_circulant_fgn`` with the spectrum factors ``param``, or Cholesky fBm
+    rows, times the transposed factor ``param``.
+
+    The rows are a view of buffers made once per drawer, overwritten by the
+    next draw; each job makes its own drawer.
+    """
     circulant = method == "circulant"
     normals = np.empty((rows, 2 * n if circulant else n))
-    spectrum = np.empty((rows, n + 1) if circulant else 0, dtype=complex)
+    mapped = np.empty((rows, n + 1), complex) if circulant else np.empty((rows, n))
 
-    def draw(rng, k, out):
-        z = rng.standard_normal(out=normals[:len(out)])
+    def draw(rng, param, m):
+        z = rng.standard_normal(out=normals[:m])
         if circulant:
-            _circulant_fbm(z, params[k], spectrum[:len(out)], out)
-        else:
-            np.matmul(z, params[k].T, out=out)
+            return _circulant_fgn(z, param, mapped[:m])
+        return np.matmul(z, param.T, out=mapped[:m])
     return draw
 
 
-def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str, size: int,
-          comps: np.ndarray | None = None) -> tuple[np.ndarray, str]:
-    """Paths (size, n_points, dim) and the method used; given ``comps``, a
-    zero (N, size, n_points, dim) array, also fills it with the components.
+def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str,
+          size: int) -> tuple[np.ndarray, str]:
+    """Paths (size, n_points, dim) and the method used.
 
     Everything that can raise runs first, on the calling thread. Then one
-    job per coordinate c walks its rows a chunk at a time. For each chunk it
-    takes the components k in order, maps stream (k, c)'s next normals into
-    one chunk buffer (or the chunk of ``comps``) and adds a_k times it to the
-    output, so each entry is 0 + a_0 c_0 + a_1 c_1 + ..., in that order. The
-    jobs run by ``_run``.
+    job per coordinate c walks its rows a chunk at a time with one
+    ``_chunk_drawer``. For each chunk it takes the components k in order,
+    draws stream (k, c)'s next rows (cumulating circulant steps into one
+    chunk buffer), scales them by a_k in place and adds them to the output,
+    so each entry is 0 + a_0 c_0 + a_1 c_1 + ..., in that order. The jobs
+    run by ``_run``.
     """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
@@ -585,16 +573,17 @@ def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str, size: int,
     rows = max(1, min(_chunk_rows(n), size))
 
     def job(c: int) -> None:
-        draw = _chunk_drawer(method, params, rows, n)
+        draw = _chunk_drawer(method, rows, n)
         streams = [_stream(seed, k, c) for k in range(spec.n_components)]
-        chunk = np.empty((rows, n))
+        chunk = np.empty((rows, n) if method == "circulant" else 0)
         for start in range(0, size, rows):
             out = values[start:start + rows, 1:, c]
             m = len(out)
-            for k, (a, rng) in enumerate(zip(spec.coeffs, streams)):
-                part = chunk[:m] if comps is None else comps[k, start:start + m, 1:, c]
-                draw(rng, k, part)
-                out += np.multiply(a, part, out=chunk[:m])
+            for a, param, rng in zip(spec.coeffs, params, streams):
+                part = draw(rng, param, m)
+                if method == "circulant":
+                    part = np.cumsum(part, axis=1, out=chunk[:m])
+                out += np.multiply(a, part, out=part)
 
     _run([functools.partial(job, c) for c in range(spec.dim)], size, n)
     return values, method
@@ -609,12 +598,11 @@ def sample(
     """Draw one exact GMFBM path on the grid: path 0 of ``sample_batch``.
 
     ``method`` is ``"auto"`` (circulant on uniform grids, Cholesky
-    otherwise), ``"circulant"`` or ``"cholesky"``. The per-component fBm
-    paths are kept on the returned object.
+    otherwise), ``"circulant"`` or ``"cholesky"``; the returned path records
+    the one used.
     """
-    comps = np.zeros((spec.n_components, 1, len(grid), spec.dim))
-    values, method = _draw(spec, grid, seed, method, 1, comps)
-    return SamplePath(grid=grid, values=values[0], components=comps[:, 0], method=method)
+    values, method = _draw(spec, grid, seed, method, 1)
+    return SamplePath(grid=grid, values=values[0], method=method)
 
 
 def sample_batch(

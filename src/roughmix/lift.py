@@ -105,24 +105,6 @@ class Level2RoughPath:
         _, x2 = self.total()
         return 0.5 * (x2 - x2.T)
 
-    def check_chen(self, tol: float = 1e-10) -> float:
-        """Largest defect of X_{0,k+1} = X_{0,k} (x) X_{k,k+1} over all nodes k.
-
-        X_{0,k} is looked up from the prefixes and X_{k,k+1} is the stored
-        increment, so a prefix entry that disagrees with them shows.
-        """
-        k = np.arange(self.n_intervals)
-        x1l, x2l = self.over(0, k)
-        x1, x2 = self.over(0, k + 1)
-        chen2 = x2l + self.inc2 + x1l[:, :, None] * self.inc1[:, None, :]
-        worst = max(
-            float(np.abs(x1l + self.inc1 - x1).max(initial=0.0)),
-            float(np.abs(chen2 - x2).max(initial=0.0)),
-        )
-        if worst > tol:
-            raise AssertionError(f"Chen defect {worst} exceeds {tol}")
-        return worst
-
     def restricted(self, i: int, j: int) -> "Level2RoughPath":
         return Level2RoughPath(
             grid=TimeGrid(self.grid.points[i:j + 1] - self.grid.points[i]),

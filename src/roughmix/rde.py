@@ -57,29 +57,6 @@ class VectorField:
     jacobian_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mats: np.ndarray | None = None
 
-    def check_consistency(self, y: np.ndarray, tol: float = 1e-4,
-                          h: float = 1e-6) -> float:
-        """Relative deviation of jacobian_apply from a finite-difference probe."""
-        y = np.asarray(y, dtype=float)
-        f = self.eval(y)
-        e, d = f.shape
-        dff = np.zeros((e, d, d))  # dff[i, a, b] = sum_l d_l f_{i b} f_{l a}
-        for l in range(e):
-            step = np.zeros(e)
-            step[l] = h
-            df_l = (self.eval(y + step) - self.eval(y - step)) / (2 * h)  # (e, d)
-            dff += df_l[:, None, :] * f[l][None, :, None]
-        g = np.random.default_rng(0).normal(size=(d, d))
-        got = self.jacobian_apply(y, g)
-        want = np.einsum("iab,ab->i", dff, g)
-        scale = max(1.0, float(np.abs(want).max()))
-        err = float(np.abs(got - want).max()) / scale
-        if err > tol:
-            raise AssertionError(
-                f"jacobian_apply deviates from finite differences by {err}"
-            )
-        return err
-
 
 def vector_field(f: Callable[[np.ndarray], np.ndarray]) -> VectorField:
     """Wrap a plain f(y) -> (e, d) callable; the Jacobian term is finite-differenced."""

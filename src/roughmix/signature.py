@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from . import tensor as ta
-from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _chunk_rows,
-                    _circulant_fgn, _circulant_scale, _distinct, _run, _stream,
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _check_seed, _chunk_drawer,
+                    _chunk_rows, _circulant_scale, _distinct, _run, _stream,
                     path_values, sample_batch)
 from .tensor import TruncatedTensor
 
@@ -213,12 +213,13 @@ def cross_term_scaling(
 
     Scale si draws its two components from the streams of seed + si, as
     ``sample_batch`` does, on the sampling pool, one job per scale. Each
-    job draws its two streams a sampling chunk of rows at a time into
-    buffers it makes once, maps them to fGn steps xi and eta, and reduces
-    each chunk to its squared cross integrals, so memory does not grow with
+    job draws its two streams a sampling chunk of rows at a time with one
+    ``gmfbm._chunk_drawer``, as fGn steps xi and eta, and reduces each chunk
+    to its squared cross integrals, so memory does not grow with
     ``n_paths``. The integral over a row is sum_k (X_{k+1} - xi_k / 2) eta_k,
     with X the one cumulative sum of xi: ``lift.cross_level2`` on the two
-    fBm rows, to rounding.
+    fBm rows, to rounding. X and the midpoints go into a row buffer of the
+    job's, as drawing eta overwrites xi.
     """
     if h_i + h_j <= 0.5:
         raise ValueError(
@@ -240,19 +241,16 @@ def cross_term_scaling(
     sq = np.empty((t_scales.size, n_paths))
 
     def fill(si: int) -> None:
+        draw = _chunk_drawer("circulant", rows, n_steps)
         streams = [_stream(seed + si, k, 0) for k in (0, 1)]
-        normals = np.empty((2, rows, 2 * n_steps))
-        spectrum = np.empty((rows, n_steps + 1), dtype=complex)
-        path = np.empty((rows, n_steps))
+        mid = np.empty((rows, n_steps))
         for start in range(0, n_paths, rows):
             m = min(rows, n_paths - start)
-            xi, eta = (_circulant_fgn(rng.standard_normal(out=normals[k, :m]),
-                                      factors[si][k], spectrum[:m])
-                       for k, rng in enumerate(streams))
-            x = np.cumsum(xi, axis=1, out=path[:m])
-            xi *= -0.5
-            xi += x  # the midpoints (X_k + X_{k+1}) / 2
-            sq[si, start:start + m] = np.einsum("pk,pk->p", xi, eta) ** 2
+            xi = draw(streams[0], factors[si][0], m)
+            x = np.cumsum(xi, axis=1, out=mid[:m])
+            x += np.multiply(xi, -0.5, out=xi)  # the midpoints (X_k + X_{k+1}) / 2
+            eta = draw(streams[1], factors[si][1], m)  # overwrites xi
+            sq[si, start:start + m] = np.einsum("pk,pk->p", x, eta) ** 2
 
     _run([functools.partial(fill, si) for si in range(t_scales.size)], n_paths, n_steps)
     moments = sq.mean(axis=1)

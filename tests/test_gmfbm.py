@@ -24,12 +24,11 @@ from roughmix.gmfbm import (
     GmfbmSpec,
     SamplePath,
     TimeGrid,
-    _circulant_fbm,
     _circulant_fgn,
+    _circulant_scale,
     _fgn_autocovariance,
     _fgn_circulant_sqrt_eigs,
     _median,
-    _spectrum_scale,
     covariance,
     dumps,
     format_csv,
@@ -257,15 +256,15 @@ def test_sample_coordinates_independent():
     assert abs(corr) < 4.0 / np.sqrt(20_000)
 
 
-def test_sample_components_retained_and_mix():
+def test_sample_mixes_components_in_order():
     grid = TimeGrid.uniform(16)
-    path = sample(TWO_COMP, grid, seed=2)
-    assert path.components.shape == (2, 17, 1)
-    mixed = 1.0 * path.components[0] + 2.0 * path.components[1]
-    assert np.allclose(mixed, path.values)
+    _, c = reference_draw(TWO_COMP, grid, 2, "auto", 1)
+    assert c.shape == (2, 1, 17, 1)
+    mixed = 1.0 * c[0, 0] + 2.0 * c[1, 0]
+    assert np.allclose(mixed, sample(TWO_COMP, grid, seed=2).values)
     # the mix is the elementwise sum a_0 c_0 + a_1 c_1 + ..., in that order
-    c = sample(THREE_COMP, grid, seed=2).components
-    mixed = 1.0 * c[0] + -0.5 * c[1] + 2.0 * c[2]
+    _, c = reference_draw(THREE_COMP, grid, 2, "auto", 1)
+    mixed = 1.0 * c[0, 0] + -0.5 * c[1, 0] + 2.0 * c[2, 0]
     assert np.array_equal(mixed, sample(THREE_COMP, grid, seed=2).values)
     assert np.array_equal(mixed[None], sample_batch(THREE_COMP, grid, 2, 1))
 
@@ -401,12 +400,11 @@ def _fgn_autocovariance_reference(hurst: float, k: int) -> Decimal:
 def test_circulant_covariance_exact(hurst):
     # the sampler is linear in its 2n normals; feeding it the basis vectors
     # gives its matrix A (the increments of its fBm rows), and A^T A is the
-    # covariance it samples
+    # covariance it samples; a grid of step 1 leaves the fGn unscaled
     n = 64
-    fbm = np.empty((2 * n, n))
-    _circulant_fbm(np.eye(2 * n), _spectrum_scale(_fgn_circulant_sqrt_eigs(hurst, n), 1.0),
-                   np.empty((2 * n, n + 1), dtype=complex), fbm)
-    responses = np.diff(fbm, axis=1, prepend=0.0)
+    steps = _circulant_fgn(np.eye(2 * n), _circulant_scale(hurst, TimeGrid.uniform(n, n)),
+                           np.empty((2 * n, n + 1), dtype=complex))
+    responses = np.diff(np.cumsum(steps, axis=1), axis=1, prepend=0.0)
     # against the decimal autocovariance: the float second difference is off
     # by up to 3e-13 at these lags
     gamma = np.array([1.0] + [float(_fgn_autocovariance_reference(hurst, k))
@@ -542,33 +540,38 @@ def reference_draw(spec, grid, seed, method, size):
                 out = comps[k, start:start + rows, 1:, c]
                 if method == "circulant":
                     z = rng.standard_normal((len(out), 2 * n))
-                    _circulant_fbm(z, scale, np.empty((len(out), n + 1), complex), out)
+                    steps = _circulant_fgn(z, scale, np.empty((len(out), n + 1), complex))
+                    np.cumsum(steps, axis=1, out=out)
                 else:
                     np.matmul(rng.standard_normal((len(out), n)), factor.T, out=out)
     return np.einsum("k,k...->...", np.asarray(spec.coeffs), comps), comps
 
 
-@pytest.mark.parametrize("n_components", [1, 2, 3])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, pool_of, n_components, dim):
+# ids "dim-components"
+MIXED_SPECS = {f"{d}-{k}": GmfbmSpec(hursts=(0.3, 0.6, 0.9)[:k],
+                                     coeffs=(-0.5, 1.0, 2.0)[:k], dim=d)
+               for d in (1, 2, 3) for k in (1, 2, 3)}
+# the benchmarks' spec, whose H = 1/2 component no other spec here draws
+MIXED_SPECS["bench"] = GmfbmSpec((0.5, 0.75), (1.0, 2.0), dim=2)
+
+
+@pytest.mark.parametrize("spec", MIXED_SPECS.values(), ids=list(MIXED_SPECS))
+def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, pool_of, spec):
     # components added chunk by chunk, one job per coordinate, give the
     # einsum of whole streams bit for bit, at every worker count
-    spec = GmfbmSpec(hursts=(0.3, 0.6, 0.9)[:n_components],
-                     coeffs=(-0.5, 1.0, 2.0)[:n_components], dim=dim)
     uniform = TimeGrid.uniform(64)
     draws = [(uniform, "circulant"), (uniform, "cholesky"),
              (TimeGrid(uniform.points ** 1.5), "auto")]
     executors = (gmfbm._pool(), _InlineExecutor(), pool_of(1))
     sizes = (1, CHUNK_ROWS_64 - 1, CHUNK_ROWS_64, CHUNK_ROWS_64 + 1)
     for grid, method in draws:
-        values, comps = reference_draw(spec, grid, 5, method, 1)
+        values = reference_draw(spec, grid, 5, method, 1)[0]
         want = {size: reference_draw(spec, grid, 5, method, size)[0].tobytes()
                 for size in sizes}
         for executor in executors:
             monkeypatch.setattr(gmfbm, "_pool", lambda: executor)
             path = sample(spec, grid, 5, method)
             assert path.values.tobytes() == values[0].tobytes()
-            assert path.components.tobytes() == comps[:, 0].tobytes()
             for size in sizes:
                 assert sample_batch(spec, grid, 5, size, method).tobytes() == want[size]
 

@@ -275,8 +275,8 @@ def test_long_path_signature_memory():
 
 
 def test_cross_term_scaling_memory_does_not_grow_with_paths(monkeypatch, pool_of):
-    # each job holds one chunk's normals, spectrum and component rows, about
-    # 2 MiB at 256 steps, so the peak grows with the jobs running at once
+    # each job holds one chunk's normals, spectrum and midpoint rows, about
+    # 1.3 MiB at 256 steps, so the peak grows with the jobs running at once
     # (pinned here to two workers) and not with n_paths; drawing whole scales
     # peaked at 81 MiB for 10,000 paths
     two = pool_of(2)
