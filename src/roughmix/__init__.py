@@ -24,7 +24,7 @@ import importlib
 import sys
 import types
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # the submodule that defines each public name
 _HOME = {

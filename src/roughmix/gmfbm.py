@@ -30,10 +30,15 @@ both real; bin j in 1 .. n-1 is z_{2j} + i z_{2j+1}. Bin j is scaled by
 sqrt(c_j n lambda_j) dt^H, where lambda_j is the j-th eigenvalue of the
 circulant embedding of fGn, c_j is 2 for bins 0 and n and 1 otherwise, and dt
 is the grid step; the first n values of its inverse real FFT of length 2n are
-the fGn steps (``_circulant_fgn``). ``_chunk_drawer`` is the one map from a
-stream's normals to rows, circulant fGn steps or Cholesky fBm rows; ``_draw``
-cumulates the steps into fBm rows, while ``signature.cross_term_scaling``,
-which needs steps, cumulates one of its two streams only.
+the fGn steps (``_circulant_fgn``). A component with H exactly 1/2 has
+independent N(0, dt) steps, so on a uniform grid it takes the white map
+instead: a row of n steps is the stream's next n normals, each times
+sqrt(dt), with no spectrum and no FFT. ``rde.stability_probe``, which shifts
+every H and needs common random numbers, keeps the circulant map at H = 1/2.
+``_chunk_drawer`` is the one map from a stream's normals to rows, white or
+circulant fGn steps or Cholesky fBm rows; ``_draw`` cumulates the steps into
+fBm rows, while ``signature.cross_term_scaling``, which needs steps,
+cumulates one of its two streams only.
 """
 
 from __future__ import annotations
@@ -415,14 +420,18 @@ def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
     return sqrt_eigs
 
 
-def _circulant_scale(hurst: float, grid: TimeGrid) -> np.ndarray:
+def _circulant_scale(hurst: float, grid: TimeGrid, white: bool = False):
     """Per-bin factors of the half-spectrum of an fBm of index ``hurst`` on
-    the uniform grid, times its step scale dt^H.
+    the uniform grid, times its step scale dt^H; with ``white`` and H = 1/2,
+    the scalar sqrt(dt) of the white map.
 
     irfft divides by 2n: a real bin needs sqrt(2n eig), a complex one sqrt(n eig).
     """
+    dt = grid.points[1] - grid.points[0]
+    if white and hurst == 0.5:
+        return np.sqrt(dt)
     n = len(grid) - 1
-    step_scale = (grid.points[1] - grid.points[0]) ** hurst
+    step_scale = dt ** hurst
     scale = (np.sqrt(n) * step_scale) * _fgn_circulant_sqrt_eigs(hurst, n)
     scale[[0, n]] *= np.sqrt(2.0)
     return scale
@@ -516,9 +525,11 @@ def _run(jobs, size: int, n: int) -> None:
 
 def _chunk_drawer(method: str, rows: int, n: int):
     """``draw(rng, param, m)``: the stream ``rng``'s next m <= ``rows`` rows
-    of normals, mapped to m rows of n values: circulant fGn steps by
-    ``_circulant_fgn`` with the spectrum factors ``param``, or Cholesky fBm
-    rows, times the transposed factor ``param``.
+    of normals, mapped to m rows of n values. Under circulant sampling they
+    are fGn steps: by the white map, each of n normals per row times the
+    scalar ``param`` = sqrt(dt), or by ``_circulant_fgn`` with the spectrum
+    factors ``param`` (``_circulant_scale`` picks the map). Under Cholesky
+    they are fBm rows, times the transposed factor ``param``.
 
     The rows are a view of buffers made once per drawer, overwritten by the
     next draw; each job makes its own drawer.
@@ -528,6 +539,9 @@ def _chunk_drawer(method: str, rows: int, n: int):
     mapped = np.empty((rows, n + 1), complex) if circulant else np.empty((rows, n))
 
     def draw(rng, param, m):
+        if circulant and np.ndim(param) == 0:
+            z = rng.standard_normal(out=normals.reshape(-1)[:m * n].reshape(m, n))
+            return np.multiply(z, param, out=z)
         z = rng.standard_normal(out=normals[:m])
         if circulant:
             return _circulant_fgn(z, param, mapped[:m])
@@ -536,7 +550,7 @@ def _chunk_drawer(method: str, rows: int, n: int):
 
 
 def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str,
-          size: int) -> tuple[np.ndarray, str]:
+          size: int, *, white: bool = True) -> tuple[np.ndarray, str]:
     """Paths (size, n_points, dim) and the method used.
 
     Everything that can raise runs first, on the calling thread. Then one
@@ -544,8 +558,9 @@ def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str,
     ``_chunk_drawer``. For each chunk it takes the components k in order,
     draws stream (k, c)'s next rows (cumulating circulant steps into one
     chunk buffer), scales them by a_k in place and adds them to the output,
-    so each entry is 0 + a_0 c_0 + a_1 c_1 + ..., in that order. The jobs
-    run by ``_run``.
+    so each entry is 0 + a_0 c_0 + a_1 c_1 + ..., in that order. A white
+    row is thus a_k times the cumulative sum of sqrt(dt) z_i. The jobs run
+    by ``_run``. ``white=False`` keeps the circulant map at H = 1/2.
     """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
@@ -566,7 +581,7 @@ def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str,
     if n < 1:
         return values, method
     if method == "circulant":
-        params = [_circulant_scale(hurst, grid) for hurst in spec.hursts]
+        params = [_circulant_scale(hurst, grid, white) for hurst in spec.hursts]
     else:
         params = [_cholesky_factor(_fbm_covariance(hurst, grid.points[1:]))
                   for hurst in spec.hursts]

@@ -105,13 +105,6 @@ class Level2RoughPath:
         _, x2 = self.total()
         return 0.5 * (x2 - x2.T)
 
-    def restricted(self, i: int, j: int) -> "Level2RoughPath":
-        return Level2RoughPath(
-            grid=TimeGrid(self.grid.points[i:j + 1] - self.grid.points[i]),
-            inc1=self.inc1[i:j],
-            inc2=self.inc2[i:j],
-        )
-
     def to_json(self) -> str:
         return dumps(
             {

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericsError
-from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _median, _seeds, path_csv, path_values,
-                    sample)
+from .gmfbm import (GmfbmSpec, SamplePath, TimeGrid, _draw, _median, _seeds, path_csv,
+                    path_values, sample)
 from .lift import Level2RoughPath, dyadic_approx, lift_piecewise_linear
 
 __all__ = [
@@ -330,8 +330,8 @@ def convergence_rate(
     ``predicted`` is the worst-case exponent, not the rate on every field.
     Commutative fields exceed it: for dY = Y dM the per-step log-error is
     -x^3/6 + x^4/8 with x = X^1, and the measured median slope (seeds 0-19,
-    meshes 2^6..2^12) is 0.66, 1.05, 1.29 and 1.52 at H = 0.4, 0.5, 0.6 and
-    0.75. A noncommutative 2-d linear field meets it at H = 0.5 (0.49), but
+    meshes 2^6..2^12) is 0.66, 0.94, 1.29 and 1.52 at H = 0.4, 0.5, 0.6 and
+    0.75. A noncommutative 2-d linear field meets it at H = 0.5 (0.50), but
     with min(H) > 1/2 it can fall below: 1.01 against 1.25 at H = 0.75. Its
     slopes (0.30, 0.70 and 1.01 at H = 0.4, 0.6 and 0.75) follow
     2 min(H) - 1/2, which fits the coarse piecewise-linear lift dropping
@@ -420,7 +420,9 @@ def stability_probe(
     parameter and relatively in every coefficient, and y0 by eps; the same
     seed reuses the same Gaussian draws, so the difference isolates the
     parameter effect; each seed's unperturbed path is solved once. Reports
-    the median (over seeds) sup-norm difference per eps.
+    the median (over seeds) sup-norm difference per eps. Every path, base
+    or shifted, takes the circulant map, at H = 1/2 too in place of the
+    white map, so a shift onto or off H = 1/2 does not change the map.
     """
     perturbed = {}
     for eps in sorted(float(e) for e in perturbations):
@@ -434,7 +436,8 @@ def stability_probe(
     y0 = _initial_state(field, spec.dim, y0)
 
     def states(sp: GmfbmSpec, seed, start) -> np.ndarray:
-        return solve(lift_piecewise_linear(sample(sp, grid, seed)), field, start).states
+        values = _draw(sp, grid, seed, "circulant", 1, white=False)[0][0]
+        return solve(lift_piecewise_linear(values, grid), field, start).states
 
     bases = [states(spec, seed, y0) for seed in seeds]
     table = {}

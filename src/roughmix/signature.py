@@ -214,7 +214,8 @@ def cross_term_scaling(
     Scale si draws its two components from the streams of seed + si, as
     ``sample_batch`` does, on the sampling pool, one job per scale. Each
     job draws its two streams a sampling chunk of rows at a time with one
-    ``gmfbm._chunk_drawer``, as fGn steps xi and eta, and reduces each chunk
+    ``gmfbm._chunk_drawer``, as fGn steps xi and eta (by the white map at
+    H = 1/2, as ``sample_batch`` draws them), and reduces each chunk
     to its squared cross integrals, so memory does not grow with
     ``n_paths``. The integral over a row is sum_k (X_{k+1} - xi_k / 2) eta_k,
     with X the one cumulative sum of xi: ``lift.cross_level2`` on the two
@@ -236,7 +237,7 @@ def cross_term_scaling(
     for t in t_scales:
         spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), horizon=t)
         grid = TimeGrid.uniform(n_steps, t)
-        factors.append([_circulant_scale(h, grid) for h in spec.hursts])
+        factors.append([_circulant_scale(h, grid, white=True) for h in spec.hursts])
     rows = min(_chunk_rows(n_steps), n_paths)
     sq = np.empty((t_scales.size, n_paths))
 

@@ -13,10 +13,14 @@ deterministic smooth driver, where the scheme has order 2 and approaches
 it from below over coarse meshes (slope >= 1.9).
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from exact_moments import (area_matrix, bilinear_moment, cauchy_increment_matrix,
                            increment_covariance)
+from rough_paths import restricted
 
 from roughmix import tensor as ta
 from roughmix.estimate import fit_mixture, fit_single
@@ -88,7 +92,7 @@ def test_criterion_03_chen_and_shuffle_suite():
         values = np.cumsum(rng.normal(size=(n, 2)), axis=0)
         rp = lift_piecewise_linear(values)
         k = int(rng.integers(1, n - 1))
-        back = chen_compose(rp.restricted(0, k), rp.restricted(k, n - 1))
+        back = chen_compose(restricted(rp, 0, k), restricted(rp, k, n - 1))
         x1a, x2a = back.total()
         x1b, x2b = rp.total()
         worst_chen = max(worst_chen, float(np.abs(x1a - x1b).max()),
@@ -174,23 +178,14 @@ def test_criterion_06_sharpness():
                   f"spread x{mc_spread:.2f}")
 
 
-def test_criterion_07_davie_rate():
-    """Davie rates across meshes 2^6..2^12, each against its problem's order.
-
-    Noncommutative 2-d linear system: median slope within 0.25 of the
-    worst-case exponent 3 min(H) - 1, which the missing Levy-area
-    information makes the actual rate. Commutative scalar dY = Y dM at
-    H = 1/2: the piecewise-linear lift is geometric (X^2 = (X^1)^2 / 2), so
-    the step is y(1 + x + x^2/2) against the exact y e^x; the log-error per
-    step is -x^3/6 + x^4/8, which sums to Theta(h), so the slope is
-    1.0 +/- 0.25. Smooth driver (t, t^2): order 2, reached from below over
-    meshes 2^4..2^8 (consecutive slopes 1.94 .. 2.01), so slope >= 1.9.
-    """
+@pytest.fixture(scope="module")
+def davie_rates():
+    """Criterion 7's median slopes, computed once for the criterion and for
+    the check of the figures README quotes from it."""
     field = linear_field([[[1.0]]])
     spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
     res = convergence_rate(spec, field, [1.0], mesh_levels=range(6, 13),
                            seeds=range(20))
-    slope = res["median_slope"]
 
     smooth = smooth_driver_rate(linear_field([[[1.0]], [[0.5]]]), [1.0],
                                 mesh_levels=range(4, 9))["slope"]
@@ -202,16 +197,42 @@ def test_criterion_07_davie_rate():
     nc_spec = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,), dim=2)
     nc = convergence_rate(nc_spec, nc_field, [1.0, 1.0],
                           mesh_levels=range(6, 13), seeds=range(20))
-    nc_slope = nc["median_slope"]
+    return {"noncommutative": nc["median_slope"], "predicted": nc["predicted"],
+            "scalar": res["median_slope"], "smooth": smooth}
 
-    ok = (abs(nc_slope - nc["predicted"]) <= 0.25
+
+def test_criterion_07_davie_rate(davie_rates):
+    """Davie rates across meshes 2^6..2^12, each against its problem's order.
+
+    Noncommutative 2-d linear system: median slope within 0.25 of the
+    worst-case exponent 3 min(H) - 1, which the missing Levy-area
+    information makes the actual rate. Commutative scalar dY = Y dM at
+    H = 1/2: the piecewise-linear lift is geometric (X^2 = (X^1)^2 / 2), so
+    the step is y(1 + x + x^2/2) against the exact y e^x; the log-error per
+    step is -x^3/6 + x^4/8, which sums to Theta(h), so the slope is
+    1.0 +/- 0.25. Smooth driver (t, t^2): order 2, reached from below over
+    meshes 2^4..2^8 (consecutive slopes 1.94 .. 2.01), so slope >= 1.9.
+    """
+    nc_slope, predicted = davie_rates["noncommutative"], davie_rates["predicted"]
+    slope, smooth = davie_rates["scalar"], davie_rates["smooth"]
+    ok = (abs(nc_slope - predicted) <= 0.25
           and abs(slope - 1.0) <= 0.25
           and smooth >= 1.9)
     assert report(7, "Davie rate", ok,
                   f"noncommutative slope {nc_slope:.3f} "
-                  f"(want {nc['predicted']:.3f} +/- 0.25); "
+                  f"(want {predicted:.3f} +/- 0.25); "
                   f"scalar slope {slope:.3f} (want 1.0 +/- 0.25); "
                   f"smooth slope {smooth:.4f} (want >= 1.9)")
+
+
+def test_readme_quotes_criterion_07_slopes(davie_rates):
+    # README's paragraph on criterion 7 quotes its three measured slopes, in
+    # the order noncommutative, scalar, smooth, to two decimals
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("`test_criterion_07_davie_rate`", 1)[1].split("\n\n", 1)[0]
+    quoted = re.findall(r"measured (\d+\.\d+)", paragraph)
+    want = [f"{davie_rates[k]:.2f}" for k in ("noncommutative", "scalar", "smooth")]
+    assert quoted == want
 
 
 def test_criterion_08_rough_exponential():

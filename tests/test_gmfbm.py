@@ -354,7 +354,7 @@ def test_bad_arguments_rejected_before_any_draw(call, error, monkeypatch):
         raise AssertionError("drew before checking the arguments")
 
     # every harness draws through these names, and every fit through _fit
-    for module, name in (("lift", "sample"), ("rde", "sample"),
+    for module, name in (("lift", "sample"), ("rde", "sample"), ("rde", "_draw"),
                          ("signature", "sample_batch"), ("estimate", "_fit")):
         monkeypatch.setattr(importlib.import_module(f"roughmix.{module}"), name, no_draw)
     exc, match = error
@@ -520,16 +520,29 @@ def test_output_does_not_depend_on_workers(monkeypatch, pool_of):
         assert np.allclose(got[1], real[1], rtol=1e-12, atol=1e-12)
 
 
+def white_rows(grid, seed, component, coord, size):
+    """The fBm rows (size, n) of an H = 1/2 stream on a uniform grid: the
+    stream's n normals per row, drawn whole, times sqrt(dt), cumulated."""
+    n = len(grid) - 1
+    z = gmfbm._stream(seed, component, coord).standard_normal((size, n))
+    return np.cumsum(np.sqrt(grid.points[1] - grid.points[0]) * z, axis=1)
+
+
 def reference_draw(spec, grid, seed, method, size):
     """Paths and components as drawn before they were mixed chunk by chunk:
     each (component, coordinate) stream drawn whole, a sampling chunk of rows
     at a time, into its slice of one (N, size, n_points, d) array, then mixed
-    by one einsum."""
+    by one einsum. An H = 1/2 component under circulant sampling takes the
+    white map, by ``white_rows``."""
     if method == "auto":
         method = "circulant" if grid.is_uniform else "cholesky"
     n, rows = len(grid) - 1, gmfbm._chunk_rows(len(grid) - 1)
     comps = np.zeros((spec.n_components, size, n + 1, spec.dim))
     for k, hurst in enumerate(spec.hursts):
+        if method == "circulant" and hurst == 0.5:
+            for c in range(spec.dim):
+                comps[k, :, 1:, c] = white_rows(grid, seed, k, c, size)
+            continue
         if method == "circulant":
             scale = gmfbm._circulant_scale(hurst, grid)
         else:
@@ -576,6 +589,34 @@ def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, pool_of, spec):
                 assert sample_batch(spec, grid, 5, size, method).tobytes() == want[size]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("hursts,coeffs", [((0.5,), (1.5,)), ((0.5, 0.75), (-0.5, 2.0))],
+                         ids=["brownian", "mixed"])
+def test_brownian_rows_are_sqrt_dt_times_cumulated_normals(monkeypatch, pool_of, dim,
+                                                           hursts, coeffs):
+    # the white map, byte for byte: row p of an H = 1/2 component is the
+    # cumulative sum of sqrt(dt) times normals p n .. p n + n - 1 of its
+    # stream, times a_0, added to 0 before the H = 0.75 component's rows;
+    # dt = 3/64 is not a power of two, so the order of the products shows
+    spec = GmfbmSpec(hursts, coeffs, dim=dim, horizon=3.0)
+    grid = TimeGrid.uniform(64, 3.0)
+    sizes = (CHUNK_ROWS_64 - 1, CHUNK_ROWS_64, CHUNK_ROWS_64 + 1)
+    want = {}
+    for size in sizes:
+        values = np.zeros((size, 65, dim))
+        for c in range(dim):
+            values[:, 1:, c] += coeffs[0] * white_rows(grid, 9, 0, c, size)
+        if len(hursts) > 1:  # the H = 0.75 rows by the circulant oracle
+            values += coeffs[1] * reference_draw(spec, grid, 9, "circulant", size)[1][1]
+        want[size] = values
+    for executor in (_InlineExecutor(), pool_of(1), gmfbm._pool()):
+        monkeypatch.setattr(gmfbm, "_pool", lambda: executor)
+        for size in sizes:
+            got = sample_batch(spec, grid, 9, size, "circulant")
+            assert got.tobytes() == want[size].tobytes()
+        assert sample(spec, grid, 9).values.tobytes() == want[sizes[0]][0].tobytes()
+
+
 def test_sample_batch_memory_is_its_output(monkeypatch, pool_of):
     # each coordinate's job holds one chunk's normals, spectrum and component
     # rows; holding every component of the batch at once peaked at 79 MiB
@@ -591,8 +632,12 @@ def test_sample_batch_memory_is_its_output(monkeypatch, pool_of):
 
 
 def whole_stream_steps(hurst, grid, seed, component, n_paths):
-    """The fGn steps (n_paths, n) of one stream, drawn and mapped in one piece."""
+    """The fGn steps (n_paths, n) of one stream, drawn and mapped in one
+    piece: at H = 1/2 by the white map, n normals per row times sqrt(dt)."""
     n = len(grid) - 1
+    if hurst == 0.5:
+        z = gmfbm._stream(seed, component, 0).standard_normal((n_paths, n))
+        return np.sqrt(grid.points[1] - grid.points[0]) * z
     z = gmfbm._stream(seed, component, 0).standard_normal((n_paths, 2 * n))
     return _circulant_fgn(z, gmfbm._circulant_scale(hurst, grid),
                           np.empty((n_paths, n + 1), complex))

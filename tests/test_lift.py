@@ -4,6 +4,7 @@ from exact_moments import (area_matrix, bilinear_moment, cauchy_increment_matrix
                            increment_covariance)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rough_paths import restricted
 
 from roughmix.errors import CompositionError
 from roughmix.gmfbm import GmfbmSpec, SamplePath, TimeGrid, sample, sample_batch
@@ -227,7 +228,7 @@ def test_split_and_recompose():
     values = np.cumsum(rng.normal(size=(21, 2)), axis=0)
     rp = lift_piecewise_linear(values)
     k = 8
-    back = chen_compose(rp.restricted(0, k), rp.restricted(k, 20))
+    back = chen_compose(restricted(rp, 0, k), restricted(rp, k, 20))
     assert np.abs(back.inc1 - rp.inc1).max() < 1e-12
     assert np.abs(back.inc2 - rp.inc2).max() < 1e-12
     x1a, x2a = back.total()
@@ -404,7 +405,7 @@ def test_partition_schedule_depth_zero_is_the_trivial_partition():
 def test_p_variation_rejects_zero_intervals():
     rp = lift_piecewise_linear(np.cumsum(np.ones((5, 2)), axis=0))
     with pytest.raises(ValueError, match="at least 1 interval"):
-        p_variation(rp.restricted(2, 2), 2.5)
+        p_variation(restricted(rp, 2, 2), 2.5)
 
 
 # --------------------------------------------------------------------------- #

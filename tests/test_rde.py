@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rough_paths import restricted
 from scipy.linalg import expm
 
-from roughmix import rde
+from roughmix import gmfbm, rde
 from roughmix.errors import NumericsError
 from roughmix.gmfbm import GmfbmSpec, TimeGrid, sample
 from roughmix.lift import Level2RoughPath, lift_piecewise_linear
@@ -147,8 +148,8 @@ def test_scalar_rough_exponential_refinement():
 def test_flow_property_bit_level():
     _, rp = brownian_lift(5, m=6)
     whole = solve(rp, SCALAR_LINEAR, [1.0])
-    first = solve(rp.restricted(0, 32), SCALAR_LINEAR, [1.0])
-    second = solve(rp.restricted(32, 64), SCALAR_LINEAR, first.final)
+    first = solve(restricted(rp, 0, 32), SCALAR_LINEAR, [1.0])
+    second = solve(restricted(rp, 32, 64), SCALAR_LINEAR, first.final)
     assert np.array_equal(
         np.vstack([first.states, second.states[1:]]), whole.states
     )
@@ -219,7 +220,7 @@ def test_blow_up_names_interval(field):
     rp = lift_piecewise_linear(values, TimeGrid.uniform(10))
     with pytest.raises(NumericsError, match="blow-up at interval 5:") as err:
         solve(rp, field, [1.0])
-    want = solve(rp.restricted(0, 5), field, [1.0]).final
+    want = solve(restricted(rp, 0, 5), field, [1.0]).final
     assert f"norm {np.linalg.norm(want):.6g}" in str(err.value)
 
 
@@ -245,11 +246,15 @@ def test_solve_rejects_initial_state_of_another_size():
 def test_harness_checks_field_against_y0_before_any_draw(harness, field, match, monkeypatch):
     draws = []
 
-    def counted_sample(*args, **kwargs):
-        draws.append(args)
-        return sample(*args, **kwargs)
+    def counted(draw):
+        def wrapper(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(rde, "sample", counted_sample)
+    # convergence_rate draws through sample, stability_probe through _draw
+    for name in ("sample", "_draw"):
+        monkeypatch.setattr(rde, name, counted(getattr(rde, name)))
     spec = GmfbmSpec((0.5,), (1.0,), dim=1)
     with pytest.raises(ValueError, match=match):
         if harness == "convergence_rate":
@@ -465,6 +470,46 @@ def test_stability_probe_monotone():
                           seeds=range(5), n_intervals=256)
     assert res["monotone"]
     assert min(res["table"].values()) > 0.0
+
+
+def circulant_path(spec, grid, seed):
+    """One path with every component, H = 1/2 included, by the circulant
+    map: 2n normals per row of n steps, through the half-spectrum."""
+    n = len(grid) - 1
+    values = np.zeros((n + 1, spec.dim))
+    for k, (hurst, a) in enumerate(zip(spec.hursts, spec.coeffs)):
+        scale = gmfbm._circulant_scale(hurst, grid)
+        for c in range(spec.dim):
+            z = gmfbm._stream(seed, k, c).standard_normal((1, 2 * n))
+            steps = gmfbm._circulant_fgn(z, scale, np.empty((1, n + 1), complex))
+            values[1:, c] += a * np.cumsum(steps[0])
+    return values
+
+
+@pytest.mark.parametrize("hursts,eps", [
+    ((0.5,), [0.005, 0.01]), ((0.5, 0.75), [0.01, 0.02]), ((0.49,), [0.01]),
+], ids=["brownian", "mixed", "shift-onto-brownian"])
+def test_stability_probe_draws_base_and_shifted_paths_by_one_map(hursts, eps):
+    # common random numbers: base and shifted paths map each stream by the
+    # circulant map, at H = 1/2 too, so a shift onto or off H = 1/2 changes
+    # the covariance and not the map
+    assert 0.49 + 0.01 == 0.5
+    spec = GmfbmSpec(hursts, (1.0, 2.0)[:len(hursts)])
+    grid = TimeGrid.uniform(64)
+
+    def states(sp, seed, start):
+        rp = lift_piecewise_linear(circulant_path(sp, grid, seed), grid)
+        return solve(rp, SCALAR_LINEAR, start).states
+
+    want = {}
+    for e in eps:
+        shifted = GmfbmSpec(tuple(h + e for h in hursts),
+                            tuple(a * (1.0 + e) for a in spec.coeffs))
+        want[e] = float(np.median([
+            np.abs(states(spec, seed, [1.0]) - states(shifted, seed, [1.0 + e])).max()
+            for seed in range(3)]))
+    res = stability_probe(spec, eps, SCALAR_LINEAR, [1.0], range(3), n_intervals=64)
+    assert res["table"] == want
 
 
 def test_stability_probe_rejects_empty_seeds():
