@@ -37,8 +37,9 @@ sqrt(dt), with no spectrum and no FFT. ``rde.stability_probe``, which shifts
 every H and needs common random numbers, keeps the circulant map at H = 1/2.
 ``_chunk_drawer`` is the one map from a stream's normals to rows, white or
 circulant fGn steps or Cholesky fBm rows; ``_draw`` cumulates the steps into
-fBm rows, while ``signature.cross_term_scaling``, which needs steps,
-cumulates one of its two streams only.
+fBm rows, while ``signature.cross_term_scaling`` draws the steps of its
+first component only, and of its second the one normal per row that scales
+the cross integral's conditional law.
 """
 
 from __future__ import annotations

@@ -329,14 +329,13 @@ def convergence_rate(
 
     ``predicted`` is the worst-case exponent, not the rate on every field.
     Commutative fields exceed it: for dY = Y dM the per-step log-error is
-    -x^3/6 + x^4/8 with x = X^1, and the measured median slope (seeds 0-19,
-    meshes 2^6..2^12) is 0.66, 0.94, 1.29 and 1.52 at H = 0.4, 0.5, 0.6 and
-    0.75. A noncommutative 2-d linear field meets it at H = 0.5 (0.50), but
-    with min(H) > 1/2 it can fall below: 1.01 against 1.25 at H = 0.75. Its
-    slopes (0.30, 0.70 and 1.01 at H = 0.4, 0.6 and 0.75) follow
+    -x^3/6 + x^4/8 with x = X^1. A noncommutative 2-d linear field meets it
+    at H = 0.5, but with min(H) > 1/2 it can fall below: its slopes follow
     2 min(H) - 1/2, which fits the coarse piecewise-linear lift dropping
     the Levy area of the path between grid points. The rate in that regime
-    is measured here, not promised.
+    is measured here, not promised. Acceptance criterion 7 measures both
+    fields' slopes at H = 1/2; README quotes them, and a test checks the
+    quotes against it.
     """
     mesh_levels = _mesh_levels(mesh_levels)
     seeds = _seeds(seeds)

@@ -194,6 +194,17 @@ def expected_signature_mc(
     return tuple(TruncatedTensor(spec.dim, level, lv) for lv in (means, ses))
 
 
+def _variance_weights(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """Weights w with m^T Sigma m = sum_k w_k v_k^2, for Sigma the covariance
+    of n fGn steps of index ``hurst`` on the uniform grid and v the floats of
+    rfft(m zero-padded to 2n): by the circulant map of ``_circulant_fgn``,
+    bin j weighs s_j^2 / n^2 for its factor s_j, bins 0 and n a quarter of that."""
+    n = len(grid) - 1
+    w = (_circulant_scale(hurst, grid) / n) ** 2
+    w[[0, n]] /= 4.0
+    return np.repeat(w, 2)
+
+
 def cross_term_scaling(
     h_i: float,
     h_j: float,
@@ -211,16 +222,21 @@ def cross_term_scaling(
     discrete moment is exactly a constant times t^{2 (H_i + H_j)}, and the
     slope's error is Monte Carlo noise alone.
 
-    Scale si draws its two components from the streams of seed + si, as
-    ``sample_batch`` does, on the sampling pool, one job per scale. Each
-    job draws its two streams a sampling chunk of rows at a time with one
-    ``gmfbm._chunk_drawer``, as fGn steps xi and eta (by the white map at
-    H = 1/2, as ``sample_batch`` draws them), and reduces each chunk
-    to its squared cross integrals, so memory does not grow with
-    ``n_paths``. The integral over a row is sum_k (X_{k+1} - xi_k / 2) eta_k,
-    with X the one cumulative sum of xi: ``lift.cross_level2`` on the two
-    fBm rows, to rounding. X and the midpoints go into a row buffer of the
-    job's, as drawing eta overwrites xi.
+    Over a row of fGn steps xi and eta the integral is I = sum_k m_k eta_k,
+    with midpoints m_k = X_{k+1} - xi_k / 2 and X the cumulative sum of xi
+    (``lift.cross_level2`` on the two fBm rows, to rounding). eta is
+    Gaussian and independent of xi, so given xi, I is exactly
+    N(0, m^T Sigma_eta m), and eta is never drawn. The variance is a
+    weighted sum of |rfft(m zero-padded to 2n)|^2, with weights from eta's
+    circulant spectrum at every H_j (``_variance_weights``), and each path's
+    squared integral is that variance times z^2, z one normal of stream 1.
+
+    Scale si draws from the streams of seed + si, on the sampling pool, one
+    job per scale: xi from stream 0 as ``sample_batch`` draws it (by the
+    white map at H = 1/2), a sampling chunk of rows at a time with one
+    ``gmfbm._chunk_drawer``, and stream 1's next normal for each row. The
+    midpoints, their transform and the normals go into buffers made once per
+    job, so memory does not grow with ``n_paths``.
     """
     if h_i + h_j <= 0.5:
         raise ValueError(
@@ -232,26 +248,31 @@ def cross_term_scaling(
     if _distinct(t_scales) < 3:
         raise ValueError("need at least 3 distinct interval lengths")
     _check_seed(seed, span=t_scales.size)  # scale si draws from seed + si
-    # the spectra of both components at every scale, checked before any draw
-    factors = []
+    # xi's map and eta's variance weights at every scale, before any draw
+    factors, weights = [], []
     for t in t_scales:
-        spec = GmfbmSpec((h_i, h_j), (1.0, 1.0), horizon=t)
+        GmfbmSpec((h_i, h_j), (1.0, 1.0), horizon=t)  # checks both H and t
         grid = TimeGrid.uniform(n_steps, t)
-        factors.append([_circulant_scale(h, grid, white=True) for h in spec.hursts])
+        factors.append(_circulant_scale(h_i, grid, white=True))
+        weights.append(_variance_weights(h_j, grid))
     rows = min(_chunk_rows(n_steps), n_paths)
     sq = np.empty((t_scales.size, n_paths))
 
     def fill(si: int) -> None:
         draw = _chunk_drawer("circulant", rows, n_steps)
-        streams = [_stream(seed + si, k, 0) for k in (0, 1)]
+        xi_stream, z_stream = (_stream(seed + si, k, 0) for k in (0, 1))
         mid = np.empty((rows, n_steps))
+        spectrum = np.empty((rows, n_steps + 1), complex)
+        z = np.empty(rows)
         for start in range(0, n_paths, rows):
             m = min(rows, n_paths - start)
-            xi = draw(streams[0], factors[si][0], m)
+            xi = draw(xi_stream, factors[si], m)
             x = np.cumsum(xi, axis=1, out=mid[:m])
             x += np.multiply(xi, -0.5, out=xi)  # the midpoints (X_k + X_{k+1}) / 2
-            eta = draw(streams[1], factors[si][1], m)  # overwrites xi
-            sq[si, start:start + m] = np.einsum("pk,pk->p", x, eta) ** 2
+            v = np.fft.rfft(x, 2 * n_steps, axis=1, out=spectrum[:m]).view(float)
+            var = np.einsum("pk,pk,k->p", v, v, weights[si], out=sq[si, start:start + m])
+            z_m = z_stream.standard_normal(out=z[:m])
+            var *= np.square(z_m, out=z_m)
 
     _run([functools.partial(fill, si) for si in range(t_scales.size)], n_paths, n_steps)
     moments = sq.mean(axis=1)

@@ -1,6 +1,8 @@
 """Exact second moments of bilinear forms in the increments of independent
 Gaussian paths: the oracles of the sampler, lift and cross-term tests."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 
 
@@ -13,6 +15,24 @@ def increment_covariance(hursts, coeffs, n_steps, horizon=1.0):
     return sum(a * a * 0.5 * dt ** (2 * h) * (
         (lag + 1) ** (2 * h) - 2 * lag ** (2 * h) + np.abs(lag - 1) ** (2 * h))
         for h, a in zip(hursts, coeffs))
+
+
+def fgn_autocovariance_decimal(hurst, k):
+    """(1/2)((k+1)^{2H} - 2 k^{2H} + |k-1|^{2H}) in 60 digits, from the exact
+    binary value of H: the second difference loses about 11 of them."""
+    with localcontext(prec=60):
+        a = 2 * Decimal(hurst)
+        return ((k + 1) ** a - 2 * Decimal(k) ** a + Decimal(abs(k - 1)) ** a) / 2
+
+
+def fgn_covariance(hurst, n_steps, horizon=1.0):
+    """Covariance of n_steps fGn steps of index ``hurst`` on [0, horizon],
+    from the decimal autocovariance rounded once: ``increment_covariance``'s
+    float second difference loses 2 log10(lag) digits, about 1e-12 relative
+    of m^T Sigma m at 256 steps and H = 0.9."""
+    gamma = np.array([float(fgn_autocovariance_decimal(hurst, k)) for k in range(n_steps)])
+    lag = np.abs(np.subtract.outer(np.arange(n_steps), np.arange(n_steps)))
+    return (horizon / n_steps) ** (2 * hurst) * gamma[lag]
 
 
 def area_matrix(n_steps):

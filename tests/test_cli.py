@@ -440,6 +440,21 @@ def test_bench_scaling_subcommand(tmp_path):
     assert float(stats["expected_slope"]) == 2.5
 
 
+def test_bench_scaling_repeat_runs_identical_outputs(tmp_path):
+    # 200 paths of 256 steps take two chunks per scale, on the sampling pool
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run("bench-scaling", "--hi", 0.6, "--hj", 0.75, "--n-paths", 200,
+                   "--seed", 9, "-o", out) == 0
+    for name in ("scaling.csv", "scaling_summary.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    ma = json.loads((a / "manifest.json").read_text())
+    mb = json.loads((b / "manifest.json").read_text())
+    ma.pop("timestamp"), mb.pop("timestamp")
+    ma["config"].pop("output"), mb["config"].pop("output")
+    assert ma == mb
+
+
 SCALING = ["bench-scaling", "--hi", 0.5, "--hj", 0.75, "--seed", 1]
 RATE = ["bench-rate", "--spec", None, "--mesh-min", 2, "--mesh-max", 4, "--seeds", 1]
 

@@ -9,10 +9,11 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from exact_moments import fgn_autocovariance_decimal, fgn_covariance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +41,7 @@ from roughmix.gmfbm import (
 )
 from roughmix.lift import cauchy_diagnostic, cross_level2, sharpness_probe
 from roughmix.rde import convergence_rate, linear_field, stability_probe
-from roughmix.signature import cross_term_scaling, expected_signature_mc
+from roughmix.signature import _variance_weights, cross_term_scaling, expected_signature_mc
 
 TWO_COMP = GmfbmSpec(hursts=(0.5, 0.75), coeffs=(1.0, 2.0))
 BROWNIAN = GmfbmSpec(hursts=(0.5,), coeffs=(1.0,))
@@ -388,14 +389,6 @@ FGN_HURSTS = [0.01, 0.1, 0.3, 0.4999, 0.5001, 0.75, 0.95, 0.999]
 FGN_LAGS = [*range(1, 40), 100, 1000, 4095, 65535, 262143]
 
 
-def _fgn_autocovariance_reference(hurst: float, k: int) -> Decimal:
-    """(1/2)((k+1)^{2H} - 2 k^{2H} + (k-1)^{2H}) in 60 digits, from the exact
-    binary value of H: the second difference loses about 11 of them."""
-    with localcontext(prec=60):
-        a = 2 * Decimal(hurst)
-        return ((k + 1) ** a - 2 * Decimal(k) ** a + Decimal(k - 1) ** a) / 2
-
-
 @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.95])
 def test_circulant_covariance_exact(hurst):
     # the sampler is linear in its 2n normals; feeding it the basis vectors
@@ -407,10 +400,7 @@ def test_circulant_covariance_exact(hurst):
     responses = np.diff(np.cumsum(steps, axis=1), axis=1, prepend=0.0)
     # against the decimal autocovariance: the float second difference is off
     # by up to 3e-13 at these lags
-    gamma = np.array([1.0] + [float(_fgn_autocovariance_reference(hurst, k))
-                              for k in range(1, n)])
-    toeplitz = gamma[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
-    assert np.abs(responses.T @ responses - toeplitz).max() <= 1e-14
+    assert np.abs(responses.T @ responses - fgn_covariance(hurst, n, n)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("hurst", FGN_HURSTS)
@@ -418,7 +408,7 @@ def test_fgn_autocovariance_matches_decimal_reference(hurst):
     gamma = _fgn_autocovariance(hurst, FGN_LAGS[-1])
     assert gamma[0] == 1.0
     for k in FGN_LAGS:
-        want = _fgn_autocovariance_reference(hurst, k)
+        want = fgn_autocovariance_decimal(hurst, k)
         assert abs((Decimal(gamma[k]) - want) / want) <= Decimal("4e-15"), k
 
 
@@ -645,14 +635,17 @@ def whole_stream_steps(hurst, grid, seed, component, n_paths):
 
 def per_scale_cross_term_scaling(h_i, h_j, t_scales, n_paths, seed, n_steps):
     """``cross_term_scaling`` from each scale's whole-stream fGn steps xi and
-    eta, reduced on the whole arrays as sum_k (X_{k+1} - xi_k / 2) eta_k."""
+    stream 1's first n_paths normals z: each squared cross integral is z^2
+    times the variance of sum_k (X_{k+1} - xi_k / 2) eta_k given xi, taken
+    on the whole arrays by the same weighted sum over the transform."""
     moments, ses = [], []
     for si, t in enumerate(t_scales):
         grid = TimeGrid.uniform(n_steps, t)
-        xi, eta = (whole_stream_steps(h, grid, seed + si, k, n_paths)
-                   for k, h in enumerate((h_i, h_j)))
+        xi = whole_stream_steps(h_i, grid, seed + si, 0, n_paths)
         mid = np.cumsum(xi, axis=1) - xi / 2
-        sq = np.einsum("pk,pk->p", mid, eta) ** 2
+        v = np.fft.rfft(mid, n=2 * n_steps, axis=1).view(float)
+        var = np.einsum("pk,pk,k->p", v, v, _variance_weights(h_j, grid))
+        sq = var * gmfbm._stream(seed + si, 1, 0).standard_normal(n_paths) ** 2
         moments.append(float(sq.mean()))
         ses.append(float(sq.std(ddof=1) / np.sqrt(n_paths)))
     return {

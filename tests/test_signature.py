@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from exact_moments import area_matrix, bilinear_moment, increment_covariance
+from exact_moments import area_matrix, bilinear_moment, fgn_covariance, increment_covariance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +21,7 @@ from roughmix.lift import cross_level2, lift_piecewise_linear
 from roughmix.rde import holder_estimate
 from roughmix.signature import (
     _signature_levels,
+    _variance_weights,
     cross_term_scaling,
     expected_signature_mc,
     level_formulas_check,
@@ -275,10 +276,10 @@ def test_long_path_signature_memory():
 
 
 def test_cross_term_scaling_memory_does_not_grow_with_paths(monkeypatch, pool_of):
-    # each job holds one chunk's normals, spectrum and midpoint rows, about
-    # 1.3 MiB at 256 steps, so the peak grows with the jobs running at once
-    # (pinned here to two workers) and not with n_paths; drawing whole scales
-    # peaked at 81 MiB for 10,000 paths
+    # each job holds one chunk's normals and spectrum, midpoint rows and
+    # their transform, about 1.8 MiB at 256 steps, so the peak (4.7 MiB) grows
+    # with the jobs running at once (pinned here to two workers) and not
+    # with n_paths; drawing whole scales peaked at 81 MiB for 10,000 paths
     two = pool_of(2)
     monkeypatch.setattr(gmfbm, "_pool", lambda: two)
     tracemalloc.start()
@@ -373,11 +374,12 @@ def test_exact_cross_moments_scale_as_the_continuum(h_i, h_j):
 
 @pytest.mark.parametrize("h_i, h_j", [(0.5, 0.75), (0.3, 0.4)])
 def test_cross_term_moments_match_the_exact_ones(h_i, h_j):
-    # 1000 paths per scale: over 100 seeds x 4 scales per pair, the z-scores
-    # had mean -0.15 and -0.08, sd 1.06 and 1.09 and max |z| 3.70 and 3.74
-    # (the squared cross term is heavy-tailed), and the mean of 16 z-scores
-    # (4 seeds) had sd 0.29-0.31 and ranged over [-0.81, 0.46]. The bounds
-    # below are 4.5 on each |z| and 1.5 (about 5 sd) on their mean.
+    # 1000 paths per scale: over 100 seeds (0, 4, .., 396) x 4 scales per
+    # pair, the z-scores had mean -0.12 and -0.08, sd 0.98 and 1.03 and max
+    # |z| 4.06 and 3.33 (the squared cross term is heavy-tailed), and the
+    # mean of 16 z-scores (4 seeds) had sd 0.26-0.27 and ranged over
+    # [-0.56, 0.63]. The bounds below are 4.5 on each |z| and 1.5 (about
+    # 5 sd) on their mean.
     exact = np.array([exact_cross_moment(h_i, h_j, t, 256) for t in SCALES])
     z = []
     for seed in range(0, 16, 4):  # scale si draws from seed + si
@@ -386,6 +388,28 @@ def test_cross_term_moments_match_the_exact_ones(h_i, h_j):
     z = np.array(z)
     assert np.abs(z).max() <= 4.5, z
     assert abs(z.mean()) <= 1.5, z
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 64, 256])
+@pytest.mark.parametrize("h_j", [0.25, 0.5, 0.75, 0.9])
+def test_variance_weights_give_the_quadratic_form_of_the_steps(n_steps, h_j):
+    # sum_k w_k |rfft(m padded to 2n)|^2 is m^T Sigma m, both for the dense
+    # covariance of the fGn steps and for ||L^T m||^2, where the columns of
+    # L are the circulant map of each of the 2n unit normals; so the cross
+    # integral drawn from its conditional variance has the law it had
+    # when eta was drawn by that map. Sigma is rounded once from decimal
+    # lags: increment_covariance's is off by 1.4e-12 here at H = 0.9, 256
+    # steps, where the weights agree with both to 3e-15
+    grid = TimeGrid.uniform(n_steps, 0.75)
+    m = np.random.default_rng(n_steps).standard_normal((8, n_steps))
+    v = np.fft.rfft(m, n=2 * n_steps, axis=1).view(float)
+    got = np.einsum("pk,pk,k->p", v, v, _variance_weights(h_j, grid))
+    dense = np.einsum("pi,ij,pj->p", m, fgn_covariance(h_j, n_steps, 0.75), m)
+    rows = gmfbm._circulant_fgn(np.eye(2 * n_steps), gmfbm._circulant_scale(h_j, grid),
+                                np.empty((2 * n_steps, n_steps + 1), complex))
+    mapped = np.sum((m @ rows.T) ** 2, axis=1)
+    assert np.allclose(got, dense, rtol=1e-12, atol=0), np.abs(got / dense - 1).max()
+    assert np.allclose(got, mapped, rtol=1e-12, atol=0), np.abs(got / mapped - 1).max()
 
 
 def exact_levy_area_moment(spec, n_steps):
