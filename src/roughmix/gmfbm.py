@@ -35,11 +35,12 @@ independent N(0, dt) steps, so on a uniform grid it takes the white map
 instead: a row of n steps is the stream's next n normals, each times
 sqrt(dt), with no spectrum and no FFT. ``rde.stability_probe``, which shifts
 every H and needs common random numbers, keeps the circulant map at H = 1/2.
-``_chunk_drawer`` is the one map from a stream's normals to rows, white or
-circulant fGn steps or Cholesky fBm rows; ``_draw`` cumulates the steps into
-fBm rows, while ``signature.cross_term_scaling`` draws the steps of its
-first component only, and of its second the one normal per row that scales
-the cross integral's conditional law.
+``_chunk_drawer`` is the one map from a stream's normals to rows, picked by
+the rank of the stream's parameter: white or circulant fGn steps or Cholesky
+fBm rows, in buffers made only for the maps it serves. ``_draw`` cumulates
+the steps into fBm rows in place; ``signature.cross_term_scaling`` draws the
+steps of its first component only, and of its second the one normal per row
+that scales the cross integral's conditional law.
 """
 
 from __future__ import annotations
@@ -524,29 +525,28 @@ def _run(jobs, size: int, n: int) -> None:
         future.result()
 
 
-def _chunk_drawer(method: str, rows: int, n: int):
+def _chunk_drawer(params, rows: int, n: int):
     """``draw(rng, param, m)``: the stream ``rng``'s next m <= ``rows`` rows
-    of normals, mapped to m rows of n values. Under circulant sampling they
-    are fGn steps: by the white map, each of n normals per row times the
-    scalar ``param`` = sqrt(dt), or by ``_circulant_fgn`` with the spectrum
-    factors ``param`` (``_circulant_scale`` picks the map). Under Cholesky
-    they are fBm rows, times the transposed factor ``param``.
-
-    The rows are a view of buffers made once per drawer, overwritten by the
-    next draw; each job makes its own drawer.
+    of normals, mapped to m rows of n values by the rank of ``param``: 0, the
+    white map, n normals per row times the scalar sqrt(dt), and 1, the
+    spectrum factors of ``_circulant_fgn``, to fGn steps; 2, the transposed
+    Cholesky factor, to fBm rows. The rows are a view of buffers made once,
+    only those the maps of ``params`` use, and overwritten by the next draw.
     """
-    circulant = method == "circulant"
-    normals = np.empty((rows, 2 * n if circulant else n))
-    mapped = np.empty((rows, n + 1), complex) if circulant else np.empty((rows, n))
+    ranks = {np.ndim(param) for param in params}
+    normals = np.empty((rows, 2 * n if 1 in ranks else n))
+    spectrum = np.empty((rows, n + 1), complex) if 1 in ranks else None
+    fbm = np.empty((rows, n)) if 2 in ranks else None
 
     def draw(rng, param, m):
-        if circulant and np.ndim(param) == 0:
+        rank = np.ndim(param)
+        if rank == 0:
             z = rng.standard_normal(out=normals.reshape(-1)[:m * n].reshape(m, n))
             return np.multiply(z, param, out=z)
         z = rng.standard_normal(out=normals[:m])
-        if circulant:
-            return _circulant_fgn(z, param, mapped[:m])
-        return np.matmul(z, param.T, out=mapped[:m])
+        if rank == 1:
+            return _circulant_fgn(z, param, spectrum[:m])
+        return np.matmul(z, param.T, out=fbm[:m])
     return draw
 
 
@@ -557,11 +557,11 @@ def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str,
     Everything that can raise runs first, on the calling thread. Then one
     job per coordinate c walks its rows a chunk at a time with one
     ``_chunk_drawer``. For each chunk it takes the components k in order,
-    draws stream (k, c)'s next rows (cumulating circulant steps into one
-    chunk buffer), scales them by a_k in place and adds them to the output,
-    so each entry is 0 + a_0 c_0 + a_1 c_1 + ..., in that order. A white
-    row is thus a_k times the cumulative sum of sqrt(dt) z_i. The jobs run
-    by ``_run``. ``white=False`` keeps the circulant map at H = 1/2.
+    draws stream (k, c)'s next rows, cumulates them in place if they are fGn
+    steps, scales them by a_k in place and adds them to the output, so each
+    entry is 0 + a_0 c_0 + a_1 c_1 + ..., in that order. A white row is thus
+    a_k times the cumulative sum of sqrt(dt) z_i. The jobs run by ``_run``.
+    ``white=False`` keeps the circulant map at H = 1/2.
     """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
@@ -589,16 +589,14 @@ def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str,
     rows = max(1, min(_chunk_rows(n), size))
 
     def job(c: int) -> None:
-        draw = _chunk_drawer(method, rows, n)
+        draw = _chunk_drawer(params, rows, n)
         streams = [_stream(seed, k, c) for k in range(spec.n_components)]
-        chunk = np.empty((rows, n) if method == "circulant" else 0)
         for start in range(0, size, rows):
             out = values[start:start + rows, 1:, c]
-            m = len(out)
             for a, param, rng in zip(spec.coeffs, params, streams):
-                part = draw(rng, param, m)
-                if method == "circulant":
-                    part = np.cumsum(part, axis=1, out=chunk[:m])
+                part = draw(rng, param, len(out))
+                if np.ndim(param) < 2:  # fGn steps
+                    np.cumsum(part, axis=1, out=part)
                 out += np.multiply(a, part, out=part)
 
     _run([functools.partial(job, c) for c in range(spec.dim)], size, n)
@@ -632,7 +630,7 @@ def sample_batch(
 
     Path k is the same for every ``n_paths`` > k: each (component,
     coordinate) stream hands out its draws path by path. Memory is the
-    output plus one chunk's buffers per coordinate (normals, spectrum and
-    fBm rows, about 1.3 MiB at 64 steps).
+    output plus one chunk's buffers per coordinate, those of the maps its
+    components take (at 64 steps about 1.2 MiB, 0.4 MiB if every H is 1/2).
     """
     return _draw(spec, grid, seed, method, n_paths)[0]

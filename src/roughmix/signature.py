@@ -259,7 +259,7 @@ def cross_term_scaling(
     sq = np.empty((t_scales.size, n_paths))
 
     def fill(si: int) -> None:
-        draw = _chunk_drawer("circulant", rows, n_steps)
+        draw = _chunk_drawer(factors[si:si + 1], rows, n_steps)
         xi_stream, z_stream = (_stream(seed + si, k, 0) for k in (0, 1))
         mid = np.empty((rows, n_steps))
         spectrum = np.empty((rows, n_steps + 1), complex)

@@ -608,8 +608,9 @@ def test_brownian_rows_are_sqrt_dt_times_cumulated_normals(monkeypatch, pool_of,
 
 
 def test_sample_batch_memory_is_its_output(monkeypatch, pool_of):
-    # each coordinate's job holds one chunk's normals, spectrum and component
-    # rows; holding every component of the batch at once peaked at 79 MiB
+    # each coordinate's job holds one chunk's 2n-column normals and spectrum,
+    # about 1.2 MiB at 64 steps (peak 2.4 MiB above the output); holding
+    # every component of the batch at once peaked at 79 MiB
     two = pool_of(2)
     monkeypatch.setattr(gmfbm, "_pool", lambda: two)
     tracemalloc.start()

@@ -275,20 +275,25 @@ def test_long_path_signature_memory():
     assert ok, viol
 
 
-def test_cross_term_scaling_memory_does_not_grow_with_paths(monkeypatch, pool_of):
-    # each job holds one chunk's normals and spectrum, midpoint rows and
-    # their transform, about 1.8 MiB at 256 steps, so the peak (4.7 MiB) grows
-    # with the jobs running at once (pinned here to two workers) and not
-    # with n_paths; drawing whole scales peaked at 81 MiB for 10,000 paths
+@pytest.mark.parametrize("h_i, bound_mib", [(0.5, 3), (0.6, 8)])
+def test_cross_term_scaling_memory_does_not_grow_with_paths(monkeypatch, pool_of,
+                                                            h_i, bound_mib):
+    # each job holds one chunk's midpoint rows and their transform, and the
+    # buffers of xi's map: at 256 steps about 1.0 MiB for the white map at
+    # H = 1/2 (n-column normals, no spectrum; peak 2.35 MiB) and 1.9 MiB for
+    # the circulant map (peak 4.1 MiB), so the peak grows with the jobs
+    # running at once (pinned here to two workers) and not with n_paths;
+    # drawing whole scales peaked at 81 MiB for 10,000 paths, and a white
+    # drawer that made the circulant map's buffers at 3.9 MiB
     two = pool_of(2)
     monkeypatch.setattr(gmfbm, "_pool", lambda: two)
     tracemalloc.start()
     try:
-        cross_term_scaling(0.5, 0.75, [0.125, 0.25, 0.5, 1.0], 10_000, 3)
+        cross_term_scaling(h_i, 0.75, [0.125, 0.25, 0.5, 1.0], 10_000, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+    assert peak <= bound_mib * 2 ** 20, peak
 
 
 # --------------------------------------------------------------------------- #
@@ -398,8 +403,9 @@ def test_variance_weights_give_the_quadratic_form_of_the_steps(n_steps, h_j):
     # L are the circulant map of each of the 2n unit normals; so the cross
     # integral drawn from its conditional variance has the law it had
     # when eta was drawn by that map. Sigma is rounded once from decimal
-    # lags: increment_covariance's is off by 1.4e-12 here at H = 0.9, 256
-    # steps, where the weights agree with both to 3e-15
+    # lags, so it does not lean on the library's autocovariance series, which
+    # increment_covariance takes; the two agree to 1e-15 here, and the
+    # weights with both to 5e-15
     grid = TimeGrid.uniform(n_steps, 0.75)
     m = np.random.default_rng(n_steps).standard_normal((8, n_steps))
     v = np.fft.rfft(m, n=2 * n_steps, axis=1).view(float)
