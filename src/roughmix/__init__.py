@@ -24,7 +24,7 @@ import importlib
 import sys
 import types
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # the submodule that defines each public name
 _HOME = {

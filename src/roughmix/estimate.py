@@ -44,6 +44,10 @@ _H_LO, _H_HI, _H_GAP = 0.01, 0.99, 0.02
 # finite-difference step of the Newton stencil; the polish stops when its
 # step is below _H_TOL or after _NEWTON_MAXITER iterations
 _FD_STEP, _H_TOL, _NEWTON_MAXITER = 1e-5, 1e-9, 100
+# a Newton step halved _STALL times in a row without a decrease came from a
+# stencil that straddles a kink of the residual (a weight reaching 0 between
+# its points); the polish then goes on once on stencils _FD_STEP / _FD_FINE wide
+_STALL, _FD_FINE = 10, 100
 # smallest |curvature| a Newton step divides by, relative to the largest
 _CURV_FLOOR = 1e-6
 # the grid start scores a slice of the grid pairs in about _START_ENTRIES
@@ -263,8 +267,9 @@ _LINES = np.array([[0.0, 1.0], [1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
 _PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
-def _newton_step(f: np.ndarray, hursts: np.ndarray) -> np.ndarray:
-    """Projected Newton steps (R, k) from squared residuals f (R, 3^k) on stencils.
+def _newton_step(f: np.ndarray, hursts: np.ndarray, h=_FD_STEP) -> np.ndarray:
+    """Projected Newton steps (R, k) from squared residuals f (R, 3^k) on
+    stencils of offsets h, a scalar or one per row (R,).
 
     Central differences give the gradient and the Hessian. The step keeps
     the constraints that hold with equality and that the gradient pushes
@@ -275,10 +280,10 @@ def _newton_step(f: np.ndarray, hursts: np.ndarray) -> np.ndarray:
     it. For k <= 2 the rest is the whole plane (a 2x2 eigen-split), one
     line (the curvature u.Hu along it) or a point (no step).
     """
-    h = _FD_STEP
     rows, bounds = _CONSTRAINTS[hursts.shape[1]]
     tight = hursts @ rows - bounds < 1e-12
     if hursts.shape[1] == 1:  # f[:, 2], f[:, 1], f[:, 0] at offsets +, 0, -
+        h = np.asarray(h)[..., None]
         grad = (f[:, 2:] - f[:, :1]) / (2 * h)
         lam = np.abs((f[:, 2:] - 2 * f[:, 1:2] + f[:, :1]) / h ** 2)
         free = (lam > 0) & ~(tight & (grad @ rows > 0)).any(axis=1, keepdims=True)
@@ -321,46 +326,59 @@ def _polish(dts, values, counts, hursts: np.ndarray):
     replicate's trial point in one batched call. A replicate accepts its
     trial if the residual at its centre drops, or else halves its step; it
     stops when its step is below _H_TOL or after _NEWTON_MAXITER accepted
-    steps. So each replicate follows the iterates it would follow alone.
-    Returns the exponents (R, k), their NNLS weights (R, k) and the
-    residual norms (R,).
+    steps. One whose step fell below _H_TOL after _STALL halvings in a row
+    goes on once more, on stencils _FD_FINE times narrower. So each
+    replicate follows the iterates it would follow alone. Returns the
+    exponents (R, k), their NNLS weights (R, k) and the residual norms (R,).
     """
     k = hursts.shape[1]
-    offsets = _FD_STEP * (np.indices((3,) * k).reshape(k, -1).T - 1)
-    size = len(offsets)
+    unit = np.indices((3,) * k).reshape(k, -1).T - 1  # stencil offsets of 1
+    size = len(unit)
     centre = size // 2
     counts = np.repeat(counts, size, axis=0)  # one row per stencil point
 
-    def stencils(counts, centres):
-        """Weights (R, k) at the centres and squared residuals (R, 3^k) around them."""
-        w, rnorm = _project(dts, values, counts, (centres[:, None] + offsets).reshape(-1, k))
+    def stencils(counts, centres, fd):
+        """Weights (R, k) at the centres and squared residuals (R, 3^k) on
+        stencils of offsets fd (R,) around them."""
+        points = centres[:, None] + fd[:, None, None] * unit
+        w, rnorm = _project(dts, values, counts, points.reshape(-1, k))
         return w[:, centre::size].T, rnorm.reshape(-1, size) ** 2
 
     rows = np.arange(len(hursts))
     out_h, out_w, out_f = np.empty_like(hursts), np.empty_like(hursts), np.empty(len(hursts))
-    w, f = stencils(counts, hursts)
-    step = _newton_step(f, hursts)
+    fd = np.full(len(hursts), _FD_STEP)
+    w, f = stencils(counts, hursts, fd)
+    step = _newton_step(f, hursts, fd)
     # each live replicate takes one trial per round, so it has accepted
-    # rounds - rejected steps
-    rejected = np.zeros(len(hursts), dtype=int)
+    # rounds - rejected steps; streak counts its rejections in a row
+    rejected, streak = np.zeros(len(hursts), dtype=int), np.zeros(len(hursts), dtype=int)
     for rounds in itertools.count():
-        live = (np.abs(step).max(axis=1) >= _H_TOL) & (rounds - rejected < _NEWTON_MAXITER)
+        small = np.abs(step).max(axis=1) < _H_TOL
+        stalled = small & (streak >= _STALL) & (fd == _FD_STEP)
+        if stalled.any():
+            fd[stalled] /= _FD_FINE
+            w[stalled], f[stalled] = stencils(counts[stalled.repeat(size)], hursts[stalled],
+                                              fd[stalled])
+            step[stalled] = _newton_step(f[stalled], hursts[stalled], fd[stalled])
+            small = np.abs(step).max(axis=1) < _H_TOL
+        live = ~small & (rounds - rejected < _NEWTON_MAXITER)
         if not live.all():  # the finished leave the lockstep
             done = rows[~live]
             out_h[done], out_w[done], out_f[done] = hursts[~live], w[~live], f[~live, centre]
-            rows, hursts, step, w, f, rejected = (
-                x[live] for x in (rows, hursts, step, w, f, rejected))
+            rows, hursts, step, w, f, rejected, streak, fd = (
+                x[live] for x in (rows, hursts, step, w, f, rejected, streak, fd))
             counts = counts[live.repeat(size)]
             if not rows.size:
                 return out_h, out_w, np.sqrt(out_f)
         trial = _feasible(hursts + step)
-        wt, ft = stencils(counts, trial)
+        wt, ft = stencils(counts, trial, fd)
         better = (ft[:, centre] < f[:, centre])[:, None]
         rejected += ~better[:, 0]
+        streak = np.where(better[:, 0], 0, streak + 1)
         hursts, w, f = (np.where(better, new, old)
                         for new, old in ((trial, hursts), (wt, w), (ft, f)))
         # a round in which every replicate rejects needs no Newton step
-        newton = _newton_step(f, hursts) if better.any() else 0.0
+        newton = _newton_step(f, hursts, fd) if better.any() else 0.0
         step = np.where(better, newton, step / 2)
 
 

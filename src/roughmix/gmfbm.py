@@ -1,46 +1,44 @@
 """Generalized mixed fractional Brownian motion (GMFBM).
 
 The model is a weighted sum of N independent fractional Brownian motions,
-``M_t = sum_k a_k * B^{H_k}_t``, sampled exactly: by circulant embedding
-(Davies-Harte) on uniform grids, by Cholesky factorization of the
-per-component covariance otherwise (``method="auto"``, the default). The
-circulant embedding is nonnegative definite at every Hurst parameter, so it
-has no fallback. Cholesky sampling builds a dense covariance, so it is
-refused above ``MAX_CHOLESKY_POINTS`` grid points.
+``M_t = sum_k a_k * B^{H_k}_t``: a centred Gaussian process with covariance
+sum_k a_k^2 R_{H_k}, whose law alone the lifts and signatures depend on. It
+is sampled exactly, as one process and not component by component: by
+circulant embedding (Davies-Harte) on uniform grids, by Cholesky
+factorization of the mixture's covariance otherwise (``method="auto"``, the
+default). The mixture's circulant embedding is the sum of its components'
+embeddings weighted by a_k^2 dt^{2H_k} >= 0, and each of those is
+nonnegative definite at every Hurst parameter, so it has no fallback.
+Cholesky sampling builds a dense covariance, so it is refused above
+``MAX_CHOLESKY_POINTS`` grid points.
 
-Randomness comes from one SFC64 stream per ``(seed, component,
-coordinate)``, seeded by ``SeedSequence(seed, spawn_key=(component,
-coordinate))`` and handed out path by path: path k of a batch does not
-depend on the batch size (bit for bit under circulant sampling, to rounding
-under Cholesky, whose matrix product blocks by rows drawn at once). The
-coordinates are independent, so they are drawn in parallel over the usable
-CPUs, one job per coordinate, on the process's one sampling pool, made by
-the first draw that needs it, whose idle workers wait between draws; a draw
-whose streams each fit in one chunk runs on the calling thread. A job walks
-its rows in chunks of at most ``CHUNK_ENTRIES`` normals, into buffers it
-makes once, and adds the components chunk by chunk in component order, a_k
-times component k into the output, so each entry is 0 + a_0 c_0 + a_1 c_1 +
-... and no array holds every component of a batch. Each stream's draws stay
-in order, so the output does not depend on the number of workers. A seed is
-an int in [0, 2^64).
+Randomness comes from one SFC64 stream per ``(seed, coordinate)``, seeded
+by ``SeedSequence(seed, spawn_key=(0, coordinate))`` and handed out path by
+path: path k of a batch does not depend on the batch size (bit for bit
+under circulant sampling, to rounding under Cholesky, whose matrix product
+blocks by rows drawn at once). The coordinates are independent, so they
+are drawn in parallel over the usable CPUs, one job per coordinate, on the
+process's one sampling pool, made by the first draw that needs it, whose
+idle workers wait between draws; a draw whose streams each fit in one chunk
+runs on the calling thread. A job walks its rows in chunks of at most
+``CHUNK_ENTRIES`` normals, into buffers it makes once, and maps each chunk
+into its output. Each stream's draws stay in order, so the output does not
+depend on the number of workers. A seed is an int in [0, 2^64).
 
 A circulant row of n steps takes the stream's next 2n normals z_0 ..
 z_{2n-1}. They fill a Hermitian half-spectrum: bin 0 is z_0 and bin n is z_1,
 both real; bin j in 1 .. n-1 is z_{2j} + i z_{2j+1}. Bin j is scaled by
-sqrt(c_j n lambda_j) dt^H, where lambda_j is the j-th eigenvalue of the
-circulant embedding of fGn, c_j is 2 for bins 0 and n and 1 otherwise, and dt
-is the grid step; the first n values of its inverse real FFT of length 2n are
-the fGn steps (``_circulant_fgn``). A component with H exactly 1/2 has
-independent N(0, dt) steps, so on a uniform grid it takes the white map
-instead: a row of n steps is the stream's next n normals, each times
-sqrt(dt), with no spectrum and no FFT. ``rde.stability_probe``, which shifts
-every H and needs common random numbers, keeps the circulant map at H = 1/2.
-``_chunk_drawer`` is the one map from a stream's normals to rows, picked by
-the rank of the stream's parameter: white or circulant fGn steps or Cholesky
-fBm rows, in buffers made only for the maps it serves. ``_draw`` cumulates
-the steps into fBm rows in place; ``signature.cross_term_scaling`` draws the
-steps of its first component only, and of its second the one normal per row
-that scales the cross integral's conditional law.
+sqrt(c_j n sum_k a_k^2 dt^{2H_k} lambda_{k,j}), where lambda_{k,j} is the
+j-th eigenvalue of the circulant embedding of unit fGn at H_k, c_j is 2 for
+bins 0 and n and 1 otherwise, and dt is the grid step; the first n values of
+its inverse real FFT of length 2n are the steps (``_circulant_fgn``). A
+mixture whose every H is exactly 1/2 has independent N(0, sum_k a_k^2 dt)
+steps, so on a uniform grid it takes the white map instead: a row of n steps
+is the stream's next n normals, each times sqrt(sum_k a_k^2 dt), with no
+spectrum and no FFT. ``rde.stability_probe``, which shifts every H and needs
+common random numbers, keeps the circulant map at H = 1/2. ``_chunk_drawer``
+is the one map from a stream's normals to rows, picked by the rank of its
+parameter: white or circulant steps or Cholesky rows.
 """
 
 from __future__ import annotations
@@ -263,8 +261,9 @@ def _check_times(*times: float) -> None:
             raise ValueError(f"time must be nonnegative, got {t}")
 
 
-def _power_sum(spec: GmfbmSpec, x: float) -> float:
-    """sum_k a_k^2 |x|^{2H_k}: the variance of an increment over a span |x|."""
+def _power_sum(spec: GmfbmSpec, x):
+    """sum_k a_k^2 |x|^{2H_k}: the variance of an increment over a span |x|,
+    elementwise for an array x."""
     return sum(a * a * abs(x) ** (2 * h) for h, a in zip(spec.hursts, spec.coeffs))
 
 
@@ -345,17 +344,10 @@ def _seeds(seeds, least: int = 1) -> list:
 
 
 def _stream(seed: int, component: int, coord: int) -> np.random.Generator:
-    """SFC64 stream for one (component, coordinate) pair."""
+    """SFC64 stream of spawn key (component, coord): ``_draw`` takes (0, c)
+    for coordinate c, ``signature.cross_term_scaling`` (0, 0) and (1, 0)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(component, coord))
     return np.random.Generator(np.random.SFC64(ss))
-
-
-def _fbm_covariance(hurst: float, times: np.ndarray) -> np.ndarray:
-    t = times[:, None]
-    s = times[None, :]
-    return 0.5 * (
-        t ** (2 * hurst) + s ** (2 * hurst) - np.abs(t - s) ** (2 * hurst)
-    )
 
 
 # grid points (t = 0 included) above which Cholesky sampling is refused: its
@@ -376,8 +368,8 @@ def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
                                    f"positive definite, even with jitter {jitter:.3g}")
 
 
-# (hurst, n) pairs whose circulant eigenvalues stay memoised
-_EIGS_CACHE_SIZE = 32
+# mixtures (hursts, coeffs, n, dt, white) whose spectrum factors stay memoised
+_SCALE_CACHE_SIZE = 32
 
 
 def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
@@ -400,43 +392,45 @@ def _fgn_autocovariance(hurst: float, n: int) -> np.ndarray:
     return np.concatenate([head, k ** a * half_f])[:n + 1]
 
 
-@functools.lru_cache(maxsize=_EIGS_CACHE_SIZE)
-def _fgn_circulant_sqrt_eigs(hurst: float, n: int) -> np.ndarray:
-    """Square roots of the n + 1 distinct eigenvalues of the circulant
-    embedding [g(0) .. g(n), g(n-1) .. g(1)] of n unit-spacing fGn steps.
+def _fgn_circulant_eigs(hurst: float, n: int) -> np.ndarray:
+    """The n + 1 distinct eigenvalues of the circulant embedding
+    [g(0) .. g(n), g(n-1) .. g(1)] of n unit-spacing fGn steps, clipped at 0.
 
     It is nonnegative definite at every H. For H <= 1/2, g <= 0 off lag 0,
     so each eigenvalue is at least sum_{k in Z} g(k) >= 0 (Craigmile, J. Time
     Ser. Anal. 2003); for H > 1/2, g is positive, decreasing and convex from
     lag 1, so each eigenvalue is a Fejer-weighted sum of second differences.
-    An eigenvalue below -1e-10 of the largest raises NumericsError. Results are
-    memoised per (hurst, n), read-only, so no caller can change a cached array.
+    An eigenvalue below -1e-10 of the largest raises NumericsError.
     """
     gamma = _fgn_autocovariance(hurst, n)
     eigs = np.fft.rfft(np.concatenate([gamma, gamma[n - 1:0:-1]])).real
     if eigs.min() < -1e-10 * max(1.0, eigs.max()):
         raise NumericsError(f"circulant embedding of fGn with H={hurst} on {n} "
                             f"steps is indefinite (eigenvalue {eigs.min():.3g})")
-    sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None))
-    sqrt_eigs.flags.writeable = False
-    return sqrt_eigs
+    return np.clip(eigs, 0.0, None)
 
 
-def _circulant_scale(hurst: float, grid: TimeGrid, white: bool = False):
-    """Per-bin factors of the half-spectrum of an fBm of index ``hurst`` on
-    the uniform grid, times its step scale dt^H; with ``white`` and H = 1/2,
-    the scalar sqrt(dt) of the white map.
-
-    irfft divides by 2n: a real bin needs sqrt(2n eig), a complex one sqrt(n eig).
-    """
-    dt = grid.points[1] - grid.points[0]
-    if white and hurst == 0.5:
-        return np.sqrt(dt)
-    n = len(grid) - 1
-    step_scale = dt ** hurst
-    scale = (np.sqrt(n) * step_scale) * _fgn_circulant_sqrt_eigs(hurst, n)
+@functools.lru_cache(maxsize=_SCALE_CACHE_SIZE)
+def _mixture_scale(hursts: tuple, coeffs: tuple, n: int, dt: float, white: bool):
+    """Half-spectrum factors of n steps of sum_k a_k B^{H_k} at spacing dt:
+    sqrt(n sum_k a_k^2 dt^{2H_k} lambda_k), lambda_k the fGn eigenvalues at
+    H_k, times sqrt(2) at the real bins 0 and n, as irfft divides by 2n; with
+    ``white`` and every H = 1/2, the white map's scalar sqrt(sum_k a_k^2 dt).
+    Memoised, read-only, so no caller can change a cached array."""
+    weights = [a * a * dt ** (2 * h) for h, a in zip(hursts, coeffs)]
+    if white and all(h == 0.5 for h in hursts):
+        return np.sqrt(sum(weights))
+    eigs = sum(w * _fgn_circulant_eigs(h, n) for h, w in zip(hursts, weights))
+    scale = np.sqrt(n * eigs)
     scale[[0, n]] *= np.sqrt(2.0)
+    scale.flags.writeable = False
     return scale
+
+
+def _circulant_scale(hursts, coeffs, grid: TimeGrid, white: bool = False):
+    """``_mixture_scale`` of the mixture on the uniform grid."""
+    dt = float(grid.points[1] - grid.points[0])
+    return _mixture_scale(tuple(hursts), tuple(coeffs), len(grid) - 1, dt, white)
 
 
 def _circulant_fgn(normals: np.ndarray, scale: np.ndarray,
@@ -525,25 +519,23 @@ def _run(jobs, size: int, n: int) -> None:
         future.result()
 
 
-def _chunk_drawer(params, rows: int, n: int):
-    """``draw(rng, param, m)``: the stream ``rng``'s next m <= ``rows`` rows
-    of normals, mapped to m rows of n values by the rank of ``param``: 0, the
+def _chunk_drawer(param, rows: int, n: int):
+    """``draw(rng, m)``: the stream ``rng``'s next m <= ``rows`` rows of
+    normals, mapped to m rows of n values by the rank of ``param``: 0, the
     white map, n normals per row times the scalar sqrt(dt), and 1, the
     spectrum factors of ``_circulant_fgn``, to fGn steps; 2, the transposed
     Cholesky factor, to fBm rows. The rows are a view of buffers made once,
-    only those the maps of ``params`` use, and overwritten by the next draw.
+    only those the map uses, and overwritten by the next draw.
     """
-    ranks = {np.ndim(param) for param in params}
-    normals = np.empty((rows, 2 * n if 1 in ranks else n))
-    spectrum = np.empty((rows, n + 1), complex) if 1 in ranks else None
-    fbm = np.empty((rows, n)) if 2 in ranks else None
+    rank = np.ndim(param)
+    normals = np.empty((rows, 2 * n if rank == 1 else n))
+    spectrum = np.empty((rows, n + 1), complex) if rank == 1 else None
+    fbm = np.empty((rows, n)) if rank == 2 else None
 
-    def draw(rng, param, m):
-        rank = np.ndim(param)
-        if rank == 0:
-            z = rng.standard_normal(out=normals.reshape(-1)[:m * n].reshape(m, n))
-            return np.multiply(z, param, out=z)
+    def draw(rng, m):
         z = rng.standard_normal(out=normals[:m])
+        if rank == 0:
+            return np.multiply(z, param, out=z)
         if rank == 1:
             return _circulant_fgn(z, param, spectrum[:m])
         return np.matmul(z, param.T, out=fbm[:m])
@@ -554,14 +546,12 @@ def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str,
           size: int, *, white: bool = True) -> tuple[np.ndarray, str]:
     """Paths (size, n_points, dim) and the method used.
 
-    Everything that can raise runs first, on the calling thread. Then one
-    job per coordinate c walks its rows a chunk at a time with one
-    ``_chunk_drawer``. For each chunk it takes the components k in order,
-    draws stream (k, c)'s next rows, cumulates them in place if they are fGn
-    steps, scales them by a_k in place and adds them to the output, so each
-    entry is 0 + a_0 c_0 + a_1 c_1 + ..., in that order. A white row is thus
-    a_k times the cumulative sum of sqrt(dt) z_i. The jobs run by ``_run``.
-    ``white=False`` keeps the circulant map at H = 1/2.
+    Everything that can raise runs first, on the calling thread: the map's
+    one parameter, the mixture's spectrum factors or the Cholesky factor of
+    its covariance. Then one job per coordinate c walks its rows a chunk at
+    a time with one ``_chunk_drawer`` on stream (0, c), and cumulates fGn
+    steps into its output or copies fBm rows there. The jobs run by
+    ``_run``. ``white=False`` keeps the circulant map when every H is 1/2.
     """
     if method not in ("auto", "cholesky", "circulant"):
         raise ValueError(f"unknown sampling method: {method!r}")
@@ -582,22 +572,22 @@ def _draw(spec: GmfbmSpec, grid: TimeGrid, seed: int, method: str,
     if n < 1:
         return values, method
     if method == "circulant":
-        params = [_circulant_scale(hurst, grid, white) for hurst in spec.hursts]
+        param = _circulant_scale(spec.hursts, spec.coeffs, grid, white)
     else:
-        params = [_cholesky_factor(_fbm_covariance(hurst, grid.points[1:]))
-                  for hurst in spec.hursts]
+        t = grid.points[1:, None]
+        param = _cholesky_factor(0.5 * (_power_sum(spec, t) + _power_sum(spec, t.T)
+                                        - _power_sum(spec, t - t.T)))
     rows = max(1, min(_chunk_rows(n), size))
 
     def job(c: int) -> None:
-        draw = _chunk_drawer(params, rows, n)
-        streams = [_stream(seed, k, c) for k in range(spec.n_components)]
+        draw, rng = _chunk_drawer(param, rows, n), _stream(seed, 0, c)
         for start in range(0, size, rows):
             out = values[start:start + rows, 1:, c]
-            for a, param, rng in zip(spec.coeffs, params, streams):
-                part = draw(rng, param, len(out))
-                if np.ndim(param) < 2:  # fGn steps
-                    np.cumsum(part, axis=1, out=part)
-                out += np.multiply(a, part, out=part)
+            part = draw(rng, len(out))
+            if np.ndim(param) < 2:  # fGn steps
+                np.cumsum(part, axis=1, out=out)
+            else:
+                out[...] = part
 
     _run([functools.partial(job, c) for c in range(spec.dim)], size, n)
     return values, method
@@ -628,9 +618,9 @@ def sample_batch(
 ) -> np.ndarray:
     """Draw ``n_paths`` independent paths at once; values shape (n_paths, n, d).
 
-    Path k is the same for every ``n_paths`` > k: each (component,
-    coordinate) stream hands out its draws path by path. Memory is the
-    output plus one chunk's buffers per coordinate, those of the maps its
-    components take (at 64 steps about 1.2 MiB, 0.4 MiB if every H is 1/2).
+    Path k is the same for every ``n_paths`` > k: each coordinate's stream
+    hands out its draws path by path. Memory is the output plus one chunk's
+    buffers per coordinate, those of its map (at 64 steps about 1.1 MiB for
+    the circulant map, 0.5 MiB for Cholesky, 0.25 MiB if every H is 1/2).
     """
     return _draw(spec, grid, seed, method, n_paths)[0]

@@ -200,7 +200,7 @@ def _variance_weights(hurst: float, grid: TimeGrid) -> np.ndarray:
     rfft(m zero-padded to 2n): by the circulant map of ``_circulant_fgn``,
     bin j weighs s_j^2 / n^2 for its factor s_j, bins 0 and n a quarter of that."""
     n = len(grid) - 1
-    w = (_circulant_scale(hurst, grid) / n) ** 2
+    w = (_circulant_scale((hurst,), (1.0,), grid) / n) ** 2
     w[[0, n]] /= 4.0
     return np.repeat(w, 2)
 
@@ -232,9 +232,10 @@ def cross_term_scaling(
     squared integral is that variance times z^2, z one normal of stream 1.
 
     Scale si draws from the streams of seed + si, on the sampling pool, one
-    job per scale: xi from stream 0 as ``sample_batch`` draws it (by the
-    white map at H = 1/2), a sampling chunk of rows at a time with one
-    ``gmfbm._chunk_drawer``, and stream 1's next normal for each row. The
+    job per scale: xi from stream (0, 0) as ``sample_batch`` draws the
+    one-component mixture (H_i, a = 1) (by the white map at H = 1/2), a
+    sampling chunk of rows at a time with one ``gmfbm._chunk_drawer``, and
+    stream (1, 0)'s next normal for each row. The
     midpoints, their transform and the normals go into buffers made once per
     job, so memory does not grow with ``n_paths``.
     """
@@ -253,20 +254,20 @@ def cross_term_scaling(
     for t in t_scales:
         GmfbmSpec((h_i, h_j), (1.0, 1.0), horizon=t)  # checks both H and t
         grid = TimeGrid.uniform(n_steps, t)
-        factors.append(_circulant_scale(h_i, grid, white=True))
+        factors.append(_circulant_scale((h_i,), (1.0,), grid, white=True))
         weights.append(_variance_weights(h_j, grid))
     rows = min(_chunk_rows(n_steps), n_paths)
     sq = np.empty((t_scales.size, n_paths))
 
     def fill(si: int) -> None:
-        draw = _chunk_drawer(factors[si:si + 1], rows, n_steps)
+        draw = _chunk_drawer(factors[si], rows, n_steps)
         xi_stream, z_stream = (_stream(seed + si, k, 0) for k in (0, 1))
         mid = np.empty((rows, n_steps))
         spectrum = np.empty((rows, n_steps + 1), complex)
         z = np.empty(rows)
         for start in range(0, n_paths, rows):
             m = min(rows, n_paths - start)
-            xi = draw(xi_stream, factors[si], m)
+            xi = draw(xi_stream, m)
             x = np.cumsum(xi, axis=1, out=mid[:m])
             x += np.multiply(xi, -0.5, out=xi)  # the midpoints (X_k + X_{k+1}) / 2
             v = np.fft.rfft(x, 2 * n_steps, axis=1, out=spectrum[:m]).view(float)

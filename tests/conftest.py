@@ -48,8 +48,7 @@ def indefinite_embedding(monkeypatch):
         return out
 
     monkeypatch.setattr(gmfbm, "_fgn_autocovariance", gamma)
-    monkeypatch.setattr(gmfbm, "_fgn_circulant_sqrt_eigs",
-                        gmfbm._fgn_circulant_sqrt_eigs.__wrapped__)
+    monkeypatch.setattr(gmfbm, "_mixture_scale", gmfbm._mixture_scale.__wrapped__)
 
 
 def pytest_collection_modifyitems(config, items):

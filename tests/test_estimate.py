@@ -504,26 +504,35 @@ def test_newton_step_matches_oracle_in_one_dimension(hursts, grad):
 
 
 def _polish_oracle(dts, values, counts, hursts):
-    """One replicate's polish as a plain loop, one trial at a time."""
+    """One replicate's polish as a plain loop, one trial at a time: a step
+    halved _STALL times in a row to below _H_TOL makes it go on once with
+    stencils _FD_FINE times narrower."""
     k = hursts.size
-    offsets = estimate._FD_STEP * (np.indices((3,) * k).reshape(k, -1).T - 1)
-    centre = len(offsets) // 2
+    unit = np.indices((3,) * k).reshape(k, -1).T - 1
+    centre = len(unit) // 2
 
-    def stencil(h):
-        rows = np.repeat(counts[None], len(offsets), axis=0)
-        return estimate._project(dts, values, rows, h + offsets)[1] ** 2
+    def stencil(h, fd):
+        rows = np.repeat(counts[None], len(unit), axis=0)
+        return estimate._project(dts, values, rows, h + fd * unit)[1] ** 2
 
-    f = stencil(hursts)
+    fd = estimate._FD_STEP
+    f = stencil(hursts, fd)
     for _ in range(estimate._NEWTON_MAXITER):
-        step = estimate._newton_step(f[None], hursts[None])[0]
+        step, halvings = estimate._newton_step(f[None], hursts[None], fd)[0], 0
         while True:
             if np.abs(step).max() < estimate._H_TOL:
-                return hursts
+                if halvings < estimate._STALL or fd != estimate._FD_STEP:
+                    return hursts
+                fd = estimate._FD_STEP / estimate._FD_FINE
+                f = stencil(hursts, fd)
+                step, halvings = estimate._newton_step(f[None], hursts[None], fd)[0], 0
+                continue
             trial = estimate._feasible(hursts[None] + step)[0]
-            ft = stencil(trial)
+            ft = stencil(trial, fd)
             if ft[centre] < f[centre]:
                 break
             step /= 2
+            halvings += 1
         hursts, f = trial, ft
     return hursts
 
@@ -570,6 +579,31 @@ def test_lockstep_polish_follows_each_replicates_own_iterates(monkeypatch, maxit
     got = estimate._polish(dts, values, counts, start.copy())[0]
     for c, s, h in zip(counts, start, got):
         assert np.array_equal(h, _polish_oracle(dts, values, c, s))
+
+
+# a bootstrap replicate's table (4 distinct lags, rows counted 2, 1, 1, 2)
+# whose two-exponent polish reaches a kink: near the minimum the second
+# weight falls to 0 between the points of a 1e-5 stencil, whose central
+# differences then put the gradient along h_1 at +1.1e-4 where it is -1.9e-4
+KINK_TABLE = (np.array([0.0625, 0.125, 0.25, 0.5]),
+              np.array([0.13193499422231225, 0.32465609819399416,
+                        0.8235945155189235, 2.0010841416798613]),
+              np.array([[2, 1, 1, 2]]))
+
+
+def test_polish_goes_on_past_a_stencil_that_straddles_a_kink(monkeypatch):
+    dts, values, counts = KINK_TABLE
+    start = estimate._grid_start(dts, values, counts, 2)
+    hursts, weights, rnorm = estimate._polish(dts, values, counts, start)
+    assert np.array_equal(hursts[0], _polish_oracle(dts, values, counts[0], start[0]))
+    # the second weight is 0 at the minimum: the residual is the one-exponent
+    # fit's, below where the polish on 1e-5 stencils alone stops, (4.988,
+    # 4.0e-4) with a residual 1.4e-7 of it higher
+    one = estimate._fit(dts, values, counts, 1)[2]
+    assert weights[0, 1] == 0.0 and abs(rnorm[0] - one[0]) <= 1e-12 * one[0]
+    monkeypatch.setattr(estimate, "_STALL", 10 ** 9)
+    stalled = estimate._polish(dts, values, counts, start)
+    assert stalled[1][0, 1] > 0.0 and stalled[2][0] > rnorm[0] * (1 + 1e-7)
 
 
 # --------------------------------------------------------------------------- #

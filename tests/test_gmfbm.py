@@ -28,7 +28,7 @@ from roughmix.gmfbm import (
     _circulant_fgn,
     _circulant_scale,
     _fgn_autocovariance,
-    _fgn_circulant_sqrt_eigs,
+    _fgn_circulant_eigs,
     _median,
     covariance,
     dumps,
@@ -258,16 +258,25 @@ def test_sample_coordinates_independent():
 
 
 def test_sample_mixes_components_in_order():
-    grid = TimeGrid.uniform(16)
-    _, c = reference_draw(TWO_COMP, grid, 2, "auto", 1)
-    assert c.shape == (2, 1, 17, 1)
-    mixed = 1.0 * c[0, 0] + 2.0 * c[1, 0]
-    assert np.allclose(mixed, sample(TWO_COMP, grid, seed=2).values)
-    # the mix is the elementwise sum a_0 c_0 + a_1 c_1 + ..., in that order
-    _, c = reference_draw(THREE_COMP, grid, 2, "auto", 1)
-    mixed = 1.0 * c[0, 0] + -0.5 * c[1, 0] + 2.0 * c[2, 0]
-    assert np.array_equal(mixed, sample(THREE_COMP, grid, seed=2).values)
-    assert np.array_equal(mixed[None], sample_batch(THREE_COMP, grid, 2, 1))
+    # the mixture's spectrum is 0 + w_0 lambda_0 + w_1 lambda_1 + ..., in
+    # component order, with w_k = a_k^2 dt^{2 H_k} and lambda_k the fGn
+    # eigenvalues at H_k; its factors are sqrt(n spectrum), times sqrt(2) at
+    # bins 0 and n, and map the one stream of each coordinate
+    n = 16
+    grid = TimeGrid.uniform(n)
+    dt = float(grid.points[1])
+    for spec in (TWO_COMP, THREE_COMP):
+        eigs = 0
+        for h, a in zip(spec.hursts, spec.coeffs):
+            eigs = eigs + a * a * dt ** (2 * h) * _fgn_circulant_eigs(h, n)
+        factors = np.sqrt(n * eigs)
+        factors[[0, n]] *= np.sqrt(2.0)
+        scale = _circulant_scale(spec.hursts, spec.coeffs, grid)
+        assert scale.tobytes() == factors.tobytes()
+        mixed = reference_draw(spec, grid, 2, "auto", 1)
+        assert mixed.shape == (1, n + 1, spec.dim)
+        assert np.array_equal(mixed[0], sample(spec, grid, seed=2).values)
+        assert np.array_equal(mixed, sample_batch(spec, grid, 2, 1))
 
 
 def test_cholesky_retries_a_singular_covariance_with_jitter():
@@ -291,7 +300,7 @@ def test_cholesky_refused_above_cap(method, monkeypatch):
     def no_covariance(*args):
         raise AssertionError("covariance built")
 
-    monkeypatch.setattr(gmfbm, "_fbm_covariance", no_covariance)
+    monkeypatch.setattr(gmfbm, "_power_sum", no_covariance)
     grid = TimeGrid.uniform(MAX_CHOLESKY_POINTS)
     if method == "auto":
         grid = TimeGrid(grid.points ** 2)
@@ -389,18 +398,46 @@ FGN_HURSTS = [0.01, 0.1, 0.3, 0.4999, 0.5001, 0.75, 0.95, 0.999]
 FGN_LAGS = [*range(1, 40), 100, 1000, 4095, 65535, 262143]
 
 
-@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75, 0.95])
-def test_circulant_covariance_exact(hurst):
-    # the sampler is linear in its 2n normals; feeding it the basis vectors
+# ids: the Hurst parameters, for mixtures of unequal coefficients
+LAW_SPECS = {
+    **{str(h): ((h,), (1.0,)) for h in (0.1, 0.5, 0.75, 0.95)},
+    "0.3x1.7": ((0.3,), (1.7,)),
+    "0.5+0.9": ((0.5, 0.9), (1.0, -2.5)),
+    "0.6+0.5": ((0.6, 0.5), (0.4, 3.0)),
+    "0.3+0.6+0.9": ((0.3, 0.6, 0.9), (0.5, -1.0, 2.0)),
+    "0.9+0.3+0.5": ((0.9, 0.3, 0.5), (2.0, 0.7, -1.1)),
+}
+
+
+@pytest.mark.parametrize("hursts,coeffs", LAW_SPECS.values(), ids=list(LAW_SPECS))
+def test_circulant_covariance_exact(hursts, coeffs, monkeypatch):
+    # the sampler is linear in its normals; feeding it the basis vectors
     # gives its matrix A (the increments of its fBm rows), and A^T A is the
-    # covariance it samples; a grid of step 1 leaves the fGn unscaled
+    # covariance it samples. On a grid of step 1 the mixture's steps have
+    # covariance sum_k a_k^2 g_k(|i - j|), against the decimal autocovariance
+    # g_k: the float second difference is off by up to 3e-13 at these lags
     n = 64
-    steps = _circulant_fgn(np.eye(2 * n), _circulant_scale(hurst, TimeGrid.uniform(n, n)),
+    spec = GmfbmSpec(hursts, coeffs, horizon=float(n))
+    want = sum(a * a * fgn_covariance(h, n, n) for h, a in zip(hursts, coeffs))
+    steps = _circulant_fgn(np.eye(2 * n), _circulant_scale(hursts, coeffs,
+                                                           TimeGrid.uniform(n, n)),
                            np.empty((2 * n, n + 1), dtype=complex))
     responses = np.diff(np.cumsum(steps, axis=1), axis=1, prepend=0.0)
-    # against the decimal autocovariance: the float second difference is off
-    # by up to 3e-13 at these lags
-    assert np.abs(responses.T @ responses - fgn_covariance(hurst, n, n)).max() <= 1e-14
+    assert np.abs(responses.T @ responses - want).max() <= 1e-14 * np.abs(want).max()
+    # the Cholesky factor L that sample takes on a non-uniform grid: L L^T
+    # against covariance(spec, s, t), entry by entry
+    factors, factor = [], gmfbm._cholesky_factor
+
+    def recorded(cov):
+        factors.append(factor(cov))
+        return factors[-1]
+
+    monkeypatch.setattr(gmfbm, "_cholesky_factor", recorded)
+    times = n * TimeGrid.uniform(n).points ** 1.5
+    assert sample(spec, TimeGrid(times), 0).method == "cholesky"
+    want = np.array([[covariance(spec, s, t) for t in times[1:]] for s in times[1:]])
+    got = factors[0] @ factors[0].T
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("hurst", FGN_HURSTS)
@@ -432,8 +469,8 @@ def test_fgn_autocovariance_keeps_embedding_nonnegative(hurst):
 def test_long_high_hurst_embedding_is_nonnegative():
     # 2^18 steps at H = 0.999: the second-difference autocovariance put the
     # smallest eigenvalue at -1.2e-8 of the largest; eigenvalues only
-    sqrt_eigs = _fgn_circulant_sqrt_eigs.__wrapped__(0.999, 2 ** 18)
-    assert sqrt_eigs.size == 2 ** 18 + 1 and np.isfinite(sqrt_eigs).all()
+    eigs = _fgn_circulant_eigs(0.999, 2 ** 18)
+    assert eigs.size == 2 ** 18 + 1 and np.isfinite(eigs).all()
 
 
 def test_indefinite_embedding_raises_numerics_error(indefinite_embedding):
@@ -510,66 +547,73 @@ def test_output_does_not_depend_on_workers(monkeypatch, pool_of):
         assert np.allclose(got[1], real[1], rtol=1e-12, atol=1e-12)
 
 
-def white_rows(grid, seed, component, coord, size):
-    """The fBm rows (size, n) of an H = 1/2 stream on a uniform grid: the
-    stream's n normals per row, drawn whole, times sqrt(dt), cumulated."""
-    n = len(grid) - 1
-    z = gmfbm._stream(seed, component, coord).standard_normal((size, n))
-    return np.cumsum(np.sqrt(grid.points[1] - grid.points[0]) * z, axis=1)
+def white_rows(spec, grid, seed, coord, size):
+    """The fBm rows (size, n) of one coordinate of a spec whose every H is
+    1/2, on a uniform grid: stream (0, coord)'s n normals per row, drawn
+    whole, times sqrt(a_0^2 dt + a_1^2 dt + ...), cumulated."""
+    n, dt = len(grid) - 1, float(grid.points[1] - grid.points[0])
+    z = gmfbm._stream(seed, 0, coord).standard_normal((size, n))
+    return np.cumsum(np.sqrt(sum(a * a * dt for a in spec.coeffs)) * z, axis=1)
+
+
+def mixture_covariance(spec, times):
+    """The covariance of the mixture at ``times``, as one array expression."""
+    t = times[:, None]
+    return 0.5 * (gmfbm._power_sum(spec, t) + gmfbm._power_sum(spec, t.T)
+                  - gmfbm._power_sum(spec, t - t.T))
 
 
 def reference_draw(spec, grid, seed, method, size):
-    """Paths and components as drawn before they were mixed chunk by chunk:
-    each (component, coordinate) stream drawn whole, a sampling chunk of rows
-    at a time, into its slice of one (N, size, n_points, d) array, then mixed
-    by one einsum. An H = 1/2 component under circulant sampling takes the
-    white map, by ``white_rows``."""
+    """Paths drawn without the jobs' buffers: each coordinate's stream
+    (0, c) drawn whole, a sampling chunk of rows at a time, and mapped by the
+    mixture's one parameter into new arrays. A spec whose every H is 1/2
+    takes the white map under circulant sampling, by ``white_rows``."""
     if method == "auto":
         method = "circulant" if grid.is_uniform else "cholesky"
     n, rows = len(grid) - 1, gmfbm._chunk_rows(len(grid) - 1)
-    comps = np.zeros((spec.n_components, size, n + 1, spec.dim))
-    for k, hurst in enumerate(spec.hursts):
-        if method == "circulant" and hurst == 0.5:
-            for c in range(spec.dim):
-                comps[k, :, 1:, c] = white_rows(grid, seed, k, c, size)
-            continue
-        if method == "circulant":
-            scale = gmfbm._circulant_scale(hurst, grid)
-        else:
-            factor = gmfbm._cholesky_factor(gmfbm._fbm_covariance(hurst, grid.points[1:]))
+    values = np.zeros((size, n + 1, spec.dim))
+    if method == "circulant" and all(h == 0.5 for h in spec.hursts):
         for c in range(spec.dim):
-            rng = gmfbm._stream(seed, k, c)
-            for start in range(0, size, rows):
-                out = comps[k, start:start + rows, 1:, c]
-                if method == "circulant":
-                    z = rng.standard_normal((len(out), 2 * n))
-                    steps = _circulant_fgn(z, scale, np.empty((len(out), n + 1), complex))
-                    np.cumsum(steps, axis=1, out=out)
-                else:
-                    np.matmul(rng.standard_normal((len(out), n)), factor.T, out=out)
-    return np.einsum("k,k...->...", np.asarray(spec.coeffs), comps), comps
+            values[:, 1:, c] = white_rows(spec, grid, seed, c, size)
+        return values
+    if method == "circulant":
+        scale = _circulant_scale(spec.hursts, spec.coeffs, grid)
+    else:
+        factor = gmfbm._cholesky_factor(mixture_covariance(spec, grid.points[1:]))
+    for c in range(spec.dim):
+        rng = gmfbm._stream(seed, 0, c)
+        for start in range(0, size, rows):
+            out = values[start:start + rows, 1:, c]
+            if method == "circulant":
+                z = rng.standard_normal((len(out), 2 * n))
+                steps = _circulant_fgn(z, scale, np.empty((len(out), n + 1), complex))
+                out[:] = np.cumsum(steps, axis=1)
+            else:
+                out[:] = rng.standard_normal((len(out), n)) @ factor.T
+    return values
 
 
 # ids "dim-components"
 MIXED_SPECS = {f"{d}-{k}": GmfbmSpec(hursts=(0.3, 0.6, 0.9)[:k],
                                      coeffs=(-0.5, 1.0, 2.0)[:k], dim=d)
                for d in (1, 2, 3) for k in (1, 2, 3)}
-# the benchmarks' spec, whose H = 1/2 component no other spec here draws
+# the benchmarks' spec, whose H = 1/2 component no other spec here mixes
 MIXED_SPECS["bench"] = GmfbmSpec((0.5, 0.75), (1.0, 2.0), dim=2)
 
 
 @pytest.mark.parametrize("spec", MIXED_SPECS.values(), ids=list(MIXED_SPECS))
 def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, pool_of, spec):
-    # components added chunk by chunk, one job per coordinate, give the
-    # einsum of whole streams bit for bit, at every worker count
+    # one stream per coordinate mapped chunk by chunk into the jobs'
+    # buffers, one job per coordinate, gives the whole streams mapped by the
+    # mixture's one parameter bit for bit, at every worker count
     uniform = TimeGrid.uniform(64)
     draws = [(uniform, "circulant"), (uniform, "cholesky"),
              (TimeGrid(uniform.points ** 1.5), "auto")]
     executors = (gmfbm._pool(), _InlineExecutor(), pool_of(1))
     sizes = (1, CHUNK_ROWS_64 - 1, CHUNK_ROWS_64, CHUNK_ROWS_64 + 1)
     for grid, method in draws:
-        values = reference_draw(spec, grid, 5, method, 1)[0]
-        want = {size: reference_draw(spec, grid, 5, method, size)[0].tobytes()
+        values = reference_draw(spec, grid, 5, method, 1)
+        want = {size: reference_draw(spec, grid, 5, method, size).tobytes()
                 for size in sizes}
         for executor in executors:
             monkeypatch.setattr(gmfbm, "_pool", lambda: executor)
@@ -580,14 +624,15 @@ def test_draw_equals_whole_streams_mixed_at_once(monkeypatch, pool_of, spec):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("hursts,coeffs", [((0.5,), (1.5,)), ((0.5, 0.75), (-0.5, 2.0))],
+@pytest.mark.parametrize("hursts,coeffs", [((0.5,), (1.5,)), ((0.5, 0.5), (-0.5, 2.0))],
                          ids=["brownian", "mixed"])
 def test_brownian_rows_are_sqrt_dt_times_cumulated_normals(monkeypatch, pool_of, dim,
                                                            hursts, coeffs):
-    # the white map, byte for byte: row p of an H = 1/2 component is the
-    # cumulative sum of sqrt(dt) times normals p n .. p n + n - 1 of its
-    # stream, times a_0, added to 0 before the H = 0.75 component's rows;
-    # dt = 3/64 is not a power of two, so the order of the products shows
+    # the white map, byte for byte: a mixture of H = 1/2 components is a
+    # Brownian motion of variance sum_k a_k^2 per unit time, so row p is the
+    # cumulative sum of sqrt(a_0^2 dt + a_1^2 dt + ...) times normals
+    # p n .. p n + n - 1 of its stream; dt = 3/64 is not a power of two, so
+    # the order of the products shows
     spec = GmfbmSpec(hursts, coeffs, dim=dim, horizon=3.0)
     grid = TimeGrid.uniform(64, 3.0)
     sizes = (CHUNK_ROWS_64 - 1, CHUNK_ROWS_64, CHUNK_ROWS_64 + 1)
@@ -595,9 +640,7 @@ def test_brownian_rows_are_sqrt_dt_times_cumulated_normals(monkeypatch, pool_of,
     for size in sizes:
         values = np.zeros((size, 65, dim))
         for c in range(dim):
-            values[:, 1:, c] += coeffs[0] * white_rows(grid, 9, 0, c, size)
-        if len(hursts) > 1:  # the H = 0.75 rows by the circulant oracle
-            values += coeffs[1] * reference_draw(spec, grid, 9, "circulant", size)[1][1]
+            values[:, 1:, c] = white_rows(spec, grid, 9, c, size)
         want[size] = values
     for executor in (_InlineExecutor(), pool_of(1), gmfbm._pool()):
         monkeypatch.setattr(gmfbm, "_pool", lambda: executor)
@@ -609,7 +652,7 @@ def test_brownian_rows_are_sqrt_dt_times_cumulated_normals(monkeypatch, pool_of,
 
 def test_sample_batch_memory_is_its_output(monkeypatch, pool_of):
     # each coordinate's job holds one chunk's 2n-column normals and spectrum,
-    # about 1.2 MiB at 64 steps (peak 2.4 MiB above the output); holding
+    # about 1.1 MiB at 64 steps (peak 2.3 MiB above the output); holding
     # every component of the batch at once peaked at 79 MiB
     two = pool_of(2)
     monkeypatch.setattr(gmfbm, "_pool", lambda: two)
@@ -630,7 +673,7 @@ def whole_stream_steps(hurst, grid, seed, component, n_paths):
         z = gmfbm._stream(seed, component, 0).standard_normal((n_paths, n))
         return np.sqrt(grid.points[1] - grid.points[0]) * z
     z = gmfbm._stream(seed, component, 0).standard_normal((n_paths, 2 * n))
-    return _circulant_fgn(z, gmfbm._circulant_scale(hurst, grid),
+    return _circulant_fgn(z, _circulant_scale((hurst,), (1.0,), grid),
                           np.empty((n_paths, n + 1), complex))
 
 
@@ -713,7 +756,7 @@ def test_parallel_draws_run_on_the_same_workers(monkeypatch):
         assert gmfbm._pool() is pool
         workers.append({t.ident for t in pool._threads if t.is_alive()})
     assert workers[0] == workers[1] == workers[2]
-    assert len(ran_on) == 3 * 6 and set(ran_on) <= workers[0]  # 6 streams a draw
+    assert len(ran_on) == 3 * 2 and set(ran_on) <= workers[0]  # 2 streams a draw
     assert threading.get_ident() not in workers[0]
 
 
@@ -825,7 +868,7 @@ def test_high_hurst_samples_by_circulant():
     assert path.method == "circulant" and not path.used_fallback
     for n in (64, 2048, 4096):
         for hurst in np.linspace(0.05, 0.99, 95):
-            _fgn_circulant_sqrt_eigs.__wrapped__(hurst, n)  # raises if indefinite
+            _fgn_circulant_eigs(hurst, n)  # raises if indefinite
 
 
 def test_repeated_samples_are_byte_identical():
@@ -841,25 +884,28 @@ def test_sample_is_built_from_the_sfc64_streams():
     spec = GmfbmSpec(hursts=(0.3, 0.8), coeffs=(1.0, -0.5), dim=2)
     n, seed = 16, 2 ** 64 - 5
     want = np.zeros((n + 1, spec.dim))
-    for k, (hurst, a) in enumerate(zip(spec.hursts, spec.coeffs)):
-        eigs = _fgn_circulant_sqrt_eigs(hurst, n) ** 2
-        real_bin = np.isin(np.arange(n + 1), [0, n])
-        for c in range(spec.dim):
-            ss = np.random.SeedSequence(seed, spawn_key=(k, c))
-            z = np.random.Generator(np.random.SFC64(ss)).standard_normal(2 * n)
-            bins = np.concatenate([[z[0]], z[2::2] + 1j * z[3::2], [z[1]]])
-            spectrum = bins * np.sqrt(np.where(real_bin, 2, 1) * n * eigs) * (1 / n) ** hurst
-            want[1:, c] += a * np.cumsum(np.fft.irfft(spectrum, n=2 * n)[:n])
+    eigs = sum(a * a * (1 / n) ** (2 * hurst) * _fgn_circulant_eigs(hurst, n)
+               for hurst, a in zip(spec.hursts, spec.coeffs))
+    real_bin = np.isin(np.arange(n + 1), [0, n])
+    for c in range(spec.dim):
+        ss = np.random.SeedSequence(seed, spawn_key=(0, c))
+        z = np.random.Generator(np.random.SFC64(ss)).standard_normal(2 * n)
+        bins = np.concatenate([[z[0]], z[2::2] + 1j * z[3::2], [z[1]]])
+        spectrum = bins * np.sqrt(np.where(real_bin, 2, 1) * n * eigs)
+        want[1:, c] = np.cumsum(np.fft.irfft(spectrum, n=2 * n)[:n])
     got = sample(spec, TimeGrid.uniform(n), seed).values
     assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_cached_circulant_eigenvalues_are_read_only():
-    eigs = _fgn_circulant_sqrt_eigs(0.3, 128)
-    assert _fgn_circulant_sqrt_eigs(0.3, 128) is eigs
-    assert not eigs.flags.writeable
+    # the memo of a mixture's spectrum factors: one array per (hursts,
+    # coeffs, n, dt, white), handed out again and never changed
+    grid = TimeGrid.uniform(128)
+    scale = _circulant_scale((0.3, 0.8), (1.0, -0.5), grid)
+    assert _circulant_scale((0.3, 0.8), (1.0, -0.5), grid) is scale
+    assert not scale.flags.writeable
     with pytest.raises(ValueError):
-        eigs[0] = 0.0
+        scale[0] = 0.0
 
 
 def test_self_similarity_in_law():

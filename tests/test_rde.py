@@ -473,16 +473,15 @@ def test_stability_probe_monotone():
 
 
 def circulant_path(spec, grid, seed):
-    """One path with every component, H = 1/2 included, by the circulant
-    map: 2n normals per row of n steps, through the half-spectrum."""
+    """One path by the circulant map, every H = 1/2 included: stream (0, c)'s
+    2n normals per row of n steps, through the mixture's half-spectrum."""
     n = len(grid) - 1
     values = np.zeros((n + 1, spec.dim))
-    for k, (hurst, a) in enumerate(zip(spec.hursts, spec.coeffs)):
-        scale = gmfbm._circulant_scale(hurst, grid)
-        for c in range(spec.dim):
-            z = gmfbm._stream(seed, k, c).standard_normal((1, 2 * n))
-            steps = gmfbm._circulant_fgn(z, scale, np.empty((1, n + 1), complex))
-            values[1:, c] += a * np.cumsum(steps[0])
+    scale = gmfbm._circulant_scale(spec.hursts, spec.coeffs, grid)
+    for c in range(spec.dim):
+        z = gmfbm._stream(seed, 0, c).standard_normal((1, 2 * n))
+        steps = gmfbm._circulant_fgn(z, scale, np.empty((1, n + 1), complex))
+        values[1:, c] = np.cumsum(steps[0])
     return values
 
 

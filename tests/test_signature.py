@@ -411,7 +411,7 @@ def test_variance_weights_give_the_quadratic_form_of_the_steps(n_steps, h_j):
     v = np.fft.rfft(m, n=2 * n_steps, axis=1).view(float)
     got = np.einsum("pk,pk,k->p", v, v, _variance_weights(h_j, grid))
     dense = np.einsum("pi,ij,pj->p", m, fgn_covariance(h_j, n_steps, 0.75), m)
-    rows = gmfbm._circulant_fgn(np.eye(2 * n_steps), gmfbm._circulant_scale(h_j, grid),
+    rows = gmfbm._circulant_fgn(np.eye(2 * n_steps), gmfbm._circulant_scale((h_j,), (1.0,), grid),
                                 np.empty((2 * n_steps, n_steps + 1), complex))
     mapped = np.sum((m @ rows.T) ** 2, axis=1)
     assert np.allclose(got, dense, rtol=1e-12, atol=0), np.abs(got / dense - 1).max()
